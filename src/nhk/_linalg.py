@@ -5,12 +5,14 @@
    (axis 0 of ``d1``, axes 0-1 of ``d2``).  Products and inverses
    propagate derivatives analytically (d(A^-1) = -A^-1 dA A^-1 and its
    second-order extension).  Pivoting inside ``np.linalg`` sees values
-   only, never derivative data.  This is the workhorse representation.
+   only, never derivative data.  Every library path uses this form,
+   including the reference bivector route (``bracket.nh_bivector``).
 
 2. Matrices of :class:`~nhk.jet.Jet2` entries (plain nested lists) with a
    hand-rolled partial-pivot Gauss-Jordan elimination whose pivot
-   selection consults only the value parts.  This is the reference route;
-   tests pin it against the packed route at random points.
+   selection consults only the value parts.  No library path calls
+   these; they are the test reference that the packed bivector route is
+   pinned against at sampled points of every test system.
 """
 
 from __future__ import annotations

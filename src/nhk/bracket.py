@@ -18,8 +18,11 @@ embedding coefficients mu.  Brackets of chart functions are
 Two independent constructions live here:
 
 * ``nh_bivector`` -- the reference route: restrict Omega_M to the
-  C-basis, invert the restricted Gram matrix in jet arithmetic, and
-  conjugate back.  Entries come out as Jet2 of the chart variables.
+  C-basis, invert the restricted Gram matrix, and conjugate back, in
+  packed arithmetic whose derivatives run along the chart variables.
+  At order 1 entries come out as Jet2 of the chart variables.  The
+  tests pin it against the same construction in Jet2-matrix arithmetic
+  (``_linalg.jm_*``).
 * ``chart_tensors`` -- the fast packed route used by the Jacobiator,
   curvature and simulation internals: the closed block form and its
   chart-direction derivatives assembled with numpy.
@@ -38,10 +41,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._compile import get_compiled
-from ._linalg import jm_inv, jm_matmul, jm_values
+from ._linalg import Packed, pk_inv, pk_matmul, pk_transpose, pk_unpack
 from .errors import GeometryError
-from .jet import Jet2, jet_const
-from .manifold import BaseData, NonholonomicSystem, PointM, base_at, omega_M
+from .jet import Jet2
+from .manifold import (NONDEG_TOL, BaseData, NonholonomicSystem, PointM,
+                       _omega_packed, base_at)
 
 __all__ = ["BivectorAtPoint", "ChartTensors", "chart_tensors", "nh_bivector",
            "hamiltonian_M", "nh_vector_field"]
@@ -152,8 +156,30 @@ def chart_tensors(system: NonholonomicSystem, p: PointM,
                         dOmega=dOmega, dPi=dPi)
 
 
-def _chart_const(value, dim, order) -> Jet2:
-    return jet_const(float(value), dim, order)
+def _bivector_packed(system: NonholonomicSystem, p: PointM,
+                     order: int) -> Packed:
+    """The sharp matrix Pi = C G^{-1} C^T as a Packed matrix whose d1
+    (order 1) runs along the chart directions."""
+    n, k = system.n, system.k
+    nk = n - k
+    dim = system.dimM
+    bd, Om, _ = _omega_packed(system, p, order)
+    C_val = np.zeros((dim, 2 * nk))
+    C_val[:n, :nk] = bd.X.val
+    C_val[n:, nk:] = np.eye(nk)
+    C_d1 = None
+    if order >= 1:
+        C_d1 = np.zeros((dim, dim, 2 * nk))
+        C_d1[:n, :n, :nk] = bd.X.d1
+    C = Packed(C_val, C_d1)
+    Ct = pk_transpose(C)
+    G = pk_matmul(pk_matmul(Ct, Om), C)
+    det = abs(float(np.linalg.det(G.val)))
+    if det <= NONDEG_TOL:
+        raise GeometryError(
+            f"restricted 2-form degenerate (|det| = {det:.3e}); "
+            "no induced bivector at this point")
+    return pk_matmul(pk_matmul(C, pk_inv(G)), Ct)
 
 
 def nh_bivector(system: NonholonomicSystem, p: PointM,
@@ -164,51 +190,13 @@ def nh_bivector(system: NonholonomicSystem, p: PointM,
     With G = C^T Omega C the restricted Gram matrix (symplectic, hence
     invertible -- degeneracy raises a geometry error), antisymmetry of G
     turns `i_X Omega|_C = -alpha|_C` into X = C G^{-1} C^T alpha, so the
-    sharp matrix is Pi = C G^{-1} C^T.  All steps run in jet arithmetic
-    over the chart variables at the requested order."""
+    sharp matrix is Pi = C G^{-1} C^T.  All steps run in packed
+    arithmetic carrying derivatives along the chart variables at the
+    requested order."""
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
-    system.check_point(p)
-    n, k = system.n, system.k
-    nk = n - k
-    dim = system.dimM
-    om = omega_M(system, p, order=order)
-    if order == 0:
-        Om = [[_chart_const(om.mat[i][j], dim, 0) for j in range(dim)]
-              for i in range(dim)]
-    else:
-        Om = om.mat
-    bd = base_at(system, p.q, order)
-    Xj = [[None] * nk for _ in range(n)]
-    for i in range(n):
-        for al in range(nk):
-            if order == 0:
-                Xj[i][al] = _chart_const(bd.X.val[i, al], dim, 0)
-            else:
-                g = np.zeros(dim)
-                g[:n] = bd.X.d1[:, i, al]
-                Xj[i][al] = Jet2(float(bd.X.val[i, al]), g, None)
-    zero = _chart_const(0.0, dim, order)
-    one = _chart_const(1.0, dim, order)
-    C = [[zero] * (2 * nk) for _ in range(dim)]
-    for i in range(n):
-        for al in range(nk):
-            C[i][al] = Xj[i][al]
-    for al in range(nk):
-        C[n + al][nk + al] = one
-    Ct = [list(row) for row in zip(*C)]
-    G = jm_matmul(jm_matmul(Ct, Om), C)
-    det = abs(float(np.linalg.det(jm_values(G))))
-    if det <= 1e-12:
-        raise GeometryError(
-            f"restricted 2-form degenerate (|det| = {det:.3e}); "
-            "no induced bivector at this point")
-    Ginv = jm_inv(G)
-    Pi = jm_matmul(jm_matmul(C, Ginv), Ct)
-    if order == 0:
-        mat = jm_values(Pi)
-    else:
-        mat = Pi
+    Pi = _bivector_packed(system, p, order)
+    mat = Pi.val if order == 0 else pk_unpack(Pi)
     return BivectorAtPoint(mat=mat, order=order,
                            chart_names=system.chart_names)
 

@@ -9,8 +9,10 @@ on covectors, here always the three-term cyclic sum over chart basis
 covectors (no 1/2 normalization).  Three routes compute it:
 
 * ``jacobiator_bruteforce`` -- differentiate the bracket coefficients
-  directly, with the bivector matrix carried as jets of the chart
-  variables (no geometric input beyond pi itself);
+  directly, with the reference bivector matrix (inverse restricted
+  Gram, ``bracket._bivector_packed``) carried with its first
+  derivatives along the chart variables in packed arithmetic (no
+  geometric input beyond pi itself);
 * ``jacobiator_global``     -- the curvature formula: the Jacobiator is
   assembled from the curvature K_W of the admissible splitting paired
   through Omega_M against the sharp images,
@@ -36,11 +38,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .bracket import chart_tensors, nh_bivector
+from .bracket import _bivector_packed, chart_tensors
 from .curvature import curvature_coeffs
 from ._linalg import pk_matmul, Packed
 from .errors import NhkError, ParameterError, UnsupportedOperationError
 from .manifold import NonholonomicSystem, PointM, base_at, sample_points
+from .systems import _perm_sign
 
 __all__ = ["JacobiatorReport", "jacobiator_bruteforce", "jacobiator_global",
            "jacobiator_km", "jacobiator_tensor", "cross_validate"]
@@ -49,17 +52,9 @@ __all__ = ["JacobiatorReport", "jacobiator_bruteforce", "jacobiator_global",
 # ------------------------------------------------------------ brute force
 def _bivector_arrays(system: NonholonomicSystem, p: PointM):
     """Value and gradient arrays of the bivector matrix from the
-    reference jet route: V[L, I] = Pi[L, I], G[L, K, J] = d_L Pi[K, J]."""
-    bv = nh_bivector(system, p, order=1)
-    dim = system.dimM
-    V = np.empty((dim, dim))
-    G = np.empty((dim, dim, dim))
-    for i in range(dim):
-        for j in range(dim):
-            e = bv.mat[i][j]
-            V[i, j] = e.value
-            G[:, i, j] = e.grad
-    return V, G
+    reference route: V[L, I] = Pi[L, I], G[L, K, J] = d_L Pi[K, J]."""
+    Pi = _bivector_packed(system, p, order=1)
+    return Pi.val, Pi.d1
 
 
 def _trivector_from_arrays(V: np.ndarray, G: np.ndarray) -> np.ndarray:
@@ -74,16 +69,10 @@ def _trivector_brute(system: NonholonomicSystem, p: PointM) -> np.ndarray:
     return _trivector_from_arrays(*_bivector_arrays(system, p))
 
 
-def _trivector_packed(system: NonholonomicSystem, p: PointM) -> np.ndarray:
-    """Same tensor from the fast packed route (regression twin)."""
-    ct = chart_tensors(system, p, order=1)
-    return _trivector_from_arrays(ct.Pi, ct.dPi)
-
-
 def jacobiator_bruteforce(system: NonholonomicSystem, p: PointM,
                           triple) -> float:
     """Jacobiator on three chart basis covectors by direct
-    differentiation of the bracket coefficients (jet route)."""
+    differentiation of the bracket coefficients (reference route)."""
     i, j, k = _check_triple(system, triple)
     V, G = _bivector_arrays(system, p)
     total = 0.0
@@ -198,16 +187,6 @@ def _km_value(data: dict, triple) -> float:
     for (x, y, z) in ((al, be, ga), (be, ga, al), (ga, al, be)):
         total += float(Kc[:, x, y] @ g[:, z])
     return sign * total
-
-
-def _perm_sign(triple, canonical) -> float:
-    order = [canonical.index(t) for t in triple]
-    sign = 1.0
-    for a in range(3):
-        for b in range(a + 1, 3):
-            if order[a] > order[b]:
-                sign = -sign
-    return sign
 
 
 def jacobiator_km(system: NonholonomicSystem, p: PointM, triple) -> float:

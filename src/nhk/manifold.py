@@ -40,7 +40,7 @@ from ._linalg import (Packed, pk_const, pk_from_jets, pk_hstack, pk_inv,
                       pk_matmul, pk_rows, pk_transpose, pk_unpack, pk_add)
 from ._rng import Lcg64
 from .errors import DomainError, EvalError, GeometryError, LoadError, ParseError
-from .jet import Jet2, jet_binary, jet_const, jet_unary
+from .jet import jet_binary, jet_const, jet_unary
 
 __all__ = [
     "NonholonomicSystem", "PointM", "FrameAtPoint", "SplittingAtPoint",
@@ -610,72 +610,60 @@ def embed(system: NonholonomicSystem, p: PointM) -> np.ndarray:
     return pi
 
 
-def _chart_jet(value, grad_q, grad_pt, n, nk) -> Jet2:
-    g = np.zeros(n + nk)
-    g[:n] = grad_q
-    g[n:] = grad_pt
-    return Jet2(float(value), g, None)
+def _omega_packed(system: NonholonomicSystem, p: PointM,
+                  order: int) -> tuple[BaseData, Packed, float]:
+    """Omega_M at p as a Packed matrix whose d1 (order 1) runs along the
+    chart directions, q first, then the momenta.  Returns the base data
+    it was built from (at order + 1), the matrix, and |det| of its
+    restriction to C, which must exceed NONDEG_TOL."""
+    system.check_point(p)
+    n, k = system.n, system.k
+    nk = n - k
+    dim = system.dimM
+    bd = base_at(system, p.q, order + 1)
+    pt = p.ptilde
+    dMu = bd.mu.d1                      # (n, nk, n)
+    E = np.einsum("a,jai->ij", pt, dMu)
+    E = E - E.T
+    val = np.zeros((dim, dim))
+    val[:n, :n] = E
+    val[:n, n:] = bd.mu.val.T
+    val[n:, :n] = -bd.mu.val
+    d1 = None
+    if order >= 1:
+        d2Mu = bd.mu.d2                 # (n, n, nk, n)
+        dE_q = np.einsum("a,ljai->lij", pt, d2Mu)
+        dE_q = dE_q - dE_q.transpose(0, 2, 1)
+        dE_p = np.einsum("jai->aij", dMu) - np.einsum("iaj->aij", dMu)
+        d1 = np.zeros((dim, dim, dim))
+        d1[:n, :n, :n] = dE_q
+        d1[n:, :n, :n] = dE_p
+        d1[:n, :n, n:] = dMu.transpose(0, 2, 1)
+        d1[:n, n:, :n] = -dMu
+    # nondegeneracy of the restriction to C
+    C = np.zeros((dim, 2 * nk))
+    C[:n, :nk] = bd.X.val
+    C[n:, nk:] = np.eye(nk)
+    det = abs(float(np.linalg.det(C.T @ val @ C)))
+    if det <= NONDEG_TOL:
+        raise GeometryError(
+            f"restriction of the 2-form to C is degenerate (|det| = {det:.3e})")
+    return bd, Packed(val, d1), det
 
 
 def omega_M(system: NonholonomicSystem, p: PointM, order: int = 0) -> TwoFormAtPoint:
     """Pullback of the canonical symplectic form to M, in the chart basis.
 
     The embedded momenta p_i(q, ptilde) = ptilde_alpha mu^alpha_i(q) are
-    carried as jets of the chart variables; the matrix is assembled from
-    d p_i / d q^j antisymmetrized (top-left block) and the
+    differentiated along the chart variables; the matrix is assembled
+    from d p_i / d q^j antisymmetrized (top-left block) and the
     d p_i / d ptilde_alpha block.  order=1 returns entries as Jet2 over
     the chart variables (one more derivative level, for bracket use).
     """
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
-    system.check_point(p)
-    n, k = system.n, system.k
-    nk = n - k
-    bd = base_at(system, p.q, order + 1)
-    pt = p.ptilde
-    dMu = bd.mu.d1                      # (n, nk, n)
-    E = np.einsum("a,jai->ij", pt, dMu)
-    E = E - E.T
-    dim = system.dimM
-    if order == 0:
-        mat = np.zeros((dim, dim))
-        mat[:n, :n] = E
-        mat[:n, n:] = bd.mu.val.T
-        mat[n:, :n] = -bd.mu.val
-    else:
-        d2Mu = bd.mu.d2                 # (n, n, nk, n)
-        dE_q = np.einsum("a,ljai->lij", pt, d2Mu)
-        dE_q = dE_q - dE_q.transpose(0, 2, 1)
-        dE_p = np.einsum("jai->aij", dMu) - np.einsum("iaj->aij", dMu)
-        mat = [[None] * dim for _ in range(dim)]
-        zq = np.zeros(n)
-        zp = np.zeros(nk)
-        for i in range(dim):
-            for j in range(dim):
-                if i < n and j < n:
-                    mat[i][j] = _chart_jet(E[i, j], dE_q[:, i, j],
-                                           dE_p[:, i, j], n, nk)
-                elif i < n <= j:
-                    al = j - n
-                    mat[i][j] = _chart_jet(bd.mu.val[al, i],
-                                           dMu[:, al, i], zp, n, nk)
-                elif j < n <= i:
-                    al = i - n
-                    mat[i][j] = _chart_jet(-bd.mu.val[al, j],
-                                           -dMu[:, al, j], zp, n, nk)
-                else:
-                    mat[i][j] = _chart_jet(0.0, zq, zp, n, nk)
-    # nondegeneracy of the restriction to C
-    C = np.zeros((dim, 2 * nk))
-    C[:n, :nk] = bd.X.val
-    C[n:, nk:] = np.eye(nk)
-    Om = mat if order == 0 else np.array(
-        [[e.value for e in row] for row in mat])
-    G = C.T @ Om @ C
-    det = abs(float(np.linalg.det(G)))
-    if det <= NONDEG_TOL:
-        raise GeometryError(
-            f"restriction of the 2-form to C is degenerate (|det| = {det:.3e})")
+    _, om, det = _omega_packed(system, p, order)
+    mat = om.val if order == 0 else pk_unpack(om)
     return TwoFormAtPoint(mat=mat, order=order, restricted_abs_det=det)
 
 

@@ -330,6 +330,7 @@ def snakeboard_reduced_jacobiator(p_red, triple, params=None) -> float:
 
 
 def _perm_sign(triple, base) -> float:
+    """Sign of the permutation taking the 3-tuple ``base`` to ``triple``."""
     order = [base.index(t) for t in triple]
     sign = 1.0
     for a in range(3):

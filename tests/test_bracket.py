@@ -17,6 +17,8 @@ from nhk import (
     splitting_at,
 )
 from nhk._compile import get_compiled
+from nhk._linalg import jm_inv, jm_matmul
+from nhk.jet import Jet2, jet_const
 
 SYSTEMS = ["snakeboard", "particle", "disk", "twist3", "twist5",
            "holonomic", "kernel_path"]
@@ -110,6 +112,40 @@ def test_reference_route_first_derivatives_agree(system):
     # grads[i, j, l] = d_l Pi_ij vs packed dPi[l, i, j]
     np.testing.assert_allclose(np.einsum("ijl->lij", grads), fast.dPi,
                                rtol=1e-8, atol=1e-8)
+
+
+def _jet_matrix_bivector(system, p):
+    """Pi = C G^{-1} C^T with G = C^T Omega C in Jet2-matrix arithmetic
+    (jm_*): a reference for nh_bivector's packed construction."""
+    n, nk, dim = system.n, system.n - system.k, system.dimM
+    Om = omega_M(system, p, order=1).mat
+    bd = base_at(system, p.q, order=1)
+    zero, one = jet_const(0.0, dim, 1), jet_const(1.0, dim, 1)
+    C = [[zero] * (2 * nk) for _ in range(dim)]
+    for i in range(n):
+        for al in range(nk):
+            g = np.zeros(dim)
+            g[:n] = bd.X.d1[:, i, al]
+            C[i][al] = Jet2(float(bd.X.val[i, al]), g)
+    for al in range(nk):
+        C[n + al][nk + al] = one
+    Ct = [list(row) for row in zip(*C)]
+    G = jm_matmul(jm_matmul(Ct, Om), C)
+    return jm_matmul(jm_matmul(C, jm_inv(G)), Ct)
+
+
+def test_reference_route_matches_the_jet_matrix_construction(system):
+    for p in sample_points(system, 3, seed=163):
+        ref = _jet_matrix_bivector(system, p)
+        got = nh_bivector(system, p, order=1).mat
+        for grid in (ref, got):
+            assert all(e.order == 1 for row in grid for e in row)
+        np.testing.assert_allclose(
+            [[e.value for e in row] for row in got],
+            [[e.value for e in row] for row in ref], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            [[e.grad for e in row] for row in got],
+            [[e.grad for e in row] for row in ref], rtol=0, atol=1e-12)
 
 
 def test_fast_route_derivatives_match_finite_differences(system):

@@ -4,6 +4,10 @@ snakeboard values, sparsity patterns, and the cross-validation report."""
 import numpy as np
 import pytest
 
+import nhk._linalg
+import nhk.expr
+import nhk.jet
+import nhk.manifold
 from nhk import (
     PointM,
     adapted_coframe,
@@ -13,6 +17,7 @@ from nhk import (
     jacobiator_global,
     jacobiator_km,
     jacobiator_tensor,
+    nh_bivector,
     sample_points,
 )
 from nhk.errors import ParameterError, UnsupportedOperationError
@@ -48,6 +53,23 @@ def test_bruteforce_and_global_tensors_agree(system):
         tg = jacobiator_tensor(system, p, method="global")
         scale = max(1.0, np.max(np.abs(tb)))
         np.testing.assert_allclose(tg, tb, atol=1e-9 * scale)
+
+
+def test_bruteforce_route_makes_no_scalar_jet_calls(request, monkeypatch):
+    systems = [request.getfixturevalue(name)
+               for name in ("snakeboard", "particle", "disk")]
+    for s in systems:  # fills each system's compile cache
+        jacobiator_tensor(s, sample_points(s, 1, seed=317)[0], "bruteforce")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("jet_binary called on the brute-force route")
+
+    for mod in (nhk.jet, nhk.expr, nhk._linalg, nhk.manifold):
+        monkeypatch.setattr(mod, "jet_binary", refuse)
+    for s in systems:
+        p = sample_points(s, 2, seed=319)[1]
+        assert np.all(np.isfinite(jacobiator_tensor(s, p, "bruteforce")))
+        assert np.all(np.isfinite(nh_bivector(s, p, order=0).values()))
 
 
 def test_adapted_route_agrees(adapted_system):
