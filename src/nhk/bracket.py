@@ -44,8 +44,8 @@ from ._compile import get_compiled
 from ._linalg import Packed, pk_inv, pk_matmul, pk_transpose, pk_unpack
 from .errors import GeometryError
 from .jet import Jet2
-from .manifold import (NONDEG_TOL, BaseData, NonholonomicSystem, PointM,
-                       _omega_packed, base_at)
+from .manifold import (BaseData, NonholonomicSystem, PointM, _omega_packed,
+                       base_at)
 
 __all__ = ["BivectorAtPoint", "ChartTensors", "chart_tensors", "nh_bivector",
            "hamiltonian_M", "nh_vector_field"]
@@ -106,10 +106,15 @@ def chart_tensors(system: NonholonomicSystem, p: PointM,
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
     system.check_point(p)
-    n, k = system.n, system.k
-    nk = n - k
+    return _chart_tensors(system, p, base_at(system, p.q, order + 1), order)
+
+
+def _chart_tensors(system: NonholonomicSystem, p: PointM, bd: BaseData,
+                   order: int) -> ChartTensors:
+    """chart_tensors from base data ``bd`` at p.q of order at least
+    order + 1."""
+    n = system.n
     dim = system.dimM
-    bd = base_at(system, p.q, order + 1)
     pt = p.ptilde
     Mu, dMu = bd.mu.val, bd.mu.d1
     Xv = bd.X.val
@@ -156,14 +161,16 @@ def chart_tensors(system: NonholonomicSystem, p: PointM,
                         dOmega=dOmega, dPi=dPi)
 
 
-def _bivector_packed(system: NonholonomicSystem, p: PointM,
+def _bivector_packed(system: NonholonomicSystem, p: PointM, bd: BaseData,
                      order: int) -> Packed:
     """The sharp matrix Pi = C G^{-1} C^T as a Packed matrix whose d1
-    (order 1) runs along the chart directions."""
+    (order 1) runs along the chart directions, from base data ``bd`` at
+    p.q of order at least order + 1.  ``_omega_packed`` has already
+    checked |det G| against NONDEG_TOL on these same values."""
     n, k = system.n, system.k
     nk = n - k
     dim = system.dimM
-    bd, Om, _ = _omega_packed(system, p, order)
+    Om, _ = _omega_packed(system, p, bd, order)
     C_val = np.zeros((dim, 2 * nk))
     C_val[:n, :nk] = bd.X.val
     C_val[n:, nk:] = np.eye(nk)
@@ -174,11 +181,6 @@ def _bivector_packed(system: NonholonomicSystem, p: PointM,
     C = Packed(C_val, C_d1)
     Ct = pk_transpose(C)
     G = pk_matmul(pk_matmul(Ct, Om), C)
-    det = abs(float(np.linalg.det(G.val)))
-    if det <= NONDEG_TOL:
-        raise GeometryError(
-            f"restricted 2-form degenerate (|det| = {det:.3e}); "
-            "no induced bivector at this point")
     return pk_matmul(pk_matmul(C, pk_inv(G)), Ct)
 
 
@@ -195,7 +197,8 @@ def nh_bivector(system: NonholonomicSystem, p: PointM,
     requested order."""
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
-    Pi = _bivector_packed(system, p, order)
+    system.check_point(p)
+    Pi = _bivector_packed(system, p, base_at(system, p.q, order + 1), order)
     mat = Pi.val if order == 0 else pk_unpack(Pi)
     return BivectorAtPoint(mat=mat, order=order,
                            chart_names=system.chart_names)
@@ -214,8 +217,12 @@ def hamiltonian_M(system: NonholonomicSystem, p: PointM):
     the ambient route (1/2) p . kappa^{-1} p with p the embedded
     momenta.  Returns (value, dH) with dH a chart covector."""
     system.check_point(p)
-    n, k = system.n, system.k
-    bd = base_at(system, p.q, order=1)
+    return _hamiltonian(system, p, base_at(system, p.q, order=1))
+
+
+def _hamiltonian(system: NonholonomicSystem, p: PointM, bd: BaseData):
+    """hamiltonian_M from base data ``bd`` at p.q of order at least 1."""
+    n = system.n
     pt = p.ptilde
     Uj = _potential_jet(system, p.q, 1)
     value = 0.5 * float(pt @ bd.kD_inv.val @ pt) + Uj.value
@@ -238,9 +245,11 @@ def nh_vector_field(system: NonholonomicSystem, p: PointM) -> np.ndarray:
 
         qdot      =  X kD^{-1} ptilde          (the admitted velocity),
         ptildedot = -X^T dH_q - S dH_ptilde.
+
+    The chart tensors and the Hamiltonian share one base evaluation.
     """
     system.check_point(p)
-    n = system.n
-    ct = chart_tensors(system, p, order=0)
-    _, dH = hamiltonian_M(system, p)
+    bd = base_at(system, p.q, order=1)
+    ct = _chart_tensors(system, p, bd, 0)
+    _, dH = _hamiltonian(system, p, bd)
     return -ct.Pi @ dH

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._linalg import Packed, pk_unpack
 from .errors import GeometryError, UnsupportedOperationError
-from .manifold import NonholonomicSystem, PointM, base_at
+from .manifold import BaseData, NonholonomicSystem, PointM, base_at
 
 __all__ = ["CurvatureAtPoint", "AdaptedData", "curvature_coeffs",
            "curvature_KW_M", "curvature_KW_Q", "adapted_data"]
@@ -102,9 +102,14 @@ def curvature_coeffs(system: NonholonomicSystem, p: PointM,
     frame, from the commutator of projected constant-coefficient chart
     extensions (tensoriality makes the extension choice immaterial)."""
     system.check_point(p)
+    return _curvature_coeffs(system, base_at(system, p.q, order=1), lift)
+
+
+def _curvature_coeffs(system: NonholonomicSystem, bd: BaseData,
+                      lift=None) -> CurvatureAtPoint:
+    """curvature_coeffs from base data ``bd`` of order at least 1."""
     n, k = system.n, system.k
     dim = system.dimM
-    bd = base_at(system, p.q, order=1)
     Zl, dZl = _lift_arrays(system, bd, lift)
     epse = np.zeros((k, dim))
     epse[:, :n] = bd.eps.val

@@ -26,7 +26,9 @@ covectors (no 1/2 normalization).  Three routes compute it:
 
 ``cross_validate`` runs all applicable routes over a deterministic
 sample of points and all chart covector triples and reports any
-pairwise discrepancy beyond tolerance.
+pairwise discrepancy beyond tolerance.  At each point the routes share
+one base evaluation (``manifold.base_at``: metric, constraints, frames
+and their derivatives); what they compute from it stays independent.
 """
 
 from __future__ import annotations
@@ -38,11 +40,12 @@ from itertools import combinations
 
 import numpy as np
 
-from .bracket import _bivector_packed, chart_tensors
-from .curvature import curvature_coeffs
+from .bracket import _bivector_packed, _chart_tensors
+from .curvature import _curvature_coeffs
 from ._linalg import pk_matmul, Packed
 from .errors import NhkError, ParameterError, UnsupportedOperationError
-from .manifold import NonholonomicSystem, PointM, base_at, sample_points
+from .manifold import (BaseData, NonholonomicSystem, PointM, base_at,
+                       sample_points)
 from .systems import _perm_sign
 
 __all__ = ["JacobiatorReport", "jacobiator_bruteforce", "jacobiator_global",
@@ -50,10 +53,11 @@ __all__ = ["JacobiatorReport", "jacobiator_bruteforce", "jacobiator_global",
 
 
 # ------------------------------------------------------------ brute force
-def _bivector_arrays(system: NonholonomicSystem, p: PointM):
+def _bivector_arrays(system: NonholonomicSystem, p: PointM, bd: BaseData):
     """Value and gradient arrays of the bivector matrix from the
-    reference route: V[L, I] = Pi[L, I], G[L, K, J] = d_L Pi[K, J]."""
-    Pi = _bivector_packed(system, p, order=1)
+    reference route: V[L, I] = Pi[L, I], G[L, K, J] = d_L Pi[K, J].
+    ``bd`` is the order-2 base data at p.q."""
+    Pi = _bivector_packed(system, p, bd, order=1)
     return Pi.val, Pi.d1
 
 
@@ -65,8 +69,9 @@ def _trivector_from_arrays(V: np.ndarray, G: np.ndarray) -> np.ndarray:
     return A + A.transpose(1, 2, 0) + A.transpose(2, 0, 1)
 
 
-def _trivector_brute(system: NonholonomicSystem, p: PointM) -> np.ndarray:
-    return _trivector_from_arrays(*_bivector_arrays(system, p))
+def _trivector_brute(system: NonholonomicSystem, p: PointM,
+                     bd: BaseData) -> np.ndarray:
+    return _trivector_from_arrays(*_bivector_arrays(system, p, bd))
 
 
 def jacobiator_bruteforce(system: NonholonomicSystem, p: PointM,
@@ -74,7 +79,8 @@ def jacobiator_bruteforce(system: NonholonomicSystem, p: PointM,
     """Jacobiator on three chart basis covectors by direct
     differentiation of the bracket coefficients (reference route)."""
     i, j, k = _check_triple(system, triple)
-    V, G = _bivector_arrays(system, p)
+    system.check_point(p)
+    V, G = _bivector_arrays(system, p, base_at(system, p.q, order=2))
     total = 0.0
     for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
         total += float(V[:, a] @ G[:, c, b])
@@ -96,8 +102,10 @@ def _check_triple(system, triple):
 def jacobiator_global(system: NonholonomicSystem, p: PointM,
                       alpha, beta, gamma, lift=None) -> float:
     """Jacobiator of three chart covectors via the curvature formula."""
-    ct = chart_tensors(system, p, order=0)
-    cv = curvature_coeffs(system, p, lift=lift)
+    system.check_point(p)
+    bd = base_at(system, p.q, order=1)
+    ct = _chart_tensors(system, p, bd, 0)
+    cv = _curvature_coeffs(system, bd, lift)
     al = np.asarray(alpha, dtype=float)
     be = np.asarray(beta, dtype=float)
     ga = np.asarray(gamma, dtype=float)
@@ -109,11 +117,12 @@ def jacobiator_global(system: NonholonomicSystem, p: PointM,
     return total
 
 
-def _global_tensor(system: NonholonomicSystem, p: PointM,
+def _global_tensor(system: NonholonomicSystem, p: PointM, bd: BaseData,
                    lift=None) -> np.ndarray:
-    """Batched curvature-formula Jacobiator over all basis triples."""
-    ct = chart_tensors(system, p, order=0)
-    cv = curvature_coeffs(system, p, lift=lift)
+    """Batched curvature-formula Jacobiator over all basis triples, from
+    base data ``bd`` at p.q of order at least 1."""
+    ct = _chart_tensors(system, p, bd, 0)
+    cv = _curvature_coeffs(system, bd, lift)
     Pi, Om = ct.Pi, ct.Omega
     K2 = np.einsum("wij,iu,jv->wuv", cv.coeffs, Pi, Pi)
     KV = np.einsum("iw,wuv->iuv", cv.W_lift, K2)   # K(pi#u, pi#v) components
@@ -124,18 +133,25 @@ def _global_tensor(system: NonholonomicSystem, p: PointM,
 
 
 # ------------------------------------------------------- coordinate route
-def _km_point_data(system: NonholonomicSystem, p: PointM) -> dict:
-    """Arrays for the adapted-coordinate route at p.
-
-    The complement is always the canonical coordinate one (Z = d/ds),
-    regardless of any w_frame override: J here couples the coordinate
-    fiber momenta, p(d/ds^a) = J[a, be] ptilde_be."""
+def _km_base(system: NonholonomicSystem, p: PointM) -> BaseData:
+    """Check that the adapted-coordinate route applies at p and return
+    the order-1 base data it needs."""
     if system.adapted is None:
         raise UnsupportedOperationError(
             f"coordinate Jacobiator needs an adapted declaration; "
             f"system {system.name!r} has none")
     system.check_point(p)
-    bd = base_at(system, p.q, order=1)
+    return base_at(system, p.q, order=1)
+
+
+def _km_point_data(system: NonholonomicSystem, p: PointM,
+                   bd: BaseData) -> dict:
+    """Arrays for the adapted-coordinate route at p, from base data
+    ``bd`` at p.q of order at least 1 (adapted systems only).
+
+    The complement is always the canonical coordinate one (Z = d/ds),
+    regardless of any w_frame override: J here couples the coordinate
+    fiber momenta, p(d/ds^a) = J[a, be] ptilde_be."""
     r_idx, s_idx = list(system.r_indices), list(system.s_indices)
     kS = Packed(bd.kappa.val[s_idx, :], bd.kappa.d1[:, s_idx, :], None)
     J = pk_matmul(pk_matmul(kS, bd.X), bd.kD_inv)
@@ -193,7 +209,7 @@ def jacobiator_km(system: NonholonomicSystem, p: PointM, triple) -> float:
     """Jacobiator on three chart basis covectors from the closed
     adapted-coordinate expressions (adapted systems only)."""
     t = _check_triple(system, triple)
-    return _km_value(_km_point_data(system, p), t)
+    return _km_value(_km_point_data(system, p, _km_base(system, p)), t)
 
 
 def jacobiator_tensor(system: NonholonomicSystem, p: PointM,
@@ -203,11 +219,14 @@ def jacobiator_tensor(system: NonholonomicSystem, p: PointM,
     frame-adapted coframe).  ``lift`` only affects method "global" and
     must leave the result unchanged (lift-independence)."""
     if method == "bruteforce":
-        return _trivector_brute(system, p)
+        system.check_point(p)
+        return _trivector_brute(system, p, base_at(system, p.q, order=2))
     if method == "global":
-        return _global_tensor(system, p, lift=lift)
+        system.check_point(p)
+        return _global_tensor(system, p, base_at(system, p.q, order=1),
+                              lift=lift)
     if method == "km":
-        data = _km_point_data(system, p)
+        data = _km_point_data(system, p, _km_base(system, p))
         dim = system.dimM
         T = np.zeros((dim, dim, dim))
         for i, j, k in combinations(range(dim), 3):
@@ -267,8 +286,10 @@ def cross_validate(system: NonholonomicSystem, samples: int = 100,
     """Compare every applicable Jacobiator route on all chart covector
     triples at deterministically sampled points.
 
-    Points where the geometry cannot be evaluated (domain exit, frame
-    or metric degeneracy) are skipped and reported, not failed.  Set
+    Each point gets one order-2 base evaluation, which every route
+    reads; the routes' formulas stay independent.  Points where the
+    geometry cannot be evaluated (domain exit, frame or metric
+    degeneracy) are skipped and reported, not failed.  Set
     NHK_THREADS > 1 to spread points over a thread pool; results are
     keyed by point index, so the report is identical either way."""
     methods = ["bruteforce", "global"]
@@ -278,22 +299,22 @@ def cross_validate(system: NonholonomicSystem, samples: int = 100,
     dim = system.dimM
     triples = tuple(combinations(range(dim), 3))
     nt, nm = len(triples), len(methods)
+    tri = tuple(np.array(triples, dtype=np.intp).reshape(nt, 3).T)
+    pair_a, pair_b = np.array(list(combinations(range(nm), 2))).T
     values = np.full((samples, nt, nm), np.nan)
     skipped = []
 
     def work(i):
         p = pts[i]
         try:
+            system.check_point(p)
+            bd = base_at(system, p.q, order=2)
             out = np.empty((nt, nm))
-            Tb = _trivector_brute(system, p)
-            Tg = _global_tensor(system, p)
-            for t, tr in enumerate(triples):
-                out[t, 0] = Tb[tr]
-                out[t, 1] = Tg[tr]
+            out[:, 0] = _trivector_brute(system, p, bd)[tri]
+            out[:, 1] = _global_tensor(system, p, bd)[tri]
             if nm == 3:
-                data = _km_point_data(system, p)
-                for t, tr in enumerate(triples):
-                    out[t, 2] = _km_value(data, tr)
+                data = _km_point_data(system, p, bd)
+                out[:, 2] = [_km_value(data, tr) for tr in triples]
             return i, out, None
         except NhkError as err:
             return i, None, f"{type(err).__name__}: {err}"
@@ -312,18 +333,16 @@ def cross_validate(system: NonholonomicSystem, samples: int = 100,
             skipped.append({"point": i, "reason": reason})
             continue
         values[i] = out
-        for t, tr in enumerate(triples):
-            for a in range(nm):
-                for b in range(a + 1, nm):
-                    delta = abs(out[t, a] - out[t, b])
-                    if delta > max_disc:
-                        max_disc = delta
-                    if delta > tol:
-                        failures.append({
-                            "point": i, "triple": list(tr),
-                            "method_a": methods[a], "method_b": methods[b],
-                            "delta": delta,
-                        })
+        deltas = np.abs(out[:, pair_a] - out[:, pair_b])   # (triple, pair)
+        # fmax skips NaN, as the comparison delta > max_disc does
+        max_disc = np.fmax.reduce(deltas, axis=None, initial=max_disc)
+        for t, c in zip(*np.nonzero(deltas > tol)):
+            failures.append({
+                "point": i, "triple": list(triples[t]),
+                "method_a": methods[pair_a[c]],
+                "method_b": methods[pair_b[c]],
+                "delta": deltas[t, c],
+            })
     return JacobiatorReport(
         system=system.name, seed=seed, samples=samples, tol=tol,
         methods=tuple(methods), triples=triples, values=values,

@@ -610,17 +610,15 @@ def embed(system: NonholonomicSystem, p: PointM) -> np.ndarray:
     return pi
 
 
-def _omega_packed(system: NonholonomicSystem, p: PointM,
-                  order: int) -> tuple[BaseData, Packed, float]:
+def _omega_packed(system: NonholonomicSystem, p: PointM, bd: BaseData,
+                  order: int) -> tuple[Packed, float]:
     """Omega_M at p as a Packed matrix whose d1 (order 1) runs along the
-    chart directions, q first, then the momenta.  Returns the base data
-    it was built from (at order + 1), the matrix, and |det| of its
-    restriction to C, which must exceed NONDEG_TOL."""
-    system.check_point(p)
+    chart directions, q first, then the momenta, from base data ``bd``
+    at p.q of order at least order + 1.  Returns the matrix and |det| of
+    its restriction to C, which must exceed NONDEG_TOL."""
     n, k = system.n, system.k
     nk = n - k
     dim = system.dimM
-    bd = base_at(system, p.q, order + 1)
     pt = p.ptilde
     dMu = bd.mu.d1                      # (n, nk, n)
     E = np.einsum("a,jai->ij", pt, dMu)
@@ -648,7 +646,7 @@ def _omega_packed(system: NonholonomicSystem, p: PointM,
     if det <= NONDEG_TOL:
         raise GeometryError(
             f"restriction of the 2-form to C is degenerate (|det| = {det:.3e})")
-    return bd, Packed(val, d1), det
+    return Packed(val, d1), det
 
 
 def omega_M(system: NonholonomicSystem, p: PointM, order: int = 0) -> TwoFormAtPoint:
@@ -662,7 +660,9 @@ def omega_M(system: NonholonomicSystem, p: PointM, order: int = 0) -> TwoFormAtP
     """
     if order not in (0, 1):
         raise ValueError("order must be 0 or 1")
-    _, om, det = _omega_packed(system, p, order)
+    system.check_point(p)
+    bd = base_at(system, p.q, order + 1)
+    om, det = _omega_packed(system, p, bd, order)
     mat = om.val if order == 0 else pk_unpack(om)
     return TwoFormAtPoint(mat=mat, order=order, restricted_abs_det=det)
 

@@ -6,13 +6,16 @@ always appear in the log.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 
+import nhk
 from expr_corpus import CORPUS
 from nhk import (
     PointM,
@@ -365,7 +368,13 @@ def test_criterion_8_numerical_substrate(capsys):
 
 def test_criterion_9_verify_is_byte_deterministic(capsys):
     cmd = [sys.executable, "-m", "nhk", "verify", "--seed", "42"]
-    runs = [subprocess.run(cmd, capture_output=True) for _ in range(2)]
+    # the child imports the same nhk as this suite, installed or not
+    src = str(Path(nhk.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src if not path else src + os.pathsep + path)
+    runs = [subprocess.run(cmd, capture_output=True, env=env)
+            for _ in range(2)]
     ok = (runs[0].returncode == 0 and runs[1].returncode == 0
           and runs[0].stdout == runs[1].stdout and runs[0].stdout)
     report(capsys, 9, bool(ok),

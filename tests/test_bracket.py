@@ -17,6 +17,7 @@ from nhk import (
     splitting_at,
 )
 from nhk._compile import get_compiled
+from nhk.bracket import _chart_tensors
 from nhk._linalg import jm_inv, jm_matmul
 from nhk.jet import Jet2, jet_const
 
@@ -169,6 +170,17 @@ def test_fast_route_derivatives_match_finite_differences(system):
         np.testing.assert_allclose(ct.dOmega[l],
                                    (up.Omega - dn.Omega) / (2 * h),
                                    rtol=1e-5, atol=1e-6)
+
+
+def test_chart_tensors_from_a_higher_order_base_are_identical(system):
+    # the routes share one order-2 base evaluation; the order-0 chart
+    # tensors built from it must equal those from an order-1 base
+    for p in sample_points(system, 3, seed=331):
+        a = _chart_tensors(system, p, base_at(system, p.q, order=1), 0)
+        b = _chart_tensors(system, p, base_at(system, p.q, order=2), 0)
+        for field in ("E", "S", "Omega", "Pi"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
+        assert a.dOmega is b.dOmega is None and a.dPi is b.dPi is None
 
 
 def test_chart_tensors_omega_matches_two_form(system):

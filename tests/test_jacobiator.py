@@ -5,22 +5,29 @@ import numpy as np
 import pytest
 
 import nhk._linalg
+import nhk.bracket
+import nhk.curvature
 import nhk.expr
+import nhk.jacobiator
 import nhk.jet
 import nhk.manifold
+import nhk.sim
 from nhk import (
     PointM,
     adapted_coframe,
     base_at,
+    builtin_definition,
     cross_validate,
     jacobiator_bruteforce,
     jacobiator_global,
     jacobiator_km,
     jacobiator_tensor,
+    load_system,
     nh_bivector,
+    nh_vector_field,
     sample_points,
 )
-from nhk.errors import ParameterError, UnsupportedOperationError
+from nhk.errors import NhkError, ParameterError, UnsupportedOperationError
 from nhk.systems import snakeboard_expected
 
 SYSTEMS = ["snakeboard", "particle", "disk", "twist3", "twist5",
@@ -283,6 +290,83 @@ def test_cross_validate_skips_out_of_domain_points(snakeboard):
     assert set(d) >= {"system", "seed", "samples", "tol", "methods",
                       "max_abs_discrepancy", "pass", "failures", "skipped"}
     assert d["pass"] is True
+
+
+def test_cross_validate_skip_reasons_match_the_public_route():
+    # nh_particle with a metric that turns indefinite on a thin slab
+    # around x = -1.9, which the load-time probes miss
+    definition = builtin_definition("nh_particle")
+    definition["metric"][0][0] = "1 - 3*exp(-50*(x-(-1.9))^2)"
+    system = load_system(definition)
+    report = cross_validate(system, samples=40, seed=42, tol=1e-8)
+    assert report.skipped
+    expected = []
+    for i, p in enumerate(sample_points(system, 40, seed=42)):
+        try:
+            jacobiator_bruteforce(system, p, (0, 1, 2))
+        except NhkError as err:
+            expected.append({"point": i,
+                             "reason": f"{type(err).__name__}: {err}"})
+    assert report.skipped == expected
+    assert all(s["reason"].startswith(
+        "GeometryError: metric not positive definite") for s in expected)
+    nan_rows = np.isnan(report.values).all(axis=(1, 2))
+    assert np.flatnonzero(nan_rows).tolist() == [s["point"] for s in expected]
+    assert np.isfinite(report.values[~nan_rows]).all()
+    assert report.passed
+
+
+def test_cross_validate_values_are_the_public_tensors(system):
+    # bit-exact: sharing one base evaluation per point must not change
+    # a single route result
+    samples, seed = 3, 29
+    report = cross_validate(system, samples=samples, seed=seed, tol=1e-8)
+    assert report.skipped == []
+    tri = tuple(np.array(report.triples).T)
+    for i, p in enumerate(sample_points(system, samples, seed)):
+        for m, method in enumerate(report.methods):
+            T = jacobiator_tensor(system, p, method)
+            assert np.array_equal(report.values[i, :, m], T[tri]), \
+                (i, method)
+
+
+@pytest.fixture
+def base_at_orders(monkeypatch):
+    """Record the order of every base_at call made through any nhk
+    module that binds the name."""
+    orders = []
+    orig = nhk.manifold.base_at
+
+    def counting(system, q, order=1):
+        orders.append(order)
+        return orig(system, q, order)
+
+    for mod in (nhk.manifold, nhk.bracket, nhk.curvature, nhk.jacobiator,
+                nhk.sim):
+        monkeypatch.setattr(mod, "base_at", counting)
+    return orders
+
+
+@pytest.mark.parametrize("name", ["snakeboard", "particle", "disk",
+                                  "kernel_path"])
+def test_cross_validate_evaluates_the_base_once_per_point(
+        request, name, base_at_orders):
+    system = request.getfixturevalue(name)
+    report = cross_validate(system, samples=3, seed=42, tol=1e-8)
+    assert report.skipped == []
+    assert base_at_orders == [2, 2, 2]
+
+
+@pytest.mark.parametrize("call", [
+    lambda s, p: jacobiator_tensor(s, p, "global"),
+    lambda s, p: jacobiator_global(s, p, *np.eye(s.dimM)[[0, 1, -1]]),
+    nh_vector_field,
+], ids=["jacobiator_tensor_global", "jacobiator_global", "nh_vector_field"])
+def test_composite_calls_evaluate_the_base_once(snakeboard, call,
+                                                base_at_orders):
+    p = sample_points(snakeboard, 1, seed=43)[0]
+    call(snakeboard, p)
+    assert len(base_at_orders) == 1
 
 
 def test_cross_validate_flags_genuine_discrepancies(particle):
