@@ -3,15 +3,21 @@
 The jet evaluator in ``expr`` is the reference semantics for grid
 entries, but walking ASTs per point is too slow for inner loops
 (simulation right-hand sides, large cross-validation sweeps).  Here
-each system's grids are compiled once: partial derivatives are taken
-symbolically on the AST (to second order), algebraically pruned, and
-emitted as plain Python scalar code filling the packed value/gradient/
-Hessian arrays directly.
+each grid is compiled once into forward-mode code: its entries are
+hash-consed into one expression DAG, and every node gets straight-line
+scalar code for its value, gradient and Hessian, restricted to the
+coordinates it depends on.  The code fills the packed value/gradient/
+Hessian arrays directly, and a subexpression shared by several entries
+is evaluated once.
 
-Guarded operations (division, tan/sec poles, sqrt/ln domains, negative
-integer powers at zero) keep the exact thresholds of the jet evaluator,
-so both routes raise EvalError at the same points.  The test suite pins
-compiled grids against jet evaluation on every system it touches.
+The rules are jet's own: unary functions call ``jet._fn_derivatives``,
+integer powers ``jet._ipow_derivatives`` and divisions
+``jet._div_inverse``, so the guards and their thresholds exist only in
+``jet``.  Each combination repeats the operations of ``jet_binary`` and
+``jet_unary`` in their order and grouping, leaving out only terms that
+are structurally zero, so the compiled arrays are bit-equal to
+``expr.eval_expr`` on the same constant-folded expressions, and both
+raise EvalError with the same message at the same points.
 """
 
 from __future__ import annotations
@@ -23,221 +29,174 @@ from weakref import WeakKeyDictionary
 import numpy as np
 
 from ._linalg import Packed
-from .errors import EvalError
-from .expr import Binary, Expr, Num, Param, Unary, Var
+from .expr import Binary, Num, Unary, Var
+from .jet import _div_inverse, _fn_derivatives, _ipow_derivatives
 
-__all__ = ["get_compiled", "CompiledSystem", "GridEval", "diff_expr"]
-
-
-# ----------------------------------------------------- symbolic derivative
-def _num(v) -> Num:
-    return Num(float(v))
+__all__ = ["get_compiled", "CompiledSystem", "GridEval"]
 
 
-_ZERO = _num(0.0)
-_ONE = _num(1.0)
-
-
-def _is_num(e, v=None) -> bool:
-    return isinstance(e, Num) and (v is None or e.value == v)
-
-
-def _mul(a, b):
-    if _is_num(a, 0.0) or _is_num(b, 0.0):
-        return _ZERO
-    if _is_num(a, 1.0):
-        return b
-    if _is_num(b, 1.0):
-        return a
-    if _is_num(a) and _is_num(b):
-        return _num(a.value * b.value)
-    return Binary("mul", a, b)
-
-
-def _add(a, b):
-    if _is_num(a, 0.0):
-        return b
-    if _is_num(b, 0.0):
-        return a
-    if _is_num(a) and _is_num(b):
-        return _num(a.value + b.value)
-    return Binary("add", a, b)
-
-
-def _sub(a, b):
-    if _is_num(b, 0.0):
-        return a
-    if _is_num(a, 0.0):
-        return _neg(b)
-    if _is_num(a) and _is_num(b):
-        return _num(a.value - b.value)
-    return Binary("sub", a, b)
+# A term of the generated code is None (structurally zero), a float known
+# at compile time, or source text: a local name or a parenthesized
+# expression.  Float-only operations are done at compile time in the same
+# float arithmetic the code would do, and x*1.0 is x, so both are exact.
+def _src(t) -> str:
+    if isinstance(t, str):
+        return t
+    return repr(t) if math.isfinite(t) else f"float('{t!r}')"
 
 
 def _neg(a):
-    if _is_num(a):
-        return _num(-a.value)
-    if isinstance(a, Unary) and a.fn == "neg":
-        return a.child
-    return Unary("neg", a)
+    if isinstance(a, str):
+        return f"(-{a})"
+    return None if a is None else -a
 
 
-def _div(a, b):
-    if _is_num(a, 0.0):
-        return _ZERO
-    if _is_num(b, 1.0):
+def _add(a, b):
+    if a is None or b is None:
+        return b if a is None else a
+    if isinstance(a, float) and isinstance(b, float):
+        return a + b
+    return f"({_src(a)} + {_src(b)})"
+
+
+def _sub(a, b):
+    if a is None or b is None:
+        return _neg(b) if a is None else a
+    if isinstance(a, float) and isinstance(b, float):
+        return a - b
+    return f"({_src(a)} - {_src(b)})"
+
+
+def _mul(a, b):
+    if a is None or b is None:
+        return None
+    if isinstance(a, float) and isinstance(b, float):
+        return a * b
+    if a == 1.0:
+        return b
+    if b == 1.0:
         return a
-    if _is_num(a) and _is_num(b) and b.value != 0.0:
-        return _num(a.value / b.value)
-    return Binary("div", a, b)
+    return f"({_src(a)} * {_src(b)})"
 
 
-def _pow(a, k: int):
-    if k == 0:
-        return _ONE
-    if k == 1:
-        return a
-    if _is_num(a):
-        try:
-            return _num(a.value ** k)
-        except (ArithmeticError, ValueError):
-            pass
-    return Binary("pow", a, _num(k))
+class _Node:
+    """Terms of one DAG node: value, gradient and Hessian (l <= m) over
+    the coordinates in ``deps``."""
+    __slots__ = ("val", "deps", "grad", "hess")
+
+    def __init__(self, val, deps=()):
+        self.val, self.deps = val, deps
+        self.grad, self.hess = {}, {}
+
+    def pairs(self):
+        d = self.deps
+        return [(l, m) for a, l in enumerate(d) for m in d[a:]]
 
 
-def _call(fn, a):
-    if _is_num(a):
-        table = {"sin": math.sin, "cos": math.cos, "tan": math.tan,
-                 "exp": math.exp}
-        if fn in table:
-            try:
-                return _num(table[fn](a.value))
-            except (ArithmeticError, ValueError):
-                pass
-    return Unary(fn, a)
+class _Emitter:
+    """Hash-conses expressions into one DAG and emits, per new node, its
+    value code (``s0``), gradient code (``s1``) and Hessian code
+    (``s2``), each in topological order."""
+
+    def __init__(self, coord_names):
+        self.idx = {name: i for i, name in enumerate(coord_names)}
+        self.ids = {}
+        self.s0, self.s1, self.s2 = [], [], []
+
+    def node(self, e) -> _Node:
+        # keyed by kind, payload and child nodes (hashed by identity), so
+        # each lookup is O(1) whatever the size of the subtree
+        if isinstance(e, Num):
+            key = ("num", repr(e.value))
+        elif isinstance(e, Var):
+            key = ("var", self.idx[e.name])
+        elif isinstance(e, Unary):
+            key = (e.fn, self.node(e.child))
+        elif isinstance(e, Binary) and e.op == "pow":
+            key = ("pow", self.node(e.left), int(e.right.value))
+        elif isinstance(e, Binary):
+            key = (e.op, self.node(e.left), self.node(e.right))
+        else:
+            raise AssertionError(f"unexpected node {type(e).__name__}")
+        nd = self.ids.get(key)
+        if nd is None:
+            nd = self.ids[key] = self._emit(key, e, len(self.ids))
+        return nd
+
+    def _bind(self, lines, name, t):
+        """Assign a compound term to a new local; others pass through."""
+        if t is None or isinstance(t, float) or t.isidentifier():
+            return t
+        lines.append(f"{name} = {t}")
+        return name
+
+    def _emit(self, key, e, i) -> _Node:
+        kind = key[0]
+        if kind == "num":
+            return _Node(float(e.value))
+        if kind == "var":
+            l = key[1]
+            self.s0.append(f"x{l} = float(q[{l}])")
+            nd = _Node(f"x{l}", (l,))
+            nd.grad[l] = 1.0
+            return nd
+        if kind == "pow" and key[2] == 0:
+            return _Node(1.0)      # jet's x^0 is the constant 1
+        a = key[1]
+        b = key[2] if kind in ("add", "sub", "mul", "div") else None
+        deps = tuple(sorted(set(a.deps) | set(b.deps))) if b else a.deps
+        nd = _Node(None, deps)
+        g, v = nd.grad, f"v{i}"
+        ag, ah = a.grad.get, a.hess.get
+        bg, bh = (b.grad.get, b.hess.get) if b else (None, None)
+        # the node's value term and rules for its derivative terms, in
+        # jet_binary's / jet_unary's operation order
+        if kind == "neg":
+            val = _neg(a.val)
+            grad = lambda l: _neg(ag(l))
+            hess = lambda lm: _neg(ah(lm))
+        elif kind in ("add", "sub"):
+            op = _add if kind == "add" else _sub
+            val = op(a.val, b.val)
+            grad = lambda l: op(ag(l), bg(l))
+            hess = lambda lm: op(ah(lm), bh(lm))
+        elif kind == "mul":
+            val = _mul(a.val, b.val)
+            grad = lambda l: _add(_mul(a.val, bg(l)), _mul(b.val, ag(l)))
+            hess = lambda lm: _add(
+                _add(_mul(a.val, bh(lm)), _mul(b.val, ah(lm))),
+                _add(_mul(ag(lm[0]), bg(lm[1])), _mul(ag(lm[1]), bg(lm[0]))))
+        elif kind == "div":
+            inv = f"i{i}"
+            self.s0.append(f"{inv} = _div_inverse({_src(b.val)})")
+            val = f"({_src(a.val)} / {_src(b.val)})"
+            grad = lambda l: _mul(_sub(ag(l), _mul(v, bg(l))), inv)
+            hess = lambda lm: _mul(_sub(
+                _sub(ah(lm), _mul(v, bh(lm))),
+                _add(_mul(g.get(lm[0]), bg(lm[1])),
+                     _mul(g.get(lm[1]), bg(lm[0])))), inv)
+        else:                      # chain rule: functions, integer powers
+            d1, d2 = f"f{i}", f"ff{i}"
+            if kind == "pow":
+                call = f"_ipow_derivatives({_src(a.val)}, {key[2]})"
+            else:
+                call = f"_fn_derivatives({kind!r}, {_src(a.val)})"
+            self.s0.append(f"{v}, {d1}, {d2} = {call}")
+            val = v
+            grad = lambda l: _mul(d1, ag(l))
+            hess = lambda lm: _add(_mul(d2, _mul(ag(lm[0]), ag(lm[1]))),
+                                   _mul(d1, ah(lm)))
+        nd.val = self._bind(self.s0, v, val)
+        for l in deps:
+            g[l] = self._bind(self.s1, f"g{i}_{l}", grad(l))
+        for l, m in nd.pairs():
+            nd.hess[l, m] = self._bind(self.s2, f"h{i}_{l}_{m}", hess((l, m)))
+        return nd
 
 
-def diff_expr(e: Expr, var: str) -> Expr:
-    """Symbolic partial derivative of a resolved, parameter-folded
-    expression with respect to a coordinate, algebraically pruned."""
-    if isinstance(e, Num):
-        return _ZERO
-    if isinstance(e, (Var, Param)):
-        name = e.name
-        return _ONE if (isinstance(e, Var) and name == var) else _ZERO
-    if isinstance(e, Unary):
-        u, du = e.child, diff_expr(e.child, var)
-        if _is_num(du, 0.0):
-            return _ZERO
-        if e.fn == "neg":
-            return _neg(du)
-        if e.fn == "sin":
-            return _mul(_call("cos", u), du)
-        if e.fn == "cos":
-            return _neg(_mul(_call("sin", u), du))
-        if e.fn == "tan":
-            return _mul(_add(_ONE, _pow(_call("tan", u), 2)), du)
-        if e.fn == "sec":
-            return _mul(_mul(_call("sec", u), _call("tan", u)), du)
-        if e.fn == "sqrt":
-            return _div(du, _mul(_num(2.0), _call("sqrt", u)))
-        if e.fn == "exp":
-            return _mul(_call("exp", u), du)
-        if e.fn == "ln":
-            return _div(du, u)
-        raise AssertionError(f"unknown function {e.fn!r}")
-    if isinstance(e, Binary):
-        l, r = e.left, e.right
-        if e.op == "add":
-            return _add(diff_expr(l, var), diff_expr(r, var))
-        if e.op == "sub":
-            return _sub(diff_expr(l, var), diff_expr(r, var))
-        if e.op == "mul":
-            return _add(_mul(diff_expr(l, var), r), _mul(l, diff_expr(r, var)))
-        if e.op == "div":
-            dl, dr = diff_expr(l, var), diff_expr(r, var)
-            if _is_num(dr, 0.0):
-                return _div(dl, r)
-            return _div(_sub(_mul(dl, r), _mul(l, dr)), _pow(r, 2))
-        if e.op == "pow":
-            k = int(e.right.value)
-            dl = diff_expr(l, var)
-            if _is_num(dl, 0.0):
-                return _ZERO
-            return _mul(_mul(_num(k), _pow(l, k - 1)), dl)
-        raise AssertionError(f"unknown operator {e.op!r}")
-    raise AssertionError(f"unexpected node {type(e).__name__}")
-
-
-# ----------------------------------------------------------------- codegen
-def _emit(e: Expr, idx: dict) -> str:
-    if isinstance(e, Num):
-        return repr(float(e.value))
-    if isinstance(e, (Var, Param)):
-        return f"q[{idx[e.name]}]"
-    if isinstance(e, Unary):
-        u = _emit(e.child, idx)
-        if e.fn == "neg":
-            return f"(-{u})"
-        if e.fn in ("sin", "cos", "exp"):
-            return f"{e.fn}({u})"
-        return f"_{e.fn}({u})"        # guarded: _tan, _sec, _sqrt, _ln
-    if isinstance(e, Binary):
-        l = _emit(e.left, idx)
-        if e.op == "pow":
-            return f"_ipow({l}, {int(e.right.value)})"
-        r = _emit(e.right, idx)
-        if e.op == "div":
-            return f"_div({l}, {r})"
-        sym = {"add": "+", "sub": "-", "mul": "*"}[e.op]
-        return f"({l} {sym} {r})"
-    raise AssertionError(f"unexpected node {type(e).__name__}")
-
-
-# guarded scalar functions, thresholds identical to the jet evaluator
-def _g_div(a, b):
-    if abs(b) <= 1e-14:
-        raise EvalError("division by (near-)zero")
-    return a / b
-
-
-def _g_tan(x):
-    c = math.cos(x)
-    if abs(c) <= 1e-12:
-        raise EvalError("tan evaluated too close to a pole")
-    return math.sin(x) / c
-
-
-def _g_sec(x):
-    c = math.cos(x)
-    if abs(c) <= 1e-12:
-        raise EvalError("sec evaluated too close to a pole")
-    return 1.0 / c
-
-
-def _g_sqrt(x):
-    if x <= 0.0:
-        raise EvalError("sqrt requires a positive argument")
-    return math.sqrt(x)
-
-
-def _g_ln(x):
-    if x <= 0.0:
-        raise EvalError("ln requires a positive argument")
-    return math.log(x)
-
-
-def _g_ipow(x, k):
-    if k < 0 and abs(x) <= 1e-14:
-        raise EvalError("negative power of (near-)zero")
-    return x ** k
-
-
-_GLOBALS = {
-    "sin": math.sin, "cos": math.cos, "exp": math.exp,
-    "_tan": _g_tan, "_sec": _g_sec, "_sqrt": _g_sqrt, "_ln": _g_ln,
-    "_div": _g_div, "_ipow": _g_ipow,
-}
+_GLOBALS = {"_fn_derivatives": _fn_derivatives,
+            "_ipow_derivatives": _ipow_derivatives,
+            "_div_inverse": _div_inverse}
 
 
 class GridEval:
@@ -247,50 +206,42 @@ class GridEval:
         rows = len(grid)
         cols = len(grid[0]) if rows else 0
         n = len(coord_names)
-        idx = {name: i for i, name in enumerate(coord_names)}
         self.n = n
         self.shape = (rows, cols)
         self._val0 = np.zeros((rows, cols))
         self._d10 = np.zeros((n, rows, cols))
         self._d20 = np.zeros((n, n, rows, cols))
-        s0, s1, s2 = [], [], []
+        em = _Emitter(coord_names)
+        s0, s1, s2 = em.s0, em.s1, em.s2
         for i in range(rows):
             for j in range(cols):
-                e = grid[i][j]
-                if isinstance(e, Num):
-                    self._val0[i, j] = e.value
-                    continue
-                s0.append(f" val[{i},{j}] = {_emit(e, idx)}")
-                firsts = []
-                for l in range(n):
-                    dl = diff_expr(e, coord_names[l])
-                    firsts.append(dl)
-                    if _is_num(dl):
-                        self._d10[l, i, j] = dl.value
-                    else:
-                        s1.append(f"  d1[{l},{i},{j}] = {_emit(dl, idx)}")
-                for l in range(n):
-                    for m in range(l, n):
-                        dlm = diff_expr(firsts[l], coord_names[m])
-                        if _is_num(dlm):
-                            self._d20[l, m, i, j] = dlm.value
-                            self._d20[m, l, i, j] = dlm.value
-                        elif l == m:
-                            s2.append(f"   d2[{l},{l},{i},{j}] = {_emit(dlm, idx)}")
-                        else:
-                            s2.append(f"   _t = {_emit(dlm, idx)}")
-                            s2.append(f"   d2[{l},{m},{i},{j}] = _t")
-                            s2.append(f"   d2[{m},{l},{i},{j}] = _t")
-        self._const = not (s0 or s1 or s2)
-        if self._const:
+                nd = em.node(grid[i][j])
+                if isinstance(nd.val, float):
+                    self._val0[i, j] = nd.val
+                else:
+                    s0.append(f"val[{i},{j}] = {nd.val}")
+                for l in nd.deps:
+                    t = nd.grad.get(l)
+                    if isinstance(t, float):
+                        self._d10[l, i, j] = t
+                    elif t is not None:
+                        s1.append(f"d1[{l},{i},{j}] = {t}")
+                for l, m in nd.pairs():
+                    t = nd.hess.get((l, m))
+                    if isinstance(t, float):
+                        self._d20[l, m, i, j] = self._d20[m, l, i, j] = t
+                    elif t is not None:
+                        s2.append(f"d2[{l},{m},{i},{j}] = "
+                                  f"d2[{m},{l},{i},{j}] = {t}")
+        if not (s0 or s1 or s2):
             self._fill = None
         else:
             src = ["def _fill(q, val, d1, d2, order):"]
-            src += s0 or [" pass"]
+            src += [" " + s for s in s0] or [" pass"]
             src.append(" if order >= 1:")
-            src += s1 or ["  pass"]
+            src += ["  " + s for s in s1] or ["  pass"]
             src.append("  if order >= 2:")
-            src += s2 or ["   pass"]
+            src += ["   " + s for s in s2] or ["   pass"]
             ns = dict(_GLOBALS)
             exec(compile("\n".join(src), "<nhk-grid>", "exec"), ns)
             self._fill = ns["_fill"]

@@ -44,8 +44,8 @@ from ._compile import get_compiled
 from ._linalg import Packed, pk_inv, pk_matmul, pk_transpose, pk_unpack
 from .errors import GeometryError
 from .jet import Jet2
-from .manifold import (BaseData, NonholonomicSystem, PointM, _omega_packed,
-                       base_at)
+from .manifold import (BaseData, NonholonomicSystem, PointM, _omega_arrays,
+                       _omega_packed, base_at)
 
 __all__ = ["BivectorAtPoint", "ChartTensors", "chart_tensors", "nh_bivector",
            "hamiltonian_M", "nh_vector_field"]
@@ -115,41 +115,22 @@ def _chart_tensors(system: NonholonomicSystem, p: PointM, bd: BaseData,
     order + 1."""
     n = system.n
     dim = system.dimM
-    pt = p.ptilde
-    Mu, dMu = bd.mu.val, bd.mu.d1
     Xv = bd.X.val
-
-    E = np.einsum("a,jai->ij", pt, dMu)
-    E = E - E.T
+    E, dE_q, dE_p, Omega, dOmega = _omega_arrays(system, p.ptilde, bd, order)
     S = Xv.T @ E @ Xv
-
-    Omega = np.zeros((dim, dim))
-    Omega[:n, :n] = E
-    Omega[:n, n:] = Mu.T
-    Omega[n:, :n] = -Mu
 
     Pi = np.zeros((dim, dim))
     Pi[:n, n:] = -Xv
     Pi[n:, :n] = Xv.T
     Pi[n:, n:] = S
 
-    dOmega = dPi = None
+    dPi = None
     if order >= 1:
-        d2Mu = bd.mu.d2
         dX = bd.X.d1
-        dE_q = np.einsum("a,ljai->lij", pt, d2Mu)
-        dE_q = dE_q - dE_q.transpose(0, 2, 1)
-        dE_p = np.einsum("jai->aij", dMu) - np.einsum("iaj->aij", dMu)
         dS_q = (np.einsum("lji,jk,km->lim", dX, E, Xv)
                 + np.einsum("ji,ljk,km->lim", Xv, dE_q, Xv)
                 + np.einsum("ji,jk,lkm->lim", Xv, E, dX))
         dS_p = np.einsum("ji,ajk,km->aim", Xv, dE_p, Xv)
-
-        dOmega = np.zeros((dim, dim, dim))
-        dOmega[:n, :n, :n] = dE_q
-        dOmega[:n, :n, n:] = dMu.transpose(0, 2, 1)
-        dOmega[:n, n:, :n] = -dMu
-        dOmega[n:, :n, :n] = dE_p
 
         dPi = np.zeros((dim, dim, dim))
         dPi[:n, :n, n:] = -dX

@@ -6,10 +6,6 @@ and human-oriented summaries go to stderr, so pipelines can consume the
 payload directly.  Exit codes: 0 success / verification pass, 1
 verification failure, 2 usage error (empty stdout), 3 runtime error
 (JSON error payload on stdout).
-
-The ``verify`` sweep honours the ``NHK_THREADS`` environment variable
-(0 or 1 = sequential); its output is assembled in point order, so a
-given seed yields byte-identical stdout regardless of scheduling.
 """
 
 from __future__ import annotations
@@ -334,9 +330,7 @@ def _build_parser() -> _Parser:
         prog="nhk",
         description="Induced-bracket geometry of nonholonomic systems: "
                     "verification, Jacobiator evaluation, simulation and "
-                    "expression debugging.",
-        epilog="Environment: NHK_THREADS caps verify parallelism "
-               "(0 or 1 = sequential).")
+                    "expression debugging.")
     subs = parser.add_subparsers(dest="cmd", metavar="COMMAND")
 
     p = subs.add_parser("list", help="list built-in systems",

@@ -70,9 +70,12 @@ class AdaptedData:
     Kcoef: np.ndarray          # (k, n-k, n-k)
 
 
-def _lift_arrays(system, bd, lift):
-    """Lifted complement frame Zl (dim x k) and its q-direction
-    derivatives dZl (n x dim x k) for the given lift correction.
+def _projector_arrays(system, bd, lift):
+    """Lifted complement frame Zl (dim x k), its q-direction derivatives
+    dZl (n x dim x k), the constraint rows padded to chart covectors
+    epse (k x dim), the projections P_W = Zl epse and P_C = 1 - P_W, and
+    the chart-direction derivatives dP_C (dim x dim x dim), from base
+    data ``bd`` of order at least 1.
 
     lift is None (plain zero-momentum lift) or a pair (c, d) of constant
     coefficient arrays, adding c[a, be] X-lift_be + d[a, al] d/dptilde_al
@@ -93,7 +96,16 @@ def _lift_arrays(system, bd, lift):
         Zl[:n] += bd.X.val @ c.T
         Zl[n:] += d.T
         dZl[:, :n, :] += np.einsum("lib,ab->lia", bd.X.d1, c)
-    return Zl, dZl
+    epse = np.zeros((k, dim))
+    epse[:, :n] = bd.eps.val
+    depse = np.zeros((n, k, dim))
+    depse[:, :, :n] = bd.eps.d1
+    P_W = Zl @ epse
+    P_C = np.eye(dim) - P_W
+    dP_C = np.zeros((dim, dim, dim))
+    dP_C[:n] = -(np.einsum("lia,aj->lij", dZl, epse)
+                 + np.einsum("ia,laj->lij", Zl, depse))
+    return Zl, dZl, epse, P_W, P_C, dP_C
 
 
 def curvature_coeffs(system: NonholonomicSystem, p: PointM,
@@ -108,20 +120,7 @@ def curvature_coeffs(system: NonholonomicSystem, p: PointM,
 def _curvature_coeffs(system: NonholonomicSystem, bd: BaseData,
                       lift=None) -> CurvatureAtPoint:
     """curvature_coeffs from base data ``bd`` of order at least 1."""
-    n, k = system.n, system.k
-    dim = system.dimM
-    Zl, dZl = _lift_arrays(system, bd, lift)
-    epse = np.zeros((k, dim))
-    epse[:, :n] = bd.eps.val
-    depse = np.zeros((n, k, dim))
-    depse[:, :, :n] = bd.eps.d1
-
-    P_W = Zl @ epse
-    P_C = np.eye(dim) - P_W
-    dP_C = np.zeros((dim, dim, dim))
-    dP_C[:n] = -(np.einsum("lia,aj->lij", dZl, epse)
-                 + np.einsum("ia,laj->lij", Zl, depse))
-
+    Zl, _, epse, P_W, P_C, dP_C = _projector_arrays(system, bd, lift)
     br = (np.einsum("li,lkj->kij", P_C, dP_C)
           - np.einsum("lj,lki->kij", P_C, dP_C))
     coeffs = -np.einsum("ak,kij->aij", epse, br)
@@ -164,16 +163,7 @@ def _curvature_pair_assembled(system: NonholonomicSystem, p: PointM, u, v,
     nk = n - k
     dim = system.dimM
     bd = base_at(system, p.q, order=1)
-    Zl, dZl = _lift_arrays(system, bd, lift)
-    epse = np.zeros((k, dim))
-    epse[:, :n] = bd.eps.val
-    depse = np.zeros((n, k, dim))
-    depse[:, :, :n] = bd.eps.d1
-    P_W = Zl @ epse
-    P_C = np.eye(dim) - P_W
-    dP_C = np.zeros((dim, dim, dim))
-    dP_C[:n] = -(np.einsum("lia,aj->lij", dZl, epse)
-                 + np.einsum("ia,laj->lij", Zl, depse))
+    Zl, dZl, _, P_W, P_C, dP_C = _projector_arrays(system, bd, lift)
 
     # assembled frame B(q) and its q-derivatives
     B = np.zeros((dim, dim))
@@ -204,15 +194,21 @@ def adapted_data(system: NonholonomicSystem, q) -> AdaptedData:
         raise UnsupportedOperationError(
             f"system {system.name!r} has no adapted declaration")
     bd = base_at(system, q, order=2)
+    A, dA, C, Kcoef = _nonholonomy(system, bd)
     r_idx = list(system.r_indices)
-    s_idx = list(system.s_indices)
-    k, nk = system.k, system.n - system.k
-    A_val = bd.eps.val[:, r_idx]
-    dA = bd.eps.d1[:, :, r_idx]          # (chart dir, a, beta)
-    # C[a, al, be] = dA^a_be / dr^al  -  A^b_al dA^a_be / ds^b
-    C = dA[r_idx].transpose(1, 0, 2) \
-        - np.einsum("bl,bae->ale", A_val, dA[s_idx])
-    Kcoef = C - C.transpose(0, 2, 1)
-    Apk = Packed(A_val, dA, bd.eps.d2[:, :, :, r_idx])
-    return AdaptedData(r_indices=tuple(r_idx), s_indices=tuple(s_idx),
+    Apk = Packed(A, dA, bd.eps.d2[:, :, :, r_idx])
+    return AdaptedData(r_indices=tuple(r_idx), s_indices=system.s_indices,
                        A=pk_unpack(Apk), C=C, Kcoef=Kcoef)
+
+
+def _nonholonomy(system: NonholonomicSystem, bd: BaseData):
+    """The constraint coefficients A = eps[:, r] (k x (n-k)) of an
+    adapted system, their q-derivatives dA (n x k x (n-k)), the
+    nonholonomy derivative C[a, al, be] = dA^a_be/dr^al -
+    A^b_al dA^a_be/ds^b and its antisymmetrization Kc = C - C^T(al, be),
+    from base data ``bd`` of order at least 1."""
+    r_idx, s_idx = list(system.r_indices), list(system.s_indices)
+    A = bd.eps.val[:, r_idx]
+    dA = bd.eps.d1[:, :, r_idx]          # (chart dir, a, beta)
+    C = dA[r_idx].transpose(1, 0, 2) - np.einsum("bl,bae->ale", A, dA[s_idx])
+    return A, dA, C, C - C.transpose(0, 2, 1)

@@ -33,15 +33,13 @@ and their derivatives); what they compute from it stays independent.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .bracket import _bivector_packed, _chart_tensors
-from .curvature import _curvature_coeffs
+from .curvature import _curvature_coeffs, _nonholonomy
 from ._linalg import pk_matmul, Packed
 from .errors import NhkError, ParameterError, UnsupportedOperationError
 from .manifold import (BaseData, NonholonomicSystem, PointM, base_at,
@@ -155,10 +153,7 @@ def _km_point_data(system: NonholonomicSystem, p: PointM,
     r_idx, s_idx = list(system.r_indices), list(system.s_indices)
     kS = Packed(bd.kappa.val[s_idx, :], bd.kappa.d1[:, s_idx, :], None)
     J = pk_matmul(pk_matmul(kS, bd.X), bd.kD_inv)
-    A = bd.eps.val[:, r_idx]
-    dA = bd.eps.d1[:, :, r_idx]
-    C = dA[r_idx].transpose(1, 0, 2) - np.einsum("bl,bae->ale", A, dA[s_idx])
-    Kc = C - C.transpose(0, 2, 1)
+    A, dA, _, Kc = _nonholonomy(system, bd)
     return {
         "n": system.n, "k": system.k, "nk": system.n - system.k,
         "r_idx": r_idx, "s_idx": s_idx, "pt": p.ptilde,
@@ -271,16 +266,6 @@ class JacobiatorReport:
         }
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("NHK_THREADS", "").strip()
-    if not raw:
-        return 0
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
-
-
 def cross_validate(system: NonholonomicSystem, samples: int = 100,
                    seed: int = 42, tol: float = 1e-8) -> JacobiatorReport:
     """Compare every applicable Jacobiator route on all chart covector
@@ -289,9 +274,7 @@ def cross_validate(system: NonholonomicSystem, samples: int = 100,
     Each point gets one order-2 base evaluation, which every route
     reads; the routes' formulas stay independent.  Points where the
     geometry cannot be evaluated (domain exit, frame or metric
-    degeneracy) are skipped and reported, not failed.  Set
-    NHK_THREADS > 1 to spread points over a thread pool; results are
-    keyed by point index, so the report is identical either way."""
+    degeneracy) are skipped and reported, not failed."""
     methods = ["bruteforce", "global"]
     if system.adapted is not None:
         methods.append("km")
@@ -303,9 +286,9 @@ def cross_validate(system: NonholonomicSystem, samples: int = 100,
     pair_a, pair_b = np.array(list(combinations(range(nm), 2))).T
     values = np.full((samples, nt, nm), np.nan)
     skipped = []
-
-    def work(i):
-        p = pts[i]
+    failures = []
+    max_disc = 0.0
+    for i, p in enumerate(pts):
         try:
             system.check_point(p)
             bd = base_at(system, p.q, order=2)
@@ -315,22 +298,9 @@ def cross_validate(system: NonholonomicSystem, samples: int = 100,
             if nm == 3:
                 data = _km_point_data(system, p, bd)
                 out[:, 2] = [_km_value(data, tr) for tr in triples]
-            return i, out, None
         except NhkError as err:
-            return i, None, f"{type(err).__name__}: {err}"
-
-    nthreads = _thread_count()
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            results = list(pool.map(work, range(samples)))
-    else:
-        results = [work(i) for i in range(samples)]
-
-    failures = []
-    max_disc = 0.0
-    for i, out, reason in results:
-        if out is None:
-            skipped.append({"point": i, "reason": reason})
+            skipped.append({"point": i,
+                            "reason": f"{type(err).__name__}: {err}"})
             continue
         values[i] = out
         deltas = np.abs(out[:, pair_a] - out[:, pair_b])   # (triple, pair)

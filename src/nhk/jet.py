@@ -34,6 +34,8 @@ __all__ = ["Jet2", "jet_lift", "jet_binary", "jet_unary", "jet_const",
 # Near-zero denominator threshold.  All benchmark systems keep metric
 # determinants and cos(phi) well away from zero on their declared domains.
 DIV_EPS = 1e-14
+# tan and sec refuse |cos x| at or below this (a pole).
+POLE_EPS = 1e-12
 
 BINARY_OPS = ("add", "sub", "mul", "div", "pow")
 UNARY_FNS = ("neg", "sin", "cos", "tan", "sec", "sqrt", "exp", "ln")
@@ -140,7 +142,7 @@ def _combine_order(a: Jet2, b: Jet2) -> int:
 def jet_binary(op: str, a: Jet2, b: Jet2) -> Jet2:
     """add / sub / mul / div / pow to second order.
 
-    div requires |b.value| > 1e-14.  pow requires b to be a constant jet
+    div requires |b.value| > DIV_EPS.  pow requires b to be a constant jet
     with integer value in [-6, 6].
     """
     if a.grad is not None and b.grad is not None and a.nvars != b.nvars:
@@ -168,9 +170,7 @@ def jet_binary(op: str, a: Jet2, b: Jet2) -> Jet2:
             h = a.value * b.hess + b.value * a.hess + (outer + outer.T)
         return Jet2(a.value * b.value, g, h)
     if op == "div":
-        if abs(b.value) <= DIV_EPS:
-            raise EvalError(f"division by near-zero value {b.value!r}")
-        inv = 1.0 / b.value
+        inv = _div_inverse(b.value)
         v = a.value / b.value  # plain division: order-0 jets match scalar '/'
         g = h = None
         if order >= 1:
@@ -202,24 +202,28 @@ def _sub(x, y, want):
     return x - y
 
 
-def _ipow(a: Jet2, e: int) -> Jet2:
-    order = a.order
-    if e == 0:
-        return jet_const(1.0, a.nvars, order)
-    if e < 0 and abs(a.value) <= DIV_EPS:
-        raise EvalError(f"negative power of near-zero value {a.value!r}")
-    x = a.value
+def _div_inverse(b: float) -> float:
+    """1/b for a divisor b; the division guard of every evaluator."""
+    if abs(b) <= DIV_EPS:
+        raise EvalError(f"division by near-zero value {b!r}")
+    return 1.0 / b
+
+
+def _ipow_derivatives(x: float, e: int):
+    """x^e and its first and second derivatives in x, for an integer e."""
+    if e < 0 and abs(x) <= DIV_EPS:
+        raise EvalError(f"negative power of near-zero value {x!r}")
     v = x ** e
-    g = h = None
-    if order >= 1:
-        # d(x^e) = e x^(e-1); guard x = 0 with e >= 1 (derivative is 0 or 1*...).
-        d1 = e * (x ** (e - 1)) if (x != 0.0 or e >= 1) else 0.0
-        g = d1 * a.grad
-    if order >= 2:
-        d1 = e * (x ** (e - 1)) if (x != 0.0 or e >= 1) else 0.0
-        d2 = e * (e - 1) * (x ** (e - 2)) if (x != 0.0 or e >= 2) else 0.0
-        h = d2 * np.outer(a.grad, a.grad) + d1 * a.hess
-    return Jet2(v, g, h)
+    # d(x^e) = e x^(e-1); guard x = 0 with e >= 1 (derivative is 0 or 1*...).
+    d1 = e * (x ** (e - 1)) if (x != 0.0 or e >= 1) else 0.0
+    d2 = e * (e - 1) * (x ** (e - 2)) if (x != 0.0 or e >= 2) else 0.0
+    return v, d1, d2
+
+
+def _ipow(a: Jet2, e: int) -> Jet2:
+    if e == 0:
+        return jet_const(1.0, a.nvars, a.order)
+    return _chain(a, *_ipow_derivatives(a.value, e))
 
 
 # first and second derivatives of the supported elementary functions
@@ -230,14 +234,14 @@ def _fn_derivatives(fn: str, x: float):
         return math.cos(x), -math.sin(x), -math.cos(x)
     if fn == "tan":
         c = math.cos(x)
-        if abs(c) <= 1e-12:
+        if abs(c) <= POLE_EPS:
             raise EvalError(f"tan evaluated at a pole (cos = {c!r})")
         t = math.tan(x)
         s2 = 1.0 / (c * c)
         return t, s2, 2.0 * s2 * t
     if fn == "sec":
         c = math.cos(x)
-        if abs(c) <= 1e-12:
+        if abs(c) <= POLE_EPS:
             raise EvalError(f"sec evaluated at a pole (cos = {c!r})")
         s = 1.0 / c
         t = math.tan(x)
@@ -264,7 +268,11 @@ def jet_unary(fn: str, a: Jet2) -> Jet2:
         g = -a.grad if a.grad is not None else None
         h = -a.hess if a.hess is not None else None
         return Jet2(-a.value, g, h)
-    v, d1, d2 = _fn_derivatives(fn, a.value)
+    return _chain(a, *_fn_derivatives(fn, a.value))
+
+
+def _chain(a: Jet2, v: float, d1: float, d2: float) -> Jet2:
+    """The jet of g(a) from g's value v and derivatives d1, d2 at a."""
     g = h = None
     if a.order >= 1:
         g = d1 * a.grad

@@ -610,36 +610,47 @@ def embed(system: NonholonomicSystem, p: PointM) -> np.ndarray:
     return pi
 
 
+def _omega_arrays(system: NonholonomicSystem, pt, bd: BaseData,
+                  order: int):
+    """Omega_M at momenta pt over bd.q in the chart basis, with its parts:
+    returns (E, dE_q, dE_p, Omega, dOmega).  E is the momentum-weighted
+    antisymmetrized derivative of mu (the q-q block of Omega).  At order
+    1, dE_q and dE_p are E's derivatives along q and along the momenta,
+    and dOmega is Omega's along the chart directions, q first; else they
+    are None.  ``bd`` has order at least order + 1.  No checks."""
+    n = system.n
+    dim = system.dimM
+    dMu = bd.mu.d1                      # (n, nk, n)
+    E = np.einsum("a,jai->ij", pt, dMu)
+    E = E - E.T
+    Omega = np.zeros((dim, dim))
+    Omega[:n, :n] = E
+    Omega[:n, n:] = bd.mu.val.T
+    Omega[n:, :n] = -bd.mu.val
+    dE_q = dE_p = dOmega = None
+    if order >= 1:
+        d2Mu = bd.mu.d2                 # (n, n, nk, n)
+        dE_q = np.einsum("a,ljai->lij", pt, d2Mu)
+        dE_q = dE_q - dE_q.transpose(0, 2, 1)
+        dE_p = np.einsum("jai->aij", dMu) - np.einsum("iaj->aij", dMu)
+        dOmega = np.zeros((dim, dim, dim))
+        dOmega[:n, :n, :n] = dE_q
+        dOmega[n:, :n, :n] = dE_p
+        dOmega[:n, :n, n:] = dMu.transpose(0, 2, 1)
+        dOmega[:n, n:, :n] = -dMu
+    return E, dE_q, dE_p, Omega, dOmega
+
+
 def _omega_packed(system: NonholonomicSystem, p: PointM, bd: BaseData,
                   order: int) -> tuple[Packed, float]:
     """Omega_M at p as a Packed matrix whose d1 (order 1) runs along the
     chart directions, q first, then the momenta, from base data ``bd``
     at p.q of order at least order + 1.  Returns the matrix and |det| of
     its restriction to C, which must exceed NONDEG_TOL."""
-    n, k = system.n, system.k
-    nk = n - k
-    dim = system.dimM
-    pt = p.ptilde
-    dMu = bd.mu.d1                      # (n, nk, n)
-    E = np.einsum("a,jai->ij", pt, dMu)
-    E = E - E.T
-    val = np.zeros((dim, dim))
-    val[:n, :n] = E
-    val[:n, n:] = bd.mu.val.T
-    val[n:, :n] = -bd.mu.val
-    d1 = None
-    if order >= 1:
-        d2Mu = bd.mu.d2                 # (n, n, nk, n)
-        dE_q = np.einsum("a,ljai->lij", pt, d2Mu)
-        dE_q = dE_q - dE_q.transpose(0, 2, 1)
-        dE_p = np.einsum("jai->aij", dMu) - np.einsum("iaj->aij", dMu)
-        d1 = np.zeros((dim, dim, dim))
-        d1[:n, :n, :n] = dE_q
-        d1[n:, :n, :n] = dE_p
-        d1[:n, :n, n:] = dMu.transpose(0, 2, 1)
-        d1[:n, n:, :n] = -dMu
+    n, nk = system.n, system.n - system.k
+    _, _, _, val, d1 = _omega_arrays(system, p.ptilde, bd, order)
     # nondegeneracy of the restriction to C
-    C = np.zeros((dim, 2 * nk))
+    C = np.zeros((system.dimM, 2 * nk))
     C[:n, :nk] = bd.X.val
     C[n:, nk:] = np.eye(nk)
     det = abs(float(np.linalg.det(C.T @ val @ C)))

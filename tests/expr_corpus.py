@@ -2,7 +2,10 @@
 inside every guard domain (tan/sec away from poles, sqrt/ln arguments
 positive, negative powers away from zero).  Shared by the expression
 round-trip tests, the finite-difference checks of the jet evaluator,
-and the acceptance gate."""
+and the acceptance gate.  ``nested_system`` builds a seeded system of
+deeply nested entries for the compiled-kernel tests."""
+
+import random
 
 CORPUS = [
     ("0", {}),
@@ -68,3 +71,59 @@ CORPUS = [
     ("sqrt(2 + sin(x))", {"x": -0.7}),
     ("ln(exp(x) + 1)", {"x": 0.9}),
 ]
+
+
+# Shapes of the nested test system.  Each wraps the guarded functions so
+# that their arguments stay inside the guard domains at every point:
+# divisors are 2 + cos(.) or 1 + (.)^2, tan/sec arguments lie in
+# [-0.5, 0.5], and sqrt/ln arguments in [1, 3].
+_NESTED_FORMS = (
+    "({a} + {b})",
+    "{a}*sin({b})",
+    "{a}/(2 + cos({b}))",
+    "{a}/(1 + ({b})^2)",
+    "cos({a})*{b}",
+    "{a} - tan(0.5*sin({b}))",
+    "{a}*sqrt(2 + sin({b}))",
+    "ln(2 + cos({a}))*{b}",
+    "exp(sin({a}))*{b}",
+    "{a}*sec(0.5*cos({b}))",
+    "{a}*(1 + ({b})^2)^-2",
+)
+
+
+def nested_system(seed: int, depth: int = 4) -> dict:
+    """A seeded adapted system (n = 4, k = 1) whose constraint entries
+    are nested trig/rational expressions of the given depth, covering
+    every function and operator of the grammar.  The metric is strictly
+    diagonally dominant with a positive diagonal, and the constraint row
+    has the identity on its s-column, so every point is valid."""
+    rng = random.Random(seed)
+    coords = ["a", "b", "c", "s"]
+
+    def leaf():
+        x = rng.choice(coords)
+        c = rng.choice((0.5, 0.75, 1.25, 1.5))
+        return rng.choice((x, f"{c}*{x}", f"sin({c}*{x})", f"cos({x} - {c})"))
+
+    def nested(d):
+        if d == 0:
+            return leaf()
+        form = rng.choice(_NESTED_FORMS)
+        return form.format(a=nested(d - 1), b=nested(d - 1))
+
+    n = len(coords)
+    metric = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        metric[i][i] = f"{n} + ({nested(depth - 2)})^2"
+        for j in range(i + 1, n):
+            metric[i][j] = metric[j][i] = f"sin({nested(depth - 2)})/{n}"
+    return {
+        "name": f"nested_{seed}",
+        "coords": coords,
+        "constraints_rank": 1,
+        "metric": metric,
+        "potential": nested(depth),
+        "constraint_forms": [[nested(depth), nested(depth), nested(depth), "1"]],
+        "adapted": {"s_indices": [3]},
+    }

@@ -75,14 +75,6 @@ def test_verify_is_deterministic():
     assert a.exit_code == 0
 
 
-def test_verify_threading_does_not_change_output(monkeypatch):
-    monkeypatch.setenv("NHK_THREADS", "0")
-    serial = run(["verify", "--system", "nh_particle", "--samples", "6"])
-    monkeypatch.setenv("NHK_THREADS", "3")
-    threaded = run(["verify", "--system", "nh_particle", "--samples", "6"])
-    assert serial == threaded
-
-
 def test_verify_failure_exits_one():
     doc, out = run_json(["verify", "--samples", "5", "--tol", "1e-18"],
                         expect_code=1)

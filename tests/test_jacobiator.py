@@ -272,14 +272,6 @@ def test_cross_validate_deterministic(particle):
     assert a.max_abs_discrepancy == b.max_abs_discrepancy
 
 
-def test_cross_validate_threaded_matches_serial(particle, monkeypatch):
-    serial = cross_validate(particle, samples=6, seed=5, tol=1e-8)
-    monkeypatch.setenv("NHK_THREADS", "3")
-    threaded = cross_validate(particle, samples=6, seed=5, tol=1e-8)
-    np.testing.assert_array_equal(serial.values, threaded.values)
-    assert serial.max_abs_discrepancy == threaded.max_abs_discrepancy
-
-
 def test_cross_validate_skips_out_of_domain_points(snakeboard):
     # momenta samples are harmless, but a tight domain forces skip
     # reporting rather than failure when geometry blows up; with the
