@@ -247,11 +247,25 @@ class GridEval:
             self._fill = ns["_fill"]
 
     def packed(self, q, order: int) -> Packed:
-        val = self._val0.copy()
-        d1 = self._d10.copy() if order >= 1 else None
-        d2 = self._d20.copy() if order >= 2 else None
+        """The grid at q of shape (n,), or at every row of a stack of
+        shape (B, n); the arrays then lead with the stack axis.  The
+        generated code fills one point at a time."""
+        q = np.asarray(q, dtype=float)
+        if q.ndim == 1:
+            val = self._val0.copy()
+            d1 = self._d10.copy() if order >= 1 else None
+            d2 = self._d20.copy() if order >= 2 else None
+            if self._fill is not None:
+                self._fill(q, val, d1, d2, order)
+            return Packed(val, d1, d2)
+        b = len(q)
+        val = self._val0[None].repeat(b, 0)
+        d1 = self._d10[None].repeat(b, 0) if order >= 1 else None
+        d2 = self._d20[None].repeat(b, 0) if order >= 2 else None
         if self._fill is not None:
-            self._fill(q, val, d1, d2, order)
+            for i in range(b):
+                self._fill(q[i], val[i], None if d1 is None else d1[i],
+                           None if d2 is None else d2[i], order)
         return Packed(val, d1, d2)
 
 

@@ -2,11 +2,18 @@
 
 1. *Packed* matrices (:class:`Packed`): a float matrix together with its
    first and optionally second derivatives along a set of base directions
-   (axis 0 of ``d1``, axes 0-1 of ``d2``).  Products and inverses
+   (the derivative axes sit just before the two matrix axes: ``d1`` is
+   (..., V, r, c) and ``d2`` (..., V, V, r, c)).  Products and inverses
    propagate derivatives analytically (d(A^-1) = -A^-1 dA A^-1 and its
    second-order extension).  Pivoting inside ``np.linalg`` sees values
    only, never derivative data.  Every library path uses this form,
    including the reference bivector route (``bracket.nh_bivector``).
+
+   Any leading axes before those are stack axes: a stacked Packed holds
+   one matrix per point, and every ``pk_*`` operation broadcasts over
+   them.  Each operation computes a point's slice with the same numpy
+   calls in the same operand order as for that point alone, so a
+   stacked result equals the per-point results bit for bit.
 
 2. Matrices of :class:`~nhk.jet.Jet2` entries (plain nested lists) with a
    hand-rolled partial-pivot Gauss-Jordan elimination whose pivot
@@ -27,6 +34,7 @@ from .jet import Jet2, jet_binary, jet_const
 __all__ = [
     "Packed", "pk_from_jets", "pk_const", "pk_matmul", "pk_inv", "pk_add",
     "pk_sub", "pk_neg", "pk_transpose", "pk_hstack", "pk_rows", "pk_unpack",
+    "pk_at", "pk_stack",
     "jm_matmul", "jm_inv", "jm_identity", "jm_values",
     "SINGULAR_TOL",
 ]
@@ -37,7 +45,8 @@ SINGULAR_TOL = 1e-12
 # ----------------------------------------------------------------- packed
 @dataclass(frozen=True, slots=True)
 class Packed:
-    """val: (r, c); d1: (V, r, c) or None; d2: (V, V, r, c) or None."""
+    """val: (..., r, c); d1: (..., V, r, c) or None; d2: (..., V, V, r, c)
+    or None.  The leading axes, if any, are stack axes."""
     val: np.ndarray
     d1: np.ndarray | None = None
     d2: np.ndarray | None = None
@@ -83,10 +92,29 @@ def pk_unpack(p: Packed) -> list[list[Jet2]]:
     return out
 
 
+def pk_at(p: Packed, i) -> Packed:
+    """The matrix of stack position ``i`` (an index or index tuple)."""
+    return Packed(p.val[i],
+                  p.d1[i] if p.d1 is not None else None,
+                  p.d2[i] if p.d2 is not None else None)
+
+
+def pk_stack(ps, lead: tuple) -> Packed:
+    """Stack the Packed matrices ``ps`` (in C order) over the stack axes
+    of shape ``lead``; the inverse of pk_at over np.ndindex(lead)."""
+    def stack(parts):
+        return np.stack(parts).reshape(lead + parts[0].shape)
+    first = ps[0]
+    return Packed(stack([p.val for p in ps]),
+                  stack([p.d1 for p in ps]) if first.d1 is not None else None,
+                  stack([p.d2 for p in ps]) if first.d2 is not None else None)
+
+
 def pk_const(val: np.ndarray, nvars: int, order: int) -> Packed:
     val = np.asarray(val, dtype=float)
-    d1 = np.zeros((nvars,) + val.shape) if order >= 1 else None
-    d2 = np.zeros((nvars, nvars) + val.shape) if order >= 2 else None
+    lead, mat = val.shape[:-2], val.shape[-2:]
+    d1 = np.zeros(lead + (nvars,) + mat) if order >= 1 else None
+    d2 = np.zeros(lead + (nvars, nvars) + mat) if order >= 2 else None
     return Packed(val, d1, d2)
 
 
@@ -94,33 +122,50 @@ def _min_order(a: Packed, b: Packed) -> int:
     return min(a.order, b.order)
 
 
+def _first(bad) -> int | None:
+    """Stack index of the first point where a check fails (0 for an
+    unstacked failure), or None when it holds everywhere."""
+    if bad.ndim == 0:
+        return 0 if bad else None
+    return int(bad.argmax()) if bad.any() else None
+
+
+def _lift(m: np.ndarray, k: int) -> np.ndarray:
+    """Matrices m (..., r, c) made to broadcast against arrays with k
+    derivative axes before the matrix axes: unit axes are inserted after
+    the stack axes.  An unstacked matrix broadcasts as it is."""
+    if m.ndim == 2:
+        return m
+    return m[(Ellipsis,) + (None,) * k + (slice(None), slice(None))]
+
+
 def pk_matmul(a: Packed, b: Packed) -> Packed:
     o = _min_order(a, b)
     val = a.val @ b.val
     d1 = d2 = None
     if o >= 1:
-        d1 = a.d1 @ b.val + a.val @ b.d1
+        d1 = a.d1 @ _lift(b.val, 1) + _lift(a.val, 1) @ b.d1
     if o >= 2:
-        cross = a.d1[:, None] @ b.d1[None, :]
-        d2 = (a.d2 @ b.val + cross + cross.transpose(1, 0, 2, 3)
-              + a.val @ b.d2)
+        cross = a.d1[..., :, None, :, :] @ b.d1[..., None, :, :, :]
+        d2 = (a.d2 @ _lift(b.val, 2) + cross + cross.swapaxes(-4, -3)
+              + _lift(a.val, 2) @ b.d2)
     return Packed(val, d1, d2)
 
 
 def pk_inv(a: Packed, tol: float = SINGULAR_TOL, what: str = "matrix") -> Packed:
-    n = a.val.shape[0]
-    if abs(np.linalg.det(a.val)) <= tol:
+    if _first(abs(np.linalg.det(a.val)) <= tol) is not None:
         raise GeometryError(f"singular {what} (|det| <= {tol})")
     B = np.linalg.inv(a.val)
     d1 = d2 = None
     if a.order >= 1:
-        d1 = -(B @ a.d1 @ B)
+        B1 = _lift(B, 1)
+        d1 = -(B1 @ a.d1 @ B1)
     if a.order >= 2:
         # d_l d_m (A^-1) = -B A_lm B + (B A_m B) A_l B + (B A_l B) A_m B
+        B2 = _lift(B, 2)
         BdAB = -d1                                    # B dA B
-        half = (BdAB[None, :] @ a.d1[:, None]) @ B
-        d2 = -(B @ a.d2 @ B) + half + half.transpose(1, 0, 2, 3)
-    assert n == a.val.shape[1]
+        half = (BdAB[..., None, :, :, :] @ a.d1[..., :, None, :, :]) @ B2
+        d2 = -(B2 @ a.d2 @ B2) + half + half.swapaxes(-4, -3)
     return Packed(B, d1, d2)
 
 
@@ -145,22 +190,22 @@ def pk_neg(a: Packed) -> Packed:
 
 
 def pk_transpose(a: Packed) -> Packed:
-    return Packed(a.val.T,
-                  np.swapaxes(a.d1, 1, 2) if a.d1 is not None else None,
-                  np.swapaxes(a.d2, 2, 3) if a.d2 is not None else None)
+    return Packed(a.val.swapaxes(-1, -2),
+                  a.d1.swapaxes(-1, -2) if a.d1 is not None else None,
+                  a.d2.swapaxes(-1, -2) if a.d2 is not None else None)
 
 
 def pk_hstack(a: Packed, b: Packed) -> Packed:
     o = _min_order(a, b)
-    return Packed(np.hstack([a.val, b.val]),
-                  np.concatenate([a.d1, b.d1], axis=2) if o >= 1 else None,
-                  np.concatenate([a.d2, b.d2], axis=3) if o >= 2 else None)
+    return Packed(np.concatenate([a.val, b.val], axis=-1),
+                  np.concatenate([a.d1, b.d1], axis=-1) if o >= 1 else None,
+                  np.concatenate([a.d2, b.d2], axis=-1) if o >= 2 else None)
 
 
 def pk_rows(a: Packed, lo: int, hi: int) -> Packed:
-    return Packed(a.val[lo:hi],
-                  a.d1[:, lo:hi] if a.d1 is not None else None,
-                  a.d2[:, :, lo:hi] if a.d2 is not None else None)
+    return Packed(a.val[..., lo:hi, :],
+                  a.d1[..., lo:hi, :] if a.d1 is not None else None,
+                  a.d2[..., lo:hi, :] if a.d2 is not None else None)
 
 
 # -------------------------------------------------------- Jet2 matrices

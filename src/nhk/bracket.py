@@ -44,8 +44,8 @@ from ._compile import get_compiled
 from ._linalg import Packed, pk_inv, pk_matmul, pk_transpose, pk_unpack
 from .errors import GeometryError
 from .jet import Jet2
-from .manifold import (BaseData, NonholonomicSystem, PointM, _omega_arrays,
-                       _omega_packed, base_at)
+from .manifold import (BaseData, NonholonomicSystem, PointM, _c_basis,
+                       _omega_arrays, _omega_packed, base_at)
 
 __all__ = ["BivectorAtPoint", "ChartTensors", "chart_tensors", "nh_bivector",
            "hamiltonian_M", "nh_vector_field"]
@@ -112,31 +112,34 @@ def chart_tensors(system: NonholonomicSystem, p: PointM,
 def _chart_tensors(system: NonholonomicSystem, p: PointM, bd: BaseData,
                    order: int) -> ChartTensors:
     """chart_tensors from base data ``bd`` at p.q of order at least
-    order + 1."""
+    order + 1.  p and bd may carry the same leading stack axis, and so
+    does every array of the result."""
     n = system.n
     dim = system.dimM
+    lead = bd.q.shape[:-1]
     Xv = bd.X.val
+    XvT = Xv.swapaxes(-1, -2)
     E, dE_q, dE_p, Omega, dOmega = _omega_arrays(system, p.ptilde, bd, order)
-    S = Xv.T @ E @ Xv
+    S = XvT @ E @ Xv
 
-    Pi = np.zeros((dim, dim))
-    Pi[:n, n:] = -Xv
-    Pi[n:, :n] = Xv.T
-    Pi[n:, n:] = S
+    Pi = np.zeros(lead + (dim, dim))
+    Pi[..., :n, n:] = -Xv
+    Pi[..., n:, :n] = XvT
+    Pi[..., n:, n:] = S
 
     dPi = None
     if order >= 1:
         dX = bd.X.d1
-        dS_q = (np.einsum("lji,jk,km->lim", dX, E, Xv)
-                + np.einsum("ji,ljk,km->lim", Xv, dE_q, Xv)
-                + np.einsum("ji,jk,lkm->lim", Xv, E, dX))
-        dS_p = np.einsum("ji,ajk,km->aim", Xv, dE_p, Xv)
+        dS_q = (np.einsum("...lji,...jk,...km->...lim", dX, E, Xv)
+                + np.einsum("...ji,...ljk,...km->...lim", Xv, dE_q, Xv)
+                + np.einsum("...ji,...jk,...lkm->...lim", Xv, E, dX))
+        dS_p = np.einsum("...ji,...ajk,...km->...aim", Xv, dE_p, Xv)
 
-        dPi = np.zeros((dim, dim, dim))
-        dPi[:n, :n, n:] = -dX
-        dPi[:n, n:, :n] = dX.transpose(0, 2, 1)
-        dPi[:n, n:, n:] = dS_q
-        dPi[n:, n:, n:] = dS_p
+        dPi = np.zeros(lead + (dim, dim, dim))
+        dPi[..., :n, :n, n:] = -dX
+        dPi[..., :n, n:, :n] = dX.swapaxes(-1, -2)
+        dPi[..., :n, n:, n:] = dS_q
+        dPi[..., n:, n:, n:] = dS_p
     return ChartTensors(system=system, point=p, bd=bd, order=order,
                         E=E, S=S, Omega=Omega, Pi=Pi,
                         dOmega=dOmega, dPi=dPi)
@@ -146,20 +149,17 @@ def _bivector_packed(system: NonholonomicSystem, p: PointM, bd: BaseData,
                      order: int) -> Packed:
     """The sharp matrix Pi = C G^{-1} C^T as a Packed matrix whose d1
     (order 1) runs along the chart directions, from base data ``bd`` at
-    p.q of order at least order + 1.  ``_omega_packed`` has already
-    checked |det G| against NONDEG_TOL on these same values."""
-    n, k = system.n, system.k
-    nk = n - k
+    p.q of order at least order + 1 (p and bd may be stacked alike).
+    ``_omega_packed`` has already checked |det G| against NONDEG_TOL on
+    these same values."""
+    n, nk = system.n, system.n - system.k
     dim = system.dimM
     Om, _ = _omega_packed(system, p, bd, order)
-    C_val = np.zeros((dim, 2 * nk))
-    C_val[:n, :nk] = bd.X.val
-    C_val[n:, nk:] = np.eye(nk)
     C_d1 = None
     if order >= 1:
-        C_d1 = np.zeros((dim, dim, 2 * nk))
-        C_d1[:n, :n, :nk] = bd.X.d1
-    C = Packed(C_val, C_d1)
+        C_d1 = np.zeros(bd.q.shape[:-1] + (dim, dim, 2 * nk))
+        C_d1[..., :n, :n, :nk] = bd.X.d1
+    C = Packed(_c_basis(system, bd), C_d1)
     Ct = pk_transpose(C)
     G = pk_matmul(pk_matmul(Ct, Om), C)
     return pk_matmul(pk_matmul(C, pk_inv(G)), Ct)

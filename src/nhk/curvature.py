@@ -75,7 +75,8 @@ def _projector_arrays(system, bd, lift):
     dZl (n x dim x k), the constraint rows padded to chart covectors
     epse (k x dim), the projections P_W = Zl epse and P_C = 1 - P_W, and
     the chart-direction derivatives dP_C (dim x dim x dim), from base
-    data ``bd`` of order at least 1.
+    data ``bd`` of order at least 1.  Each array leads with bd's stack
+    axis, if it has one.
 
     lift is None (plain zero-momentum lift) or a pair (c, d) of constant
     coefficient arrays, adding c[a, be] X-lift_be + d[a, al] d/dptilde_al
@@ -83,28 +84,29 @@ def _projector_arrays(system, bd, lift):
     n, k = system.n, system.k
     nk = n - k
     dim = 2 * n - k
-    Zl = np.zeros((dim, k))
-    Zl[:n] = bd.Z.val
-    dZl = np.zeros((n, dim, k))
-    dZl[:, :n, :] = bd.Z.d1
+    lead = bd.q.shape[:-1]
+    Zl = np.zeros(lead + (dim, k))
+    Zl[..., :n, :] = bd.Z.val
+    dZl = np.zeros(lead + (n, dim, k))
+    dZl[..., :n, :] = bd.Z.d1
     if lift is not None:
         c, d = lift
         c = np.asarray(c, dtype=float)
         d = np.asarray(d, dtype=float)
         if c.shape != (k, nk) or d.shape != (k, nk):
             raise ValueError(f"lift coefficient arrays must be {(k, nk)}")
-        Zl[:n] += bd.X.val @ c.T
-        Zl[n:] += d.T
-        dZl[:, :n, :] += np.einsum("lib,ab->lia", bd.X.d1, c)
-    epse = np.zeros((k, dim))
-    epse[:, :n] = bd.eps.val
-    depse = np.zeros((n, k, dim))
-    depse[:, :, :n] = bd.eps.d1
+        Zl[..., :n, :] += bd.X.val @ c.T
+        Zl[..., n:, :] += d.T
+        dZl[..., :n, :] += np.einsum("...lib,ab->...lia", bd.X.d1, c)
+    epse = np.zeros(lead + (k, dim))
+    epse[..., :n] = bd.eps.val
+    depse = np.zeros(lead + (n, k, dim))
+    depse[..., :n] = bd.eps.d1
     P_W = Zl @ epse
     P_C = np.eye(dim) - P_W
-    dP_C = np.zeros((dim, dim, dim))
-    dP_C[:n] = -(np.einsum("lia,aj->lij", dZl, epse)
-                 + np.einsum("ia,laj->lij", Zl, depse))
+    dP_C = np.zeros(lead + (dim, dim, dim))
+    dP_C[..., :n, :, :] = -(np.einsum("...lia,...aj->...lij", dZl, epse)
+                            + np.einsum("...ia,...laj->...lij", Zl, depse))
     return Zl, dZl, epse, P_W, P_C, dP_C
 
 
@@ -119,11 +121,12 @@ def curvature_coeffs(system: NonholonomicSystem, p: PointM,
 
 def _curvature_coeffs(system: NonholonomicSystem, bd: BaseData,
                       lift=None) -> CurvatureAtPoint:
-    """curvature_coeffs from base data ``bd`` of order at least 1."""
+    """curvature_coeffs from base data ``bd`` of order at least 1; for a
+    stacked bd, every array of the result leads with its stack axis."""
     Zl, _, epse, P_W, P_C, dP_C = _projector_arrays(system, bd, lift)
-    br = (np.einsum("li,lkj->kij", P_C, dP_C)
-          - np.einsum("lj,lki->kij", P_C, dP_C))
-    coeffs = -np.einsum("ak,kij->aij", epse, br)
+    br = (np.einsum("...li,...lkj->...kij", P_C, dP_C)
+          - np.einsum("...lj,...lki->...kij", P_C, dP_C))
+    coeffs = -np.einsum("...ak,...kij->...aij", epse, br)
     return CurvatureAtPoint(coeffs=coeffs, W_lift=Zl, P_C=P_C, P_W=P_W,
                             chart_names=system.chart_names)
 
@@ -206,9 +209,10 @@ def _nonholonomy(system: NonholonomicSystem, bd: BaseData):
     adapted system, their q-derivatives dA (n x k x (n-k)), the
     nonholonomy derivative C[a, al, be] = dA^a_be/dr^al -
     A^b_al dA^a_be/ds^b and its antisymmetrization Kc = C - C^T(al, be),
-    from base data ``bd`` of order at least 1."""
+    from base data ``bd`` of order at least 1 (stacked like bd)."""
     r_idx, s_idx = list(system.r_indices), list(system.s_indices)
-    A = bd.eps.val[:, r_idx]
-    dA = bd.eps.d1[:, :, r_idx]          # (chart dir, a, beta)
-    C = dA[r_idx].transpose(1, 0, 2) - np.einsum("bl,bae->ale", A, dA[s_idx])
-    return A, dA, C, C - C.transpose(0, 2, 1)
+    A = bd.eps.val[..., r_idx]
+    dA = bd.eps.d1[..., r_idx]           # (chart dir, a, beta)
+    C = (dA[..., r_idx, :, :].swapaxes(-3, -2)
+         - np.einsum("...bl,...bae->...ale", A, dA[..., s_idx, :, :]))
+    return A, dA, C, C - C.swapaxes(-1, -2)

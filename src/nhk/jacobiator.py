@@ -26,9 +26,10 @@ covectors (no 1/2 normalization).  Three routes compute it:
 
 ``cross_validate`` runs all applicable routes over a deterministic
 sample of points and all chart covector triples and reports any
-pairwise discrepancy beyond tolerance.  At each point the routes share
-one base evaluation (``manifold.base_at``: metric, constraints, frames
-and their derivatives); what they compute from it stays independent.
+pairwise discrepancy beyond tolerance.  It evaluates the points as
+stacks, and the routes share one base evaluation per stack
+(``manifold.base_at``: metric, constraints, frames and their
+derivatives); what they compute from it stays independent.
 """
 
 from __future__ import annotations
@@ -54,17 +55,25 @@ __all__ = ["JacobiatorReport", "jacobiator_bruteforce", "jacobiator_global",
 def _bivector_arrays(system: NonholonomicSystem, p: PointM, bd: BaseData):
     """Value and gradient arrays of the bivector matrix from the
     reference route: V[L, I] = Pi[L, I], G[L, K, J] = d_L Pi[K, J].
-    ``bd`` is the order-2 base data at p.q."""
+    ``bd`` is the order-2 base data at p.q (p and bd may be stacked
+    alike; the arrays then lead with the stack axis)."""
     Pi = _bivector_packed(system, p, bd, order=1)
     return Pi.val, Pi.d1
 
 
+def _cyclic_sum(T: np.ndarray) -> np.ndarray:
+    """T[..., i, j, k] + T[..., j, k, i] + T[..., k, i, j]."""
+    s = T.ndim - 3
+    lead = tuple(range(s))
+    return (T + T.transpose(lead + (s + 1, s + 2, s))
+            + T.transpose(lead + (s + 2, s, s + 1)))
+
+
 def _trivector_from_arrays(V: np.ndarray, G: np.ndarray) -> np.ndarray:
     """T[I, J, K] = sum_cyc sum_L Pi[L, I] d_L Pi[K, J]."""
-    BM = V.T                          # BM[I, L] = Pi[L, I]
-    dBM = G.transpose(0, 2, 1)        # dBM[L, J, K] = d_L Pi[K, J]
-    A = np.einsum("il,ljk->ijk", BM, dBM)
-    return A + A.transpose(1, 2, 0) + A.transpose(2, 0, 1)
+    BM = V.swapaxes(-1, -2)       # BM[I, L] = Pi[L, I]
+    dBM = G.swapaxes(-1, -2)      # dBM[L, J, K] = d_L Pi[K, J]
+    return _cyclic_sum(np.einsum("...il,...ljk->...ijk", BM, dBM))
 
 
 def _trivector_brute(system: NonholonomicSystem, p: PointM,
@@ -118,16 +127,22 @@ def jacobiator_global(system: NonholonomicSystem, p: PointM,
 def _global_tensor(system: NonholonomicSystem, p: PointM, bd: BaseData,
                    lift=None) -> np.ndarray:
     """Batched curvature-formula Jacobiator over all basis triples, from
-    base data ``bd`` at p.q of order at least 1."""
+    base data ``bd`` at p.q of order at least 1 (p and bd may be stacked
+    alike; the tensor then leads with the stack axis)."""
     ct = _chart_tensors(system, p, bd, 0)
     cv = _curvature_coeffs(system, bd, lift)
     Pi, Om = ct.Pi, ct.Omega
-    K2 = np.einsum("wij,iu,jv->wuv", cv.coeffs, Pi, Pi)
-    KV = np.einsum("iw,wuv->iuv", cv.W_lift, K2)   # K(pi#u, pi#v) components
-    term1 = np.einsum("iuv,ij,jc->uvc", KV, Om, Pi)
-    term2 = KV.transpose(1, 2, 0)
-    G3 = term1 - term2
-    return G3 + G3.transpose(1, 2, 0) + G3.transpose(2, 0, 1)
+    d, k = system.dimM, system.k
+    lead = bd.q.shape[:-1]
+    # K2[w, u, v] = coeffs[w] (pi#u, pi#v), as Pi^T coeffs[w] Pi
+    PiT = Pi.swapaxes(-1, -2)[..., None, :, :]
+    K2 = PiT @ cv.coeffs @ Pi[..., None, :, :]
+    # KVt[(u, v), i]: component i of K(pi#u, pi#v) on the lifted frame
+    KVt = (K2.reshape(lead + (k, d * d)).swapaxes(-1, -2)
+           @ cv.W_lift.swapaxes(-1, -2))
+    # Omega(K(pi#u, pi#v), pi#c) - c(K(pi#u, pi#v))
+    G3 = (KVt @ (Om @ Pi) - KVt).reshape(lead + (d, d, d))
+    return _cyclic_sum(G3)
 
 
 # ------------------------------------------------------- coordinate route
@@ -145,24 +160,34 @@ def _km_base(system: NonholonomicSystem, p: PointM) -> BaseData:
 def _km_point_data(system: NonholonomicSystem, p: PointM,
                    bd: BaseData) -> dict:
     """Arrays for the adapted-coordinate route at p, from base data
-    ``bd`` at p.q of order at least 1 (adapted systems only).
+    ``bd`` at p.q of order at least 1 (adapted systems only).  p and bd
+    may be stacked alike; ``_km_at`` then picks one point's data.
 
     The complement is always the canonical coordinate one (Z = d/ds),
     regardless of any w_frame override: J here couples the coordinate
     fiber momenta, p(d/ds^a) = J[a, be] ptilde_be."""
     r_idx, s_idx = list(system.r_indices), list(system.s_indices)
-    kS = Packed(bd.kappa.val[s_idx, :], bd.kappa.d1[:, s_idx, :], None)
+    kS = Packed(bd.kappa.val[..., s_idx, :], bd.kappa.d1[..., s_idx, :],
+                None)
     J = pk_matmul(pk_matmul(kS, bd.X), bd.kD_inv)
     A, dA, _, Kc = _nonholonomy(system, bd)
     return {
         "n": system.n, "k": system.k, "nk": system.n - system.k,
         "r_idx": r_idx, "s_idx": s_idx, "pt": p.ptilde,
-        "A": A, "dA_s": dA[s_idx],            # (b, a, gamma)
-        "J": J.val,                           # (a, tau)
-        "dJ_r": J.d1[r_idx],                  # (gamma, b, tau)
-        "dJ_s": J.d1[s_idx],                  # (a, b, tau)
-        "Kc": Kc,                             # (a, al, be)
+        "A": A, "dA_s": dA[..., s_idx, :, :],      # (b, a, gamma)
+        "J": J.val,                                # (a, tau)
+        "dJ_r": J.d1[..., r_idx, :, :],            # (gamma, b, tau)
+        "dJ_s": J.d1[..., s_idx, :, :],            # (a, b, tau)
+        "Kc": Kc,                                  # (a, al, be)
     }
+
+
+_KM_ARRAYS = ("pt", "A", "dA_s", "J", "dJ_r", "dJ_s", "Kc")
+
+
+def _km_at(data: dict, i: int) -> dict:
+    """The coordinate-route data of point i of stacked data."""
+    return {**data, **{key: data[key][i] for key in _KM_ARRAYS}}
 
 
 def _km_value(data: dict, triple) -> float:
@@ -266,55 +291,84 @@ class JacobiatorReport:
         }
 
 
+# Points evaluated as one stack; bounds the memory of a pass.
+_CHUNK = 64
+
+
+def _stack_values(system: NonholonomicSystem, pts: list, methods: tuple,
+                  triples: tuple, tri: tuple) -> np.ndarray:
+    """Route values out[b, t, m] at the points pts, on triples[t] by
+    methods[m], from one stack: one base evaluation, one brute-force and
+    one global pass (a lone point runs without a stack axis).  ``tri``
+    indexes a stack of tensors at the triples.  Raises the first
+    NhkError of any point."""
+    for p in pts:
+        system.check_point(p)
+    b, d = len(pts), system.dimM
+    ps = pts[0] if b == 1 else PointM(np.stack([p.q for p in pts]),
+                                      np.stack([p.ptilde for p in pts]))
+    bd = base_at(system, ps.q, order=2)
+    out = np.empty((b, len(triples), len(methods)))
+    out[:, :, 0] = _trivector_brute(system, ps, bd).reshape(b, d, d, d)[tri]
+    out[:, :, 1] = _global_tensor(system, ps, bd).reshape(b, d, d, d)[tri]
+    if "km" in methods:
+        data = _km_point_data(system, ps, bd)
+        per_point = [data] if b == 1 else [_km_at(data, i) for i in range(b)]
+        for i, at in enumerate(per_point):
+            out[i, :, 2] = [_km_value(at, tr) for tr in triples]
+    return out
+
+
 def cross_validate(system: NonholonomicSystem, samples: int = 100,
                    seed: int = 42, tol: float = 1e-8) -> JacobiatorReport:
     """Compare every applicable Jacobiator route on all chart covector
     triples at deterministically sampled points.
 
-    Each point gets one order-2 base evaluation, which every route
-    reads; the routes' formulas stay independent.  Points where the
-    geometry cannot be evaluated (domain exit, frame or metric
-    degeneracy) are skipped and reported, not failed."""
+    The points are evaluated in stacks of up to 64: one order-2 base
+    evaluation per stack, which every route reads, then one brute-force
+    and one global pass over the stack; the coordinate route runs point
+    by point on its slice.  The routes' formulas stay independent, and a
+    point's values do not depend on the stack it is in.  Points where
+    the geometry cannot be evaluated (domain exit, frame or metric
+    degeneracy, an expression guard) are skipped and reported, not
+    failed: when a stack raises, its points are evaluated again one at a
+    time, so each skip names that point's own first error."""
     methods = ["bruteforce", "global"]
     if system.adapted is not None:
         methods.append("km")
+    methods = tuple(methods)
     pts = sample_points(system, samples, seed)
-    dim = system.dimM
-    triples = tuple(combinations(range(dim), 3))
-    nt, nm = len(triples), len(methods)
-    tri = tuple(np.array(triples, dtype=np.intp).reshape(nt, 3).T)
-    pair_a, pair_b = np.array(list(combinations(range(nm), 2))).T
-    values = np.full((samples, nt, nm), np.nan)
+    triples = tuple(combinations(range(system.dimM), 3))
+    tri = (slice(None),) + tuple(np.array(triples, dtype=np.intp)
+                                 .reshape(len(triples), 3).T)
+    values = np.full((samples, len(triples), len(methods)), np.nan)
     skipped = []
-    failures = []
-    max_disc = 0.0
-    for i, p in enumerate(pts):
+    for lo in range(0, samples, _CHUNK):
+        chunk = pts[lo:lo + _CHUNK]
         try:
-            system.check_point(p)
-            bd = base_at(system, p.q, order=2)
-            out = np.empty((nt, nm))
-            out[:, 0] = _trivector_brute(system, p, bd)[tri]
-            out[:, 1] = _global_tensor(system, p, bd)[tri]
-            if nm == 3:
-                data = _km_point_data(system, p, bd)
-                out[:, 2] = [_km_value(data, tr) for tr in triples]
-        except NhkError as err:
-            skipped.append({"point": i,
-                            "reason": f"{type(err).__name__}: {err}"})
+            values[lo:lo + len(chunk)] = _stack_values(system, chunk, methods,
+                                                       triples, tri)
             continue
-        values[i] = out
-        deltas = np.abs(out[:, pair_a] - out[:, pair_b])   # (triple, pair)
-        # fmax skips NaN, as the comparison delta > max_disc does
-        max_disc = np.fmax.reduce(deltas, axis=None, initial=max_disc)
-        for t, c in zip(*np.nonzero(deltas > tol)):
-            failures.append({
-                "point": i, "triple": list(triples[t]),
-                "method_a": methods[pair_a[c]],
-                "method_b": methods[pair_b[c]],
-                "delta": deltas[t, c],
-            })
+        except NhkError:
+            pass
+        for i, p in enumerate(chunk, lo):
+            try:
+                values[i] = _stack_values(system, [p], methods, triples,
+                                          tri)[0]
+            except NhkError as err:
+                skipped.append({"point": i,
+                                "reason": f"{type(err).__name__}: {err}"})
+    pair_a, pair_b = np.array(list(combinations(range(len(methods)), 2))).T
+    deltas = np.abs(values[:, :, pair_a] - values[:, :, pair_b])
+    # fmax skips the NaN rows of skipped points, and NaN > tol is False
+    max_disc = np.fmax.reduce(deltas, axis=None, initial=0.0)
+    failures = [{"point": int(i), "triple": list(triples[t]),
+                 "method_a": methods[pair_a[c]],
+                 "method_b": methods[pair_b[c]],
+                 "delta": deltas[i, t, c]}
+                for i, t, c in zip(*np.nonzero(deltas > tol))]
     return JacobiatorReport(
         system=system.name, seed=seed, samples=samples, tol=tol,
-        methods=tuple(methods), triples=triples, values=values,
+        methods=methods, triples=triples, values=values,
         max_abs_discrepancy=float(max_disc), passed=not failures,
         failures=failures, skipped=skipped)

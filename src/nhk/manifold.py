@@ -36,8 +36,9 @@ import numpy as np
 
 from . import expr as ex
 from ._compile import get_compiled
-from ._linalg import (Packed, pk_const, pk_from_jets, pk_hstack, pk_inv,
-                      pk_matmul, pk_rows, pk_transpose, pk_unpack, pk_add)
+from ._linalg import (Packed, _first, pk_add, pk_at, pk_const,
+                      pk_from_jets, pk_hstack, pk_inv, pk_matmul, pk_rows,
+                      pk_stack, pk_transpose, pk_unpack)
 from ._rng import Lcg64
 from .errors import DomainError, EvalError, GeometryError, LoadError, ParseError
 from .jet import jet_binary, jet_const, jet_unary
@@ -370,16 +371,24 @@ def load_system(definition) -> NonholonomicSystem:
         _d_frame_c=d_frame_c, d_frame_labels=d_labels,
     )
 
-    # probe pointwise invariants at a few deterministic sample points
+    # probe pointwise invariants at a few deterministic sample points, as
+    # one stack; on a failure, probe point by point so that the error
+    # names the first failing point
     rng = Lcg64(20210)
-    for _ in range(7):
-        q = _sample_q(system, rng)
-        try:
-            base_at(system, q, order=0)
-            get_compiled(system).potential.evaluate(q, 0)
-        except (GeometryError, EvalError) as err:
-            bad.append(f"at sampled point q={np.round(q, 6).tolist()}: {err}")
-            break
+    qs = np.array([_sample_q(system, rng) for _ in range(7)])
+    potential = get_compiled(system).potential
+    try:
+        base_at(system, qs, order=0)
+        for q in qs:
+            potential.evaluate(q, 0)
+    except (GeometryError, EvalError):
+        for q in qs:
+            try:
+                base_at(system, q, order=0)
+                potential.evaluate(q, 0)
+            except (GeometryError, EvalError) as err:
+                bad.append(f"at sampled point q={np.round(q, 6).tolist()}: {err}")
+                break
     if bad:
         raise LoadError(bad)
     return system
@@ -388,7 +397,9 @@ def load_system(definition) -> NonholonomicSystem:
 # ----------------------------------------------------- pointwise pipeline
 @dataclass(frozen=True)
 class BaseData:
-    """Packed per-point base data (derivatives along q in axis 0)."""
+    """Packed per-point base data (derivatives along q in the derivative
+    axes).  For a stack of points, q is (B, n) and every Packed leads
+    with the same stack axis."""
     q: np.ndarray
     order: int
     kappa: Packed            # n x n
@@ -402,63 +413,84 @@ class BaseData:
     kD_inv: Packed
 
 
+def _max_dev(m, ref=0.0):
+    """Per point: the largest |entry of m - ref| (0 for an empty m)."""
+    return np.abs(m - ref).max(axis=(-2, -1), initial=0.0)
+
+
 def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
     """Evaluate all base-level geometry at q to the requested jet order,
     enforcing the pointwise invariants (metric symmetry and positive
     definiteness, constraint rank, adapted identity block, frame duality).
+
+    q is one point, shape (n,), or a stack of B points, shape (B, n).  A
+    stack is evaluated as one pass whose arrays lead with the stack axis;
+    each point's slice equals base_at at that point alone, bit for bit.
+    Every check runs on every point with the same thresholds and in the
+    same order; the first failing check raises, naming the first point
+    that fails it.
     """
-    system.check_domain(q)
     q = np.asarray(q, dtype=float)
+    for qi in (q if q.ndim == 2 else (q,)):
+        system.check_domain(qi)
     n, k = system.n, system.k
+    qs = q.reshape(-1, n)                       # one row per point
+    lead = q.shape[:-1]
     comp = get_compiled(system)
 
     kappa = comp.metric.packed(q, order)
-    if np.max(np.abs(kappa.val - kappa.val.T), initial=0.0) > SYM_TOL:
-        raise GeometryError(f"metric not symmetric at q={q.tolist()}")
-    evmin = float(np.min(np.linalg.eigvalsh(kappa.val)))
-    if evmin <= POSDEF_TOL:
+    i = _first(_max_dev(kappa.val, kappa.val.swapaxes(-1, -2)) > SYM_TOL)
+    if i is not None:
+        raise GeometryError(f"metric not symmetric at q={qs[i].tolist()}")
+    evmin = np.linalg.eigvalsh(kappa.val).min(axis=-1)
+    i = _first(evmin <= POSDEF_TOL)
+    if i is not None:
         raise GeometryError(
-            f"metric not positive definite at q={q.tolist()} "
-            f"(min eigenvalue {evmin:.3e})")
+            f"metric not positive definite at q={qs[i].tolist()} "
+            f"(min eigenvalue {evmin.reshape(-1)[i]:.3e})")
 
     if k > 0:
         eps = comp.eps.packed(q, order)
-        smin = float(np.min(np.linalg.svd(eps.val, compute_uv=False)))
-        if smin <= RANK_TOL:
+        smin = np.linalg.svd(eps.val, compute_uv=False).min(axis=-1)
+        i = _first(smin <= RANK_TOL)
+        if i is not None:
             raise GeometryError(
-                f"constraint forms rank-deficient at q={q.tolist()} "
-                f"(min singular value {smin:.3e})")
+                f"constraint forms rank-deficient at q={qs[i].tolist()} "
+                f"(min singular value {smin.reshape(-1)[i]:.3e})")
     else:
-        eps = pk_const(np.zeros((0, n)), n, order)
+        eps = pk_const(np.zeros(lead + (0, n)), n, order)
 
     if system.adapted is not None:
-        blk = eps.val[:, list(system.s_indices)]
-        if np.max(np.abs(blk - np.eye(k)), initial=0.0) > ADAPTED_TOL:
+        blk = eps.val[..., list(system.s_indices)]
+        i = _first(_max_dev(blk, np.eye(k)) > ADAPTED_TOL)
+        if i is not None:
             raise GeometryError(
                 "adapted-declaration mismatch: constraint forms do not have "
                 f"an identity block over s-columns {list(system.s_indices)} "
-                f"at q={q.tolist()}")
+                f"at q={qs[i].tolist()}")
 
     X = _d_frame_at(system, comp, q, eps, order)
     Z = _w_frame_at(system, comp, q, kappa, eps, order)
 
     if k > 0:
-        pairing = eps.val @ Z.val
-        if np.max(np.abs(pairing - np.eye(k)), initial=0.0) > DUALITY_TOL:
+        i = _first(_max_dev(eps.val @ Z.val, np.eye(k)) > DUALITY_TOL)
+        if i is not None:
             raise GeometryError(
-                f"complement frame not dual to constraints at q={q.tolist()}")
-        in_D = eps.val @ X.val
-        if np.max(np.abs(in_D), initial=0.0) > DUALITY_TOL:
+                f"complement frame not dual to constraints at q={qs[i].tolist()}")
+        i = _first(_max_dev(eps.val @ X.val) > DUALITY_TOL)
+        if i is not None:
             raise GeometryError(
-                f"D-frame does not lie in the constraint kernel at q={q.tolist()}")
+                f"D-frame does not lie in the constraint kernel at q={qs[i].tolist()}")
 
     F = pk_hstack(X, Z)
     Finv = pk_inv(F, what="frame matrix [X|Z]")
     chi = pk_rows(Finv, 0, n - k)
     epshat = pk_rows(Finv, n - k, n)
-    if k > 0 and np.max(np.abs(epshat.val - eps.val), initial=0.0) > DUALITY_TOL:
-        raise GeometryError(
-            f"coframe rows do not reproduce the constraint forms at q={q.tolist()}")
+    if k > 0:
+        i = _first(_max_dev(epshat.val, eps.val) > DUALITY_TOL)
+        if i is not None:
+            raise GeometryError(
+                f"coframe rows do not reproduce the constraint forms at q={qs[i].tolist()}")
 
     kD = pk_matmul(pk_matmul(pk_transpose(X), kappa), X)
     kD_inv = pk_inv(kD, what="D-frame Gram matrix")
@@ -471,27 +503,30 @@ def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
 
 def _d_frame_at(system, comp, q, eps, order) -> Packed:
     n, k = system.n, system.k
+    lead = q.shape[:-1]
     if system._d_frame_c is not None:
         return pk_transpose(comp.d.packed(q, order))
     if system.adapted is not None:
         # X_alpha = d/dr^alpha - A^a_alpha d/ds^a, with A^a_alpha the
         # r-column entries of eps^a (identity block already verified).
-        r_idx, s_idx = list(system.r_indices), list(system.s_indices)
-        val = np.zeros((n, n - k))
-        val[r_idx, range(n - k)] = 1.0
-        d1 = np.zeros((n, n, n - k)) if order >= 1 else None
-        d2 = np.zeros((n, n, n, n - k)) if order >= 2 else None
-        for a in range(k):
-            for al in range(n - k):
-                val[s_idx[a], al] = -eps.val[a, r_idx[al]]
+        r_idx, s_idx = system.r_indices, system.s_indices
+        val = np.zeros(lead + (n, n - k))
+        d1 = np.zeros(lead + (n, n, n - k)) if order >= 1 else None
+        d2 = np.zeros(lead + (n, n, n, n - k)) if order >= 2 else None
+        for al, r in enumerate(r_idx):
+            val[..., r, al] = 1.0
+            for a, s in enumerate(s_idx):
+                val[..., s, al] = -eps.val[..., a, r]
                 if order >= 1:
-                    d1[:, s_idx[a], al] = -eps.d1[:, a, r_idx[al]]
+                    d1[..., s, al] = -eps.d1[..., a, r]
                 if order >= 2:
-                    d2[:, :, s_idx[a], al] = -eps.d2[:, :, a, r_idx[al]]
+                    d2[..., s, al] = -eps.d2[..., a, r]
         return Packed(val, d1, d2)
     if k == 0:
-        return pk_const(np.eye(n), n, order)
-    return _kernel_frame(pk_unpack(eps), n, k, order)
+        return pk_const(np.tile(np.eye(n), lead + (1, 1)), n, order)
+    # the pivots are chosen per point, so eliminate one point at a time
+    return pk_stack([_kernel_frame(pk_unpack(pk_at(eps, i)), n, k, order)
+                     for i in np.ndindex(lead)], lead)
 
 
 def _kernel_frame(eps_jets, n, k, order) -> Packed:
@@ -559,15 +594,16 @@ def _jmul(x, y):
 
 def _w_frame_at(system, comp, q, kappa, eps, order) -> Packed:
     n, k = system.n, system.k
+    lead = q.shape[:-1]
     if system._w_frame_c is not None:
         return pk_transpose(comp.w.packed(q, order))
     if system.adapted is not None:
-        val = np.zeros((n, k))
+        val = np.zeros(lead + (n, k))
         for a, s in enumerate(system.s_indices):
-            val[s, a] = 1.0
+            val[..., s, a] = 1.0
         return pk_const(val, n, order)
     if k == 0:
-        return pk_const(np.zeros((n, 0)), n, order)
+        return pk_const(np.zeros(lead + (n, 0)), n, order)
     # kappa-orthogonal complement, normalized so eps(Z) = identity
     Z0 = pk_matmul(pk_inv(kappa, what="metric"), pk_transpose(eps))
     G = pk_matmul(eps, Z0)
@@ -617,46 +653,60 @@ def _omega_arrays(system: NonholonomicSystem, pt, bd: BaseData,
     antisymmetrized derivative of mu (the q-q block of Omega).  At order
     1, dE_q and dE_p are E's derivatives along q and along the momenta,
     and dOmega is Omega's along the chart directions, q first; else they
-    are None.  ``bd`` has order at least order + 1.  No checks."""
+    are None.  ``bd`` has order at least order + 1; pt and bd may carry
+    the same leading stack axis.  No checks."""
     n = system.n
     dim = system.dimM
-    dMu = bd.mu.d1                      # (n, nk, n)
-    E = np.einsum("a,jai->ij", pt, dMu)
-    E = E - E.T
-    Omega = np.zeros((dim, dim))
-    Omega[:n, :n] = E
-    Omega[:n, n:] = bd.mu.val.T
-    Omega[n:, :n] = -bd.mu.val
+    lead = np.shape(pt)[:-1]
+    dMu = bd.mu.d1                      # (..., n, nk, n)
+    E = np.einsum("...a,...jai->...ij", pt, dMu)
+    E = E - E.swapaxes(-1, -2)
+    Omega = np.zeros(lead + (dim, dim))
+    Omega[..., :n, :n] = E
+    Omega[..., :n, n:] = bd.mu.val.swapaxes(-1, -2)
+    Omega[..., n:, :n] = -bd.mu.val
     dE_q = dE_p = dOmega = None
     if order >= 1:
-        d2Mu = bd.mu.d2                 # (n, n, nk, n)
-        dE_q = np.einsum("a,ljai->lij", pt, d2Mu)
-        dE_q = dE_q - dE_q.transpose(0, 2, 1)
-        dE_p = np.einsum("jai->aij", dMu) - np.einsum("iaj->aij", dMu)
-        dOmega = np.zeros((dim, dim, dim))
-        dOmega[:n, :n, :n] = dE_q
-        dOmega[n:, :n, :n] = dE_p
-        dOmega[:n, :n, n:] = dMu.transpose(0, 2, 1)
-        dOmega[:n, n:, :n] = -dMu
+        d2Mu = bd.mu.d2                 # (..., n, n, nk, n)
+        dE_q = np.einsum("...a,...ljai->...lij", pt, d2Mu)
+        dE_q = dE_q - dE_q.swapaxes(-1, -2)
+        dE_p = (np.einsum("...jai->...aij", dMu)
+                - np.einsum("...iaj->...aij", dMu))
+        dOmega = np.zeros(lead + (dim, dim, dim))
+        dOmega[..., :n, :n, :n] = dE_q
+        dOmega[..., n:, :n, :n] = dE_p
+        dOmega[..., :n, :n, n:] = dMu.swapaxes(-1, -2)
+        dOmega[..., :n, n:, :n] = -dMu
     return E, dE_q, dE_p, Omega, dOmega
 
 
+def _c_basis(system: NonholonomicSystem, bd: BaseData) -> np.ndarray:
+    """The basis of C in the chart basis: the zero-momentum lifts of the
+    D-frame, then the momentum directions (dimM x 2(n-k), stacked like
+    bd)."""
+    n, nk = system.n, system.n - system.k
+    C = np.zeros(bd.q.shape[:-1] + (system.dimM, 2 * nk))
+    C[..., :n, :nk] = bd.X.val
+    C[..., n:, nk:] = np.eye(nk)
+    return C
+
+
 def _omega_packed(system: NonholonomicSystem, p: PointM, bd: BaseData,
-                  order: int) -> tuple[Packed, float]:
+                  order: int) -> tuple[Packed, np.ndarray]:
     """Omega_M at p as a Packed matrix whose d1 (order 1) runs along the
     chart directions, q first, then the momenta, from base data ``bd``
-    at p.q of order at least order + 1.  Returns the matrix and |det| of
-    its restriction to C, which must exceed NONDEG_TOL."""
-    n, nk = system.n, system.n - system.k
+    at p.q of order at least order + 1 (p and bd may be stacked alike).
+    Returns the matrix and |det| of its restriction to C, which must
+    exceed NONDEG_TOL at every point."""
     _, _, _, val, d1 = _omega_arrays(system, p.ptilde, bd, order)
     # nondegeneracy of the restriction to C
-    C = np.zeros((system.dimM, 2 * nk))
-    C[:n, :nk] = bd.X.val
-    C[n:, nk:] = np.eye(nk)
-    det = abs(float(np.linalg.det(C.T @ val @ C)))
-    if det <= NONDEG_TOL:
+    C = _c_basis(system, bd)
+    det = np.abs(np.linalg.det(C.swapaxes(-1, -2) @ val @ C))
+    i = _first(det <= NONDEG_TOL)
+    if i is not None:
         raise GeometryError(
-            f"restriction of the 2-form to C is degenerate (|det| = {det:.3e})")
+            "restriction of the 2-form to C is degenerate "
+            f"(|det| = {det.reshape(-1)[i]:.3e})")
     return Packed(val, d1), det
 
 
@@ -675,7 +725,8 @@ def omega_M(system: NonholonomicSystem, p: PointM, order: int = 0) -> TwoFormAtP
     bd = base_at(system, p.q, order + 1)
     om, det = _omega_packed(system, p, bd, order)
     mat = om.val if order == 0 else pk_unpack(om)
-    return TwoFormAtPoint(mat=mat, order=order, restricted_abs_det=det)
+    return TwoFormAtPoint(mat=mat, order=order,
+                          restricted_abs_det=float(det))
 
 
 def splitting_at(system: NonholonomicSystem, p: PointM) -> SplittingAtPoint:
@@ -687,12 +738,9 @@ def splitting_at(system: NonholonomicSystem, p: PointM) -> SplittingAtPoint:
     here collapses to P_W = Z-lift (x) pulled-back eps."""
     system.check_point(p)
     n, k = system.n, system.k
-    nk = n - k
     bd = base_at(system, p.q, order=0)
     dim = system.dimM
-    C = np.zeros((dim, 2 * nk))
-    C[:n, :nk] = bd.X.val
-    C[n:, nk:] = np.eye(nk)
+    C = _c_basis(system, bd)
     W = np.zeros((dim, k))
     W[:n, :] = bd.Z.val
     P_W = np.zeros((dim, dim))

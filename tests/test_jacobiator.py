@@ -323,30 +323,35 @@ def test_cross_validate_values_are_the_public_tensors(system):
 
 
 @pytest.fixture
-def base_at_orders(monkeypatch):
-    """Record the order of every base_at call made through any nhk
+def base_at_calls(monkeypatch):
+    """Record (order, q) of every base_at call made through any nhk
     module that binds the name."""
-    orders = []
+    calls = []
     orig = nhk.manifold.base_at
 
     def counting(system, q, order=1):
-        orders.append(order)
+        calls.append((order, np.array(q)))
         return orig(system, q, order)
 
     for mod in (nhk.manifold, nhk.bracket, nhk.curvature, nhk.jacobiator,
                 nhk.sim):
         monkeypatch.setattr(mod, "base_at", counting)
-    return orders
+    return calls
 
 
 @pytest.mark.parametrize("name", ["snakeboard", "particle", "disk",
                                   "kernel_path"])
 def test_cross_validate_evaluates_the_base_once_per_point(
-        request, name, base_at_orders):
+        request, name, base_at_calls):
     system = request.getfixturevalue(name)
     report = cross_validate(system, samples=3, seed=42, tol=1e-8)
     assert report.skipped == []
-    assert base_at_orders == [2, 2, 2]
+    # one order-2 call on the stack of all three points
+    assert [(o, np.shape(q)) for o, q in base_at_calls] == [(2, (3, system.n))]
+    covered = np.concatenate([np.reshape(q, (-1, system.n))
+                              for _, q in base_at_calls])
+    expected = np.array([p.q for p in sample_points(system, 3, seed=42)])
+    assert np.array_equal(covered, expected)
 
 
 @pytest.mark.parametrize("call", [
@@ -355,10 +360,10 @@ def test_cross_validate_evaluates_the_base_once_per_point(
     nh_vector_field,
 ], ids=["jacobiator_tensor_global", "jacobiator_global", "nh_vector_field"])
 def test_composite_calls_evaluate_the_base_once(snakeboard, call,
-                                                base_at_orders):
+                                                base_at_calls):
     p = sample_points(snakeboard, 1, seed=43)[0]
     call(snakeboard, p)
-    assert len(base_at_orders) == 1
+    assert len(base_at_calls) == 1
 
 
 def test_cross_validate_flags_genuine_discrepancies(particle):
