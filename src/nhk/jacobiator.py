@@ -27,14 +27,16 @@ covectors (no 1/2 normalization).  Three routes compute it:
 ``cross_validate`` runs all applicable routes over a deterministic
 sample of points and all chart covector triples and reports any
 pairwise discrepancy beyond tolerance.  It evaluates the points as
-stacks, and the routes share one base evaluation per stack
+stacks: the routes share one base evaluation per stack
 (``manifold.base_at``: metric, constraints, frames and their
-derivatives); what they compute from it stays independent.
+derivatives), then each makes one pass per stack, independent of the
+others, which yields its whole tensor at every point of the stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -45,7 +47,6 @@ from ._linalg import pk_matmul, Packed
 from .errors import NhkError, ParameterError, UnsupportedOperationError
 from .manifold import (BaseData, NonholonomicSystem, PointM, base_at,
                        sample_points)
-from .systems import _perm_sign
 
 __all__ = ["JacobiatorReport", "jacobiator_bruteforce", "jacobiator_global",
            "jacobiator_km", "jacobiator_tensor", "cross_validate"]
@@ -95,14 +96,16 @@ def jacobiator_bruteforce(system: NonholonomicSystem, p: PointM,
 
 
 def _check_triple(system, triple):
-    t = tuple(int(i) for i in triple)
+    t = tuple(triple)
     if len(t) != 3:
         raise ValueError("triple must have three covector indices")
     dim = system.dimM
     for i in t:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise ValueError(f"covector index {i!r} is not an integer")
         if not 0 <= i < dim:
             raise ValueError(f"covector index {i} out of range [0, {dim})")
-    return t
+    return tuple(int(i) for i in t)
 
 
 # ----------------------------------------------------------- global route
@@ -146,22 +149,11 @@ def _global_tensor(system: NonholonomicSystem, p: PointM, bd: BaseData,
 
 
 # ------------------------------------------------------- coordinate route
-def _km_base(system: NonholonomicSystem, p: PointM) -> BaseData:
-    """Check that the adapted-coordinate route applies at p and return
-    the order-1 base data it needs."""
-    if system.adapted is None:
-        raise UnsupportedOperationError(
-            f"coordinate Jacobiator needs an adapted declaration; "
-            f"system {system.name!r} has none")
-    system.check_point(p)
-    return base_at(system, p.q, order=1)
-
-
 def _km_point_data(system: NonholonomicSystem, p: PointM,
                    bd: BaseData) -> dict:
     """Arrays for the adapted-coordinate route at p, from base data
     ``bd`` at p.q of order at least 1 (adapted systems only).  p and bd
-    may be stacked alike; ``_km_at`` then picks one point's data.
+    may be stacked alike; the arrays then lead with the stack axis.
 
     The complement is always the canonical coordinate one (Z = d/ds),
     regardless of any w_frame override: J here couples the coordinate
@@ -171,65 +163,80 @@ def _km_point_data(system: NonholonomicSystem, p: PointM,
                 None)
     J = pk_matmul(pk_matmul(kS, bd.X), bd.kD_inv)
     A, dA, _, Kc = _nonholonomy(system, bd)
-    return {
-        "n": system.n, "k": system.k, "nk": system.n - system.k,
-        "r_idx": r_idx, "s_idx": s_idx, "pt": p.ptilde,
+    arrays = {
+        "pt": p.ptilde,
         "A": A, "dA_s": dA[..., s_idx, :, :],      # (b, a, gamma)
         "J": J.val,                                # (a, tau)
         "dJ_r": J.d1[..., r_idx, :, :],            # (gamma, b, tau)
         "dJ_s": J.d1[..., s_idx, :, :],            # (a, b, tau)
         "Kc": Kc,                                  # (a, al, be)
     }
+    # C order: an operand's memory layout picks the BLAS kernel of @, so
+    # a stack must be laid out as each point is on its own
+    return {"n": system.n, "nk": system.n - system.k,
+            "layout": _km_layout(system.n, tuple(r_idx), tuple(s_idx)),
+            **{key: np.ascontiguousarray(a) for key, a in arrays.items()}}
 
 
-_KM_ARRAYS = ("pt", "A", "dA_s", "J", "dJ_r", "dJ_s", "Kc")
+@lru_cache(maxsize=None)
+def _km_layout(n: int, r_idx: tuple, s_idx: tuple) -> np.ndarray:
+    """For each chart triple (flattened), its index into concat(F, -F)
+    of ``_km_value``: an even permutation of a canonical triple
+    (q, p_be, p_ga) with be < ga, or (p_x, p_y, p_z) with x < y < z,
+    reads the triple's value in F, an odd one its negation, and every
+    other entry the zero F[0]; so the tensor is exactly antisymmetric."""
+    nk, nn = len(r_idx), len(r_idx) ** 2
+    row = {q: 1 + i * nn for i, q in enumerate(r_idx + s_idx)}
+    src = {(q, n + be, n + ga): row[q] + be * nk + ga
+           for q in range(n) for be, ga in combinations(range(nk), 2)}
+    src.update({(n + x, n + y, n + z): 1 + n * nn + (x * nk + y) * nk + z
+                for x, y, z in combinations(range(nk), 3)})
+    size = 1 + n * nn + (nk ** 3 if nk >= 3 else 0)
+    place = np.zeros((n + nk,) * 3, dtype=np.intp)
+    for (i, j, l), s in src.items():
+        for a, b, c in ((i, j, l), (j, l, i), (l, i, j)):
+            place[a, b, c], place[b, a, c] = s, size + s
+    place.flags.writeable = False
+    return place.ravel()
 
 
-def _km_at(data: dict, i: int) -> dict:
-    """The coordinate-route data of point i of stacked data."""
-    return {**data, **{key: data[key][i] for key in _KM_ARRAYS}}
-
-
-def _km_value(data: dict, triple) -> float:
-    n, nk = data["n"], data["nk"]
-    base, mom = [], []
-    for idx in triple:
-        (mom if idx >= n else base).append(idx)
-    if len(set(triple)) < 3 or len(mom) < 2:
-        return 0.0
-    canonical = tuple(base + mom)
-    sign = _perm_sign(tuple(triple), canonical)
-    J, Kc, A, pt = data["J"], data["Kc"], data["A"], data["pt"]
-    if len(mom) == 2:
-        q_idx = base[0]
-        be, ga = mom[0] - n, mom[1] - n
-        if q_idx in data["r_idx"]:
-            al = data["r_idx"].index(q_idx)
-            value = float(np.einsum("b,b->", J[:, al], Kc[:, be, ga]))
-        else:
-            a = data["s_idx"].index(q_idx)
-            value = float(-Kc[a, be, ga]
-                          - np.einsum("g,bg,b->", A[a], J, Kc[:, be, ga]))
-        return sign * value
-    # three momenta
-    al, be, ga = (m - n for m in mom)
-    dA_s, dJ_r, dJ_s = data["dA_s"], data["dJ_r"], data["dJ_s"]
-    # g[b, ga] multiplies Kc[b, al, be] in each cyclic term
-    g = (np.einsum("t,at,bag->bg", pt, J, dA_s)
-         - np.einsum("t,at,adg,bd->bg", pt, J, Kc, J)
-         - np.einsum("t,gbt->bg", pt, dJ_r)
-         + np.einsum("t,ag,abt->bg", pt, A, dJ_s))
-    total = 0.0
-    for (x, y, z) in ((al, be, ga), (be, ga, al), (ga, al, be)):
-        total += float(Kc[:, x, y] @ g[:, z])
-    return sign * total
+# The whole route's tensor: the name stays, as the benchmark's tracer
+# (nhkbench/spans.py) times the route as _km_point_data and _km_value.
+def _km_value(data: dict) -> np.ndarray:
+    """The Jacobiator tensor (dimM, dimM, dimM) of the closed
+    adapted-coordinate expressions, from ``_km_point_data`` (stacked
+    data gives a stack of tensors)."""
+    J, A, pt, Kc, nk = (data[key] for key in ("J", "A", "pt", "Kc", "nk"))
+    lead = J.shape[:-2]
+    Kf = Kc.reshape(Kc.shape[:-2] + (nk * nk,))
+    # F: (r^al, p_be, p_ga) = J[:, al] . Kc[:, be, ga]; (s^a, p_be, p_ga)
+    # = -Kc[a, be, ga] - A[a] . J . Kc[:, be, ga]; three momenta: the
+    # cyclic sum of Kc[:, x, y] . g[:, z], with g[b, ga] = pt[t] (J[a, t]
+    # dA_s[b, a, ga] - J[a, t] Kc[a, d, ga] J[b, d] - dJ_r[ga, b, t]
+    # + A[a, ga] dJ_s[a, b, t])
+    P = J.swapaxes(-1, -2) @ Kf
+    parts = [np.zeros(lead + (1,)), P, -Kf - A @ P]
+    if nk >= 3:
+        ptc = pt[..., :, None]
+        w = (J @ ptc).swapaxes(-1, -2)
+        g = ((w[..., None, :, :] @ data["dA_s"])[..., 0, :]
+             - J @ (w @ Kf).reshape(lead + (nk, nk))
+             - (data["dJ_r"] @ ptc[..., None, :, :])[..., 0].swapaxes(-1, -2)
+             + (data["dJ_s"] @ ptc[..., None, :, :])[..., 0].swapaxes(-1, -2)
+             @ A)
+        parts.append(_cyclic_sum((Kf.swapaxes(-1, -2) @ g)
+                                 .reshape(lead + (nk, nk, nk))))
+    F = np.concatenate([x.reshape(lead + (-1,)) for x in parts], axis=-1)
+    T = np.concatenate([F, -F], axis=-1)[..., data["layout"]]
+    T += 0.0          # no signed zeros: the structural zeros are +0.0
+    return T.reshape(lead + (data["n"] + nk,) * 3)
 
 
 def jacobiator_km(system: NonholonomicSystem, p: PointM, triple) -> float:
     """Jacobiator on three chart basis covectors from the closed
     adapted-coordinate expressions (adapted systems only)."""
     t = _check_triple(system, triple)
-    return _km_value(_km_point_data(system, p, _km_base(system, p)), t)
+    return float(jacobiator_tensor(system, p, "km")[t])
 
 
 def jacobiator_tensor(system: NonholonomicSystem, p: PointM,
@@ -246,15 +253,13 @@ def jacobiator_tensor(system: NonholonomicSystem, p: PointM,
         return _global_tensor(system, p, base_at(system, p.q, order=1),
                               lift=lift)
     if method == "km":
-        data = _km_point_data(system, p, _km_base(system, p))
-        dim = system.dimM
-        T = np.zeros((dim, dim, dim))
-        for i, j, k in combinations(range(dim), 3):
-            v = _km_value(data, (i, j, k))
-            if v != 0.0:
-                T[i, j, k] = T[j, k, i] = T[k, i, j] = v
-                T[j, i, k] = T[i, k, j] = T[k, j, i] = -v
-        return T
+        if system.adapted is None:
+            raise UnsupportedOperationError(
+                f"coordinate Jacobiator needs an adapted declaration; "
+                f"system {system.name!r} has none")
+        system.check_point(p)
+        bd = base_at(system, p.q, order=1)
+        return _km_value(_km_point_data(system, p, bd))
     raise ParameterError(f"unknown Jacobiator method {method!r}")
 
 
@@ -296,27 +301,23 @@ _CHUNK = 64
 
 
 def _stack_values(system: NonholonomicSystem, pts: list, methods: tuple,
-                  triples: tuple, tri: tuple) -> np.ndarray:
-    """Route values out[b, t, m] at the points pts, on triples[t] by
-    methods[m], from one stack: one base evaluation, one brute-force and
-    one global pass (a lone point runs without a stack axis).  ``tri``
-    indexes a stack of tensors at the triples.  Raises the first
-    NhkError of any point."""
+                  tri: tuple) -> np.ndarray:
+    """Route values out[b, t, m] at the points pts, on chart triple t by
+    methods[m], from one stack: one base evaluation and one pass per
+    route (a lone point runs without a stack axis).  ``tri`` indexes a
+    stack of tensors at the triples.  Raises the first NhkError of any
+    point."""
     for p in pts:
         system.check_point(p)
     b, d = len(pts), system.dimM
     ps = pts[0] if b == 1 else PointM(np.stack([p.q for p in pts]),
                                       np.stack([p.ptilde for p in pts]))
     bd = base_at(system, ps.q, order=2)
-    out = np.empty((b, len(triples), len(methods)))
-    out[:, :, 0] = _trivector_brute(system, ps, bd).reshape(b, d, d, d)[tri]
-    out[:, :, 1] = _global_tensor(system, ps, bd).reshape(b, d, d, d)[tri]
+    tensors = [_trivector_brute(system, ps, bd),
+               _global_tensor(system, ps, bd)]
     if "km" in methods:
-        data = _km_point_data(system, ps, bd)
-        per_point = [data] if b == 1 else [_km_at(data, i) for i in range(b)]
-        for i, at in enumerate(per_point):
-            out[i, :, 2] = [_km_value(at, tr) for tr in triples]
-    return out
+        tensors.append(_km_value(_km_point_data(system, ps, bd)))
+    return np.stack([T.reshape(b, d, d, d)[tri] for T in tensors], axis=-1)
 
 
 def cross_validate(system: NonholonomicSystem, samples: int = 100,
@@ -325,10 +326,10 @@ def cross_validate(system: NonholonomicSystem, samples: int = 100,
     triples at deterministically sampled points.
 
     The points are evaluated in stacks of up to 64: one order-2 base
-    evaluation per stack, which every route reads, then one brute-force
-    and one global pass over the stack; the coordinate route runs point
-    by point on its slice.  The routes' formulas stay independent, and a
-    point's values do not depend on the stack it is in.  Points where
+    evaluation per stack, which every route reads, then one brute-force,
+    one global and (on adapted systems) one coordinate-route pass over
+    the stack.  The routes' formulas stay independent, and a point's
+    values do not depend on the stack it is in.  Points where
     the geometry cannot be evaluated (domain exit, frame or metric
     degeneracy, an expression guard) are skipped and reported, not
     failed: when a stack raises, its points are evaluated again one at a
@@ -347,14 +348,13 @@ def cross_validate(system: NonholonomicSystem, samples: int = 100,
         chunk = pts[lo:lo + _CHUNK]
         try:
             values[lo:lo + len(chunk)] = _stack_values(system, chunk, methods,
-                                                       triples, tri)
+                                                       tri)
             continue
         except NhkError:
             pass
         for i, p in enumerate(chunk, lo):
             try:
-                values[i] = _stack_values(system, [p], methods, triples,
-                                          tri)[0]
+                values[i] = _stack_values(system, [p], methods, tri)[0]
             except NhkError as err:
                 skipped.append({"point": i,
                                 "reason": f"{type(err).__name__}: {err}"})

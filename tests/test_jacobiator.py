@@ -1,6 +1,9 @@
 """The Jacobiator: three-route agreement, tensoriality, closed-form
 snakeboard values, sparsity patterns, and the cross-validation report."""
 
+import itertools
+import re
+
 import numpy as np
 import pytest
 
@@ -28,7 +31,10 @@ from nhk import (
     sample_points,
 )
 from nhk.errors import NhkError, ParameterError, UnsupportedOperationError
-from nhk.systems import snakeboard_expected
+from nhk.jacobiator import _km_point_data
+from nhk.systems import _perm_sign, snakeboard_expected
+
+from expr_corpus import nested_system
 
 SYSTEMS = ["snakeboard", "particle", "disk", "twist3", "twist5",
            "holonomic", "kernel_path"]
@@ -102,6 +108,76 @@ def test_scalar_entry_points_match_the_tensors(system):
         for triple in [(0, 1, dim - 1), (dim - 3, dim - 2, dim - 1)]:
             km = jacobiator_km(system, p, triple)
             assert km == pytest.approx(tb[triple], rel=1e-8, abs=1e-9)
+
+
+# --------------------------------------- coordinate route, per triple
+
+
+def _km_reference_value(data, triple):
+    """The closed adapted-coordinate expressions for one chart triple, as
+    a per-triple dispatch: a reference for the route's tensor."""
+    n = data["n"]
+    base, mom = [], []
+    for idx in triple:
+        (mom if idx >= n else base).append(idx)
+    if len(set(triple)) < 3 or len(mom) < 2:
+        return 0.0
+    sign = _perm_sign(tuple(triple), tuple(base + mom))
+    J, Kc, A, pt = data["J"], data["Kc"], data["A"], data["pt"]
+    if len(mom) == 2:
+        q_idx = base[0]
+        be, ga = mom[0] - n, mom[1] - n
+        if q_idx in data["r_idx"]:
+            al = data["r_idx"].index(q_idx)
+            value = float(np.einsum("b,b->", J[:, al], Kc[:, be, ga]))
+        else:
+            a = data["s_idx"].index(q_idx)
+            value = float(-Kc[a, be, ga]
+                          - np.einsum("g,bg,b->", A[a], J, Kc[:, be, ga]))
+        return sign * value
+    al, be, ga = (m - n for m in mom)
+    dA_s, dJ_r, dJ_s = data["dA_s"], data["dJ_r"], data["dJ_s"]
+    # g[b, ga] multiplies Kc[b, al, be] in each cyclic term
+    g = (np.einsum("t,at,bag->bg", pt, J, dA_s)
+         - np.einsum("t,at,adg,bd->bg", pt, J, Kc, J)
+         - np.einsum("t,gbt->bg", pt, dJ_r)
+         + np.einsum("t,ag,abt->bg", pt, A, dJ_s))
+    total = 0.0
+    for (x, y, z) in ((al, be, ga), (be, ga, al), (ga, al, be)):
+        total += float(Kc[:, x, y] @ g[:, z])
+    return sign * total
+
+
+def _km_reference_tensor(system, p):
+    data = _km_point_data(system, p, base_at(system, p.q, order=1))
+    data.update(r_idx=list(system.r_indices), s_idx=list(system.s_indices))
+    dim = system.dimM
+    T = np.zeros((dim, dim, dim))
+    for i, j, k in itertools.combinations(range(dim), 3):
+        v = _km_reference_value(data, (i, j, k))
+        if v != 0.0:
+            T[i, j, k] = T[j, k, i] = T[k, i, j] = v
+            T[j, i, k] = T[i, k, j] = T[k, j, i] = -v
+    return T
+
+
+def _assert_km_matches_the_reference(system):
+    for p in sample_points(system, 5, seed=379):
+        T = jacobiator_tensor(system, p, method="km")
+        ref = _km_reference_tensor(system, p)
+        # the tensor sums in another order: a few ulp of its largest entry
+        assert np.max(np.abs(T - ref)) <= 1e-15 * np.max(np.abs(T))
+
+
+def test_km_tensor_matches_the_per_triple_formulas(adapted_system):
+    _assert_km_matches_the_reference(adapted_system)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_km_tensor_matches_the_per_triple_formulas_on_nested_systems(seed):
+    system = load_system(nested_system(seed))
+    assert system.n - system.k == 3      # three-momentum triples exist
+    _assert_km_matches_the_reference(system)
 
 
 # ------------------------------------------------------------- structure
@@ -385,6 +461,19 @@ def test_bad_triples_rejected(particle):
         jacobiator_bruteforce(particle, p, (0, 1))
     with pytest.raises(ValueError):
         jacobiator_bruteforce(particle, p, (0, 1, 99))
+    # non-integer indices are rejected, not truncated: (2, 3.9, 4) is not
+    # (2, 3, 4), and neither is "234"
+    for triple, bad in [((2, 3.9, 4), "3.9"), ((2, 3.0, 4), "3.0"),
+                        ("234", "'2'"), ((0, True, 4), "True"),
+                        ((0, 1, None), "None")]:
+        for route in (jacobiator_bruteforce, jacobiator_km):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"covector index {bad} is not an integer")):
+                route(particle, p, triple)
+    # numpy integers are integers
+    for route in (jacobiator_bruteforce, jacobiator_km):
+        assert (route(particle, p, np.array([2, 3, 4]))
+                == route(particle, p, (2, 3, 4)))
 
 
 def test_km_requires_adapted_coordinates(snakeboard):

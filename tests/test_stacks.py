@@ -32,7 +32,8 @@ from nhk._linalg import (
 )
 from nhk._rng import Lcg64
 from nhk.errors import LoadError, NhkError
-from nhk.jacobiator import _global_tensor, _trivector_brute
+from nhk.jacobiator import (_global_tensor, _km_point_data, _km_value,
+                            _trivector_brute)
 from nhk.manifold import _sample_q
 
 SYSTEMS = ["snakeboard", "particle", "disk", "twist3", "twist5",
@@ -169,6 +170,22 @@ def test_stacked_routes_equal_the_public_tensors(system):
                                                           "bruteforce"))
         assert np.array_equal(glob[i], jacobiator_tensor(system, p,
                                                          "global"))
+    if system.adapted is None:
+        return
+    km = _km_value(_km_point_data(system, ps, bd))
+    for i, p in enumerate(pts):
+        assert np.array_equal(km[i], jacobiator_tensor(system, p, "km"))
+    # exact structure: entries with fewer than two momentum covectors are
+    # 0.0, no zero is signed, and the tensor is antisymmetric bit for bit
+    n, d = system.n, system.dimM
+    momenta = (np.arange(d) >= n).astype(int)
+    few = (momenta[:, None, None] + momenta[None, :, None]
+           + momenta[None, None, :]) < 2
+    assert (km[:, few] == 0.0).all()
+    assert not np.signbit(km[km == 0.0]).any()
+    assert (km == -km.transpose(0, 2, 1, 3)).all()
+    assert (km == -km.transpose(0, 1, 3, 2)).all()
+    assert (km == km.transpose(0, 2, 3, 1)).all()
 
 
 # -------------------------------------------------------- cross-validate
