@@ -20,6 +20,10 @@
    selection consults only the value parts.  No library path calls
    these; they are the test reference that the packed bivector route is
    pinned against at sampled points of every test system.
+
+The Jet2 code left is these ``jm_*`` and the ``pk_unpack``/``pk_from_jets``
+boundary.  ``nhkbench/spans.py`` traces them by name, so deleting them
+waits for a change to its layer list.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .jet import Jet2, jet_binary, jet_const
 __all__ = [
     "Packed", "pk_from_jets", "pk_const", "pk_matmul", "pk_inv", "pk_add",
     "pk_sub", "pk_neg", "pk_transpose", "pk_hstack", "pk_rows", "pk_unpack",
-    "pk_at", "pk_stack",
+    "pk_at",
     "jm_matmul", "jm_inv", "jm_identity", "jm_values",
     "SINGULAR_TOL",
 ]
@@ -93,21 +97,11 @@ def pk_unpack(p: Packed) -> list[list[Jet2]]:
 
 
 def pk_at(p: Packed, i) -> Packed:
-    """The matrix of stack position ``i`` (an index or index tuple)."""
+    """The matrix of stack position ``i`` (an index or index tuple); for a
+    tuple of index arrays, the sub-stack of those positions."""
     return Packed(p.val[i],
                   p.d1[i] if p.d1 is not None else None,
                   p.d2[i] if p.d2 is not None else None)
-
-
-def pk_stack(ps, lead: tuple) -> Packed:
-    """Stack the Packed matrices ``ps`` (in C order) over the stack axes
-    of shape ``lead``; the inverse of pk_at over np.ndindex(lead)."""
-    def stack(parts):
-        return np.stack(parts).reshape(lead + parts[0].shape)
-    first = ps[0]
-    return Packed(stack([p.val for p in ps]),
-                  stack([p.d1 for p in ps]) if first.d1 is not None else None,
-                  stack([p.d2 for p in ps]) if first.d2 is not None else None)
 
 
 def pk_const(val: np.ndarray, nvars: int, order: int) -> Packed:

@@ -43,7 +43,6 @@ import numpy as np
 from ._compile import get_compiled
 from ._linalg import Packed, pk_inv, pk_matmul, pk_transpose, pk_unpack
 from .errors import GeometryError
-from .jet import Jet2
 from .manifold import (BaseData, NonholonomicSystem, PointM, _c_basis,
                        _omega_arrays, _omega_packed, base_at)
 
@@ -185,11 +184,6 @@ def nh_bivector(system: NonholonomicSystem, p: PointM,
                            chart_names=system.chart_names)
 
 
-def _potential_jet(system: NonholonomicSystem, q, order: int) -> Jet2:
-    value, grad, hess = get_compiled(system).potential.evaluate(q, order)
-    return Jet2(value, grad, hess)
-
-
 def hamiltonian_M(system: NonholonomicSystem, p: PointM):
     """Hamiltonian on the constraint phase space and its differential.
 
@@ -205,18 +199,18 @@ def _hamiltonian(system: NonholonomicSystem, p: PointM, bd: BaseData):
     """hamiltonian_M from base data ``bd`` at p.q of order at least 1."""
     n = system.n
     pt = p.ptilde
-    Uj = _potential_jet(system, p.q, 1)
-    value = 0.5 * float(pt @ bd.kD_inv.val @ pt) + Uj.value
+    uval, ugrad, _ = get_compiled(system).potential.evaluate(p.q, 1)
+    value = 0.5 * float(pt @ bd.kD_inv.val @ pt) + uval
 
     p_amb = bd.mu.val.T @ pt
     value_amb = 0.5 * float(p_amb @ np.linalg.solve(bd.kappa.val, p_amb)) \
-        + Uj.value
+        + uval
     if abs(value - value_amb) > ROUTE_TOL * max(1.0, abs(value)):
         raise GeometryError(
             f"Hamiltonian routes disagree: {value!r} vs {value_amb!r}")
 
     dH = np.zeros(system.dimM)
-    dH[:n] = 0.5 * np.einsum("a,lab,b->l", pt, bd.kD_inv.d1, pt) + Uj.grad
+    dH[:n] = 0.5 * np.einsum("a,lab,b->l", pt, bd.kD_inv.d1, pt) + ugrad
     dH[n:] = bd.kD_inv.val @ pt
     return value, dH
 

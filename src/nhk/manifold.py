@@ -17,11 +17,12 @@ where X_alpha is the working frame of D.  This module builds, pointwise:
 * the pullback 2-form Omega_M of the canonical symplectic form;
 * the splitting TM = C (+) W-lift, with projections.
 
-All per-point data is carried to the requested derivative order via jet
-arithmetic, packed into numpy arrays for the linear algebra.  Frames are
-chosen like this: an explicit `d_frame` wins; else an `adapted`
-declaration gives X_alpha = d/dr^alpha - A^a_alpha d/ds^a; else a
-deterministic pivoted elimination of eps(q) supplies a kernel basis.
+All per-point data is carried to the requested derivative order as
+Packed arrays, and all linear algebra runs on them.  Frames are chosen
+like this: an explicit `d_frame` wins; else an `adapted` declaration
+gives X_alpha = d/dr^alpha - A^a_alpha d/ds^a; else a kernel basis of
+eps(q), with pivot columns from an elimination of the values at each
+point and one packed solve per pivot pattern.
 """
 
 from __future__ import annotations
@@ -36,12 +37,10 @@ import numpy as np
 
 from . import expr as ex
 from ._compile import get_compiled
-from ._linalg import (Packed, _first, pk_add, pk_at, pk_const,
-                      pk_from_jets, pk_hstack, pk_inv, pk_matmul, pk_rows,
-                      pk_stack, pk_transpose, pk_unpack)
+from ._linalg import (Packed, _first, pk_add, pk_at, pk_const, pk_hstack,
+                      pk_inv, pk_matmul, pk_rows, pk_transpose, pk_unpack)
 from ._rng import Lcg64
 from .errors import DomainError, EvalError, GeometryError, LoadError, ParseError
-from .jet import jet_binary, jet_const, jet_unary
 
 __all__ = [
     "NonholonomicSystem", "PointM", "FrameAtPoint", "SplittingAtPoint",
@@ -524,72 +523,84 @@ def _d_frame_at(system, comp, q, eps, order) -> Packed:
         return Packed(val, d1, d2)
     if k == 0:
         return pk_const(np.tile(np.eye(n), lead + (1, 1)), n, order)
-    # the pivots are chosen per point, so eliminate one point at a time
-    return pk_stack([_kernel_frame(pk_unpack(pk_at(eps, i)), n, k, order)
-                     for i in np.ndindex(lead)], lead)
+    return _kernel_frame(eps)
 
 
-def _kernel_frame(eps_jets, n, k, order) -> Packed:
-    """Deterministic pivoted elimination kernel basis of eps(q), carried
-    in jet arithmetic so the basis is differentiable.
+def _kernel_frame(eps: Packed) -> Packed:
+    """Kernel basis of eps(q): per pivot pattern of the stack's points,
+    -B^-1 F in the pivot rows (B the pivot-column block of eps, F its
+    free columns) and the identity in the free rows.  The pivot checks
+    keep B away from singular, so pk_inv adds no guard (tol 0)."""
+    lead, (k, n) = eps.val.shape[:-2], eps.val.shape[-2:]
+    groups: dict = {}
+    for i in np.ndindex(lead):
+        groups.setdefault(_pivot_columns(eps.val[i]), []).append(i)
+    parts = [None if m is None else np.empty(m.shape[:-2] + (n, n - k))
+             for m in (eps.val, eps.d1, eps.d2)]
+    for piv, points in groups.items():
+        idx = tuple(np.array(axis) for axis in zip(*points))
+        got = _kernel_solve(pk_at(eps, idx), piv)
+        for out, m in zip(parts, (got.val, got.d1, got.d2)):
+            if out is not None:
+                out[idx] = m
+    return Packed(*parts)
+
+
+def _pivot_columns(e: np.ndarray) -> tuple:
+    """Pivot columns of the Gauss-Jordan elimination of the k x n values e.
 
     Pivot columns are chosen in ascending coordinate index; within a
     column the row with the largest |value| wins.  A near-tie (within
-    1e-12) between candidate rows, or between a candidate pivot and zero,
-    marks a frame singularity: the basis may fail to extend smoothly, and
-    the caller should supply a d_frame.
+    PIVOT_TOL) between candidate rows, or between a candidate pivot and
+    zero, marks a frame singularity: the basis may fail to extend
+    smoothly, and the caller should supply a d_frame.
     """
-    a = [list(row) for row in eps_jets]
-    nv = n
-    pivots = []  # (row, col)
-    row = 0
+    k, n = e.shape
+    a = [[float(x) for x in row] for row in e]
+    cols = []
     for col in range(n):
+        row = len(cols)
         if row >= k:
             break
-        cand = sorted(range(row, k), key=lambda r: -abs(a[r][col].value))
-        if abs(a[cand[0]][col].value) <= PIVOT_TOL:
+        cand = sorted(range(row, k), key=lambda r: -abs(a[r][col]))
+        if abs(a[cand[0]][col]) <= PIVOT_TOL:
             continue
-        if len(cand) > 1 and abs(abs(a[cand[0]][col].value)
-                                 - abs(a[cand[1]][col].value)) <= PIVOT_TOL:
+        if len(cand) > 1 and abs(abs(a[cand[0]][col])
+                                 - abs(a[cand[1]][col])) <= PIVOT_TOL:
             raise GeometryError(
                 "frame elimination pivot tie: kernel basis not smoothly "
                 "extendable here; supply an explicit d_frame")
-        piv = cand[0]
-        a[row], a[piv] = a[piv], a[row]
+        a[row], a[cand[0]] = a[cand[0]], a[row]
         d = a[row][col]
-        a[row] = [_jdiv(e, d) for e in a[row]]
+        a[row] = [x / d for x in a[row]]
         for r in range(k):
-            if r == row:
-                continue
             f = a[r][col]
-            if f.value == 0.0 and (f.grad is None or not np.any(f.grad)) \
-                    and (f.hess is None or not np.any(f.hess)):
-                continue
-            a[r] = [_jsub(a[r][j], _jmul(f, a[row][j])) for j in range(n)]
-        pivots.append((row, col))
-        row += 1
-    if row < k:
+            if r != row and f != 0.0:
+                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
+        cols.append(col)
+    if len(cols) < k:
         raise GeometryError("constraint forms rank-deficient in elimination")
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(n) if c not in pivot_cols]
-    grid = [[jet_const(0.0, nv, order) for _ in free_cols] for _ in range(n)]
-    for alpha, f in enumerate(free_cols):
-        grid[f][alpha] = jet_const(1.0, nv, order)
-        for (r, c) in pivots:
-            grid[c][alpha] = jet_unary("neg", a[r][f])
-    return pk_from_jets(grid, nv, order)
+    return tuple(cols)
 
 
-def _jdiv(x, y):
-    return jet_binary("div", x, y)
+def _kernel_solve(eps: Packed, piv: tuple) -> Packed:
+    """The kernel basis for the pivot columns piv of every point of eps."""
+    n = eps.val.shape[-1]
+    free = [c for c in range(n) if c not in piv]
 
+    def block(cols):
+        return Packed(*(None if m is None else m[..., cols]
+                        for m in (eps.val, eps.d1, eps.d2)))
 
-def _jsub(x, y):
-    return jet_binary("sub", x, y)
-
-
-def _jmul(x, y):
-    return jet_binary("mul", x, y)
+    M = pk_matmul(pk_inv(block(list(piv)), tol=0.0, what="pivot block"),
+                  block(free))
+    X = [None if m is None else np.zeros(m.shape[:-2] + (n, len(free)))
+         for m in (M.val, M.d1, M.d2)]
+    for x, m in zip(X, (M.val, M.d1, M.d2)):
+        if x is not None:
+            x[..., list(piv), :] = -m
+    X[0][..., free, range(len(free))] = 1.0
+    return Packed(*X)
 
 
 def _w_frame_at(system, comp, q, kappa, eps, order) -> Packed:

@@ -74,6 +74,44 @@ KERNEL_PATH_DEF = {
 }
 
 
+# A rank-2 system without an adapted block, so the kernel frame comes
+# from the elimination: the first column is zero (skipped), the second
+# row wins the first pivot at every point (a row swap), and every entry
+# off the zero column depends on the coordinates.
+KERNEL2_DEF = {
+    "name": "kernel2",
+    "coords": ["a", "b", "c", "d", "e"],
+    "constraints_rank": 2,
+    "metric": [
+        ["2 + 0.3*sin(c)", "0.2", "0", "0", "0"],
+        ["0.2", "1.5", "0.1*a", "0", "0"],
+        ["0", "0.1*a", "2", "0", "0"],
+        ["0", "0", "0", "1 + 0.2*cos(b)", "0"],
+        ["0", "0", "0", "0", "1.2"],
+    ],
+    "potential": "0.1*a^2 + 0.05*b*e",
+    "constraint_forms": [
+        ["0", "0.5*sin(b)", "1.5 + 0.2*cos(a)", "0.4*e", "0.2*a*c"],
+        ["0", "2 + 0.3*cos(c)", "0.3*d", "0.3*a*b", "0.5 + 0.1*e"],
+    ],
+}
+
+# Every system fixture, and the ones with an adapted declaration.
+SYSTEMS = ["snakeboard", "particle", "disk", "twist3", "twist5",
+           "holonomic", "kernel_path", "kernel2"]
+ADAPTED = ["particle", "disk", "twist3", "twist5", "holonomic"]
+
+
+@pytest.fixture(params=SYSTEMS)
+def system(request):
+    return request.getfixturevalue(request.param)
+
+
+@pytest.fixture(params=ADAPTED)
+def adapted_system(request):
+    return request.getfixturevalue(request.param)
+
+
 @pytest.fixture(scope="session")
 def snakeboard():
     return nhk.builtin("snakeboard")
@@ -107,6 +145,11 @@ def holonomic():
 @pytest.fixture(scope="session")
 def kernel_path():
     return nhk.load_system(dict(KERNEL_PATH_DEF))
+
+
+@pytest.fixture(scope="session")
+def kernel2():
+    return nhk.load_system(dict(KERNEL2_DEF))
 
 
 def chart_state(p):

@@ -21,15 +21,6 @@ from nhk.bracket import _chart_tensors
 from nhk._linalg import jm_inv, jm_matmul
 from nhk.jet import Jet2, jet_const
 
-SYSTEMS = ["snakeboard", "particle", "disk", "twist3", "twist5",
-           "holonomic", "kernel_path"]
-
-
-@pytest.fixture(params=SYSTEMS)
-def system(request):
-    return request.getfixturevalue(request.param)
-
-
 # ------------------------------------------------- structure of the sharp
 
 

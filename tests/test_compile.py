@@ -15,8 +15,6 @@ from nhk._linalg import pk_from_jets
 from nhk.errors import EvalError
 from nhk.expr import eval_expr, fold_constants, parse, resolve
 
-ALL_FIXTURES = ["snakeboard", "particle", "disk", "twist3", "twist5",
-                "holonomic", "kernel_path"]
 GRIDS = ("_metric_c", "_constraints_c", "_w_frame_c", "_d_frame_c")
 
 
@@ -51,9 +49,8 @@ def _assert_system_exact(system, count, seed):
             _assert_kernel_exact(kernel.packed, grid, names, p.q)
 
 
-@pytest.mark.parametrize("name", ALL_FIXTURES)
-def test_compiled_grids_equal_jet_exactly_on_fixtures(name, request):
-    _assert_system_exact(request.getfixturevalue(name), 4, seed=71)
+def test_compiled_grids_equal_jet_exactly_on_fixtures(system):
+    _assert_system_exact(system, 4, seed=71)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -18,21 +18,6 @@ from nhk import (
 from nhk.curvature import _curvature_pair_assembled
 from nhk.errors import UnsupportedOperationError
 
-SYSTEMS = ["snakeboard", "particle", "disk", "twist3", "twist5",
-           "holonomic", "kernel_path"]
-ADAPTED = ["particle", "disk", "twist3", "twist5", "holonomic"]
-
-
-@pytest.fixture(params=SYSTEMS)
-def system(request):
-    return request.getfixturevalue(request.param)
-
-
-@pytest.fixture(params=ADAPTED)
-def adapted_system(request):
-    return request.getfixturevalue(request.param)
-
-
 # ------------------------------------------------------ tensor structure
 
 

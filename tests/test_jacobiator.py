@@ -3,16 +3,14 @@ snakeboard values, sparsity patterns, and the cross-validation report."""
 
 import itertools
 import re
+import sys
 
 import numpy as np
 import pytest
 
-import nhk._linalg
 import nhk.bracket
 import nhk.curvature
-import nhk.expr
 import nhk.jacobiator
-import nhk.jet
 import nhk.manifold
 import nhk.sim
 from nhk import (
@@ -36,21 +34,6 @@ from nhk.systems import _perm_sign, snakeboard_expected
 
 from expr_corpus import nested_system
 
-SYSTEMS = ["snakeboard", "particle", "disk", "twist3", "twist5",
-           "holonomic", "kernel_path"]
-ADAPTED = ["particle", "disk", "twist3", "twist5", "holonomic"]
-
-
-@pytest.fixture(params=SYSTEMS)
-def system(request):
-    return request.getfixturevalue(request.param)
-
-
-@pytest.fixture(params=ADAPTED)
-def adapted_system(request):
-    return request.getfixturevalue(request.param)
-
-
 def basis(dim, i):
     e = np.zeros(dim)
     e[i] = 1.0
@@ -70,19 +53,26 @@ def test_bruteforce_and_global_tensors_agree(system):
 
 def test_bruteforce_route_makes_no_scalar_jet_calls(request, monkeypatch):
     systems = [request.getfixturevalue(name)
-               for name in ("snakeboard", "particle", "disk")]
+               for name in ("snakeboard", "particle", "disk", "kernel_path",
+                            "kernel2")]
     for s in systems:  # fills each system's compile cache
         jacobiator_tensor(s, sample_points(s, 1, seed=317)[0], "bruteforce")
 
     def refuse(*args, **kwargs):
-        raise AssertionError("jet_binary called on the brute-force route")
+        raise AssertionError("scalar jet call on the brute-force route")
 
-    for mod in (nhk.jet, nhk.expr, nhk._linalg, nhk.manifold):
-        monkeypatch.setattr(mod, "jet_binary", refuse)
+    for name, mod in list(sys.modules.items()):
+        if name == "nhk" or name.startswith("nhk."):
+            for fn in ("jet_binary", "jet_unary", "jet_const"):
+                if hasattr(mod, fn):
+                    monkeypatch.setattr(mod, fn, refuse)
     for s in systems:
-        p = sample_points(s, 2, seed=319)[1]
+        pts = sample_points(s, 3, seed=319)
+        p = pts[1]
         assert np.all(np.isfinite(jacobiator_tensor(s, p, "bruteforce")))
         assert np.all(np.isfinite(nh_bivector(s, p, order=0).values()))
+        bd = base_at(s, np.array([pt.q for pt in pts]), order=2)
+        assert np.all(np.isfinite(bd.X.d2))
 
 
 def test_adapted_route_agrees(adapted_system):

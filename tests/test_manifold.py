@@ -22,24 +22,11 @@ from nhk import (
     splitting_at,
 )
 from nhk._compile import get_compiled
+from nhk._linalg import pk_from_jets, pk_unpack
 from nhk.errors import DomainError, GeometryError, LoadError
 from nhk.expr import eval_expr
-
-ALL_FIXTURES = [
-    "snakeboard",
-    "particle",
-    "disk",
-    "twist3",
-    "twist5",
-    "holonomic",
-    "kernel_path",
-]
-
-
-@pytest.fixture(params=ALL_FIXTURES)
-def system(request):
-    return request.getfixturevalue(request.param)
-
+from nhk.jet import jet_binary, jet_const, jet_unary
+from nhk.manifold import PIVOT_TOL
 
 # ------------------------------------------------------------- loading
 
@@ -248,6 +235,105 @@ def test_default_complement_is_metric_orthogonal(kernel_path):
                                    np.eye(kernel_path.k), atol=1e-10)
         gram = bd.X.val.T @ bd.kappa.val @ W
         np.testing.assert_allclose(gram, 0.0, atol=1e-10)
+
+
+# ---------------------------------------------------------- kernel frame
+
+
+def _kernel_frame_jet2(eps, n, k, order):
+    """The kernel basis of eps by a Gauss-Jordan elimination carried in
+    Jet2 scalars, pivots chosen as in manifold._pivot_columns: the
+    reference that the packed kernel frame is pinned against."""
+    a = pk_unpack(eps)
+    pivots = []
+    for col in range(n):
+        row = len(pivots)
+        if row >= k:
+            break
+        cand = sorted(range(row, k), key=lambda r: -abs(a[r][col].value))
+        if abs(a[cand[0]][col].value) <= PIVOT_TOL:
+            continue
+        if len(cand) > 1 and abs(abs(a[cand[0]][col].value)
+                                 - abs(a[cand[1]][col].value)) <= PIVOT_TOL:
+            raise GeometryError("frame elimination pivot tie")
+        a[row], a[cand[0]] = a[cand[0]], a[row]
+        d = a[row][col]
+        a[row] = [jet_binary("div", e, d) for e in a[row]]
+        for r in range(k):
+            if r != row:
+                f = a[r][col]
+                a[r] = [jet_binary("sub", a[r][j],
+                                   jet_binary("mul", f, a[row][j]))
+                        for j in range(n)]
+        pivots.append((row, col))
+    assert len(pivots) == k
+    free = [c for c in range(n) if c not in [c for _, c in pivots]]
+    grid = [[jet_const(0.0, n, order) for _ in free] for _ in range(n)]
+    for alpha, f in enumerate(free):
+        grid[f][alpha] = jet_const(1.0, n, order)
+        for r, c in pivots:
+            grid[c][alpha] = jet_unary("neg", a[r][f])
+    return pk_from_jets(grid, n, order)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("name", ["kernel_path", "kernel2"])
+def test_kernel_frame_matches_the_jet2_elimination(request, name, order):
+    system = request.getfixturevalue(name)
+    qs = [p.q for p in sample_points(system, 12, seed=83)]
+    if name == "kernel_path":
+        qs.append(np.array([0.4, 0.0, -1.1]))   # y = 0 pivots on z
+    for q in qs:
+        bd = base_at(system, q, order)
+        ref = _kernel_frame_jet2(bd.eps, system.n, system.k, order)
+        for part in ("val", "d1", "d2")[:order + 1]:
+            got, want = getattr(bd.X, part), getattr(ref, part)
+            tol = 1e-15 * max(1.0, np.abs(want).max())
+            assert np.abs(got - want).max() <= tol, (q, part)
+
+
+TIE_DEF = {
+    "name": "tie",
+    "coords": ["x", "y", "z"],
+    "constraints_rank": 2,
+    "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    "potential": "0",
+    "constraint_forms": [["x", "1", "0"], ["1", "0", "1"]],
+}
+
+TIE_MESSAGE = ("frame elimination pivot tie: kernel basis not smoothly "
+               "extendable here; supply an explicit d_frame")
+
+
+def test_kernel_frame_pivot_tie_raises_alone_and_in_a_stack():
+    system = load_system(copy.deepcopy(TIE_DEF))
+    # at x = 1 both rows offer |1| as the first pivot
+    for q in ([1.0, 0.2, -0.3], [[0.5, 0.2, -0.3], [1.0, 0.2, -0.3]]):
+        with pytest.raises(GeometryError) as info:
+            base_at(system, q, order=1)
+        assert str(info.value) == TIE_MESSAGE
+    base_at(system, [[0.5, 0.2, -0.3], [1.5, 0.2, -0.3]], order=1)
+
+
+def test_kernel_frame_accepts_small_pivots():
+    # pivots 1e-7 give a pivot block with |det| = 1e-14; the pivot
+    # checks, not a determinant threshold, decide whether it is usable
+    system = load_system({
+        "name": "small_pivots",
+        "coords": ["a", "b", "c", "d"],
+        "constraints_rank": 2,
+        "params": {"h": 1e-7},
+        "metric": [["1" if i == j else "0" for j in range(4)]
+                   for i in range(4)],
+        "potential": "0",
+        "constraint_forms": [["h", "0", "1", "0.2*b"],
+                             ["0", "h", "0.3*a", "1"]],
+    })
+    qs = np.array([p.q for p in sample_points(system, 5, seed=3)])
+    for order in (0, 1, 2):
+        bd = base_at(system, qs, order)
+        np.testing.assert_allclose(bd.eps.val @ bd.X.val, 0.0, atol=1e-9)
+        assert np.all(bd.X.val[:, 2:] == np.eye(2))
 
 
 # ------------------------------------------------------------ embedding

@@ -18,15 +18,6 @@ from nhk._compile import get_compiled
 from nhk.errors import DomainError, GeometryError, ParameterError
 from nhk.sim import _rhs
 
-SYSTEMS = ["snakeboard", "particle", "disk", "twist3", "twist5",
-           "holonomic", "kernel_path"]
-
-
-@pytest.fixture(params=SYSTEMS)
-def system(request):
-    return request.getfixturevalue(request.param)
-
-
 # ----------------------------------------------------------- right-hand side
 
 

@@ -26,7 +26,6 @@ from nhk._linalg import (
     pk_matmul,
     pk_neg,
     pk_rows,
-    pk_stack,
     pk_sub,
     pk_transpose,
 )
@@ -36,14 +35,7 @@ from nhk.jacobiator import (_global_tensor, _km_point_data, _km_value,
                             _trivector_brute)
 from nhk.manifold import _sample_q
 
-SYSTEMS = ["snakeboard", "particle", "disk", "twist3", "twist5",
-           "holonomic", "kernel_path"]
 FIELDS = ("kappa", "eps", "X", "Z", "chi", "J", "mu", "kD", "kD_inv")
-
-
-@pytest.fixture(params=SYSTEMS)
-def system(request):
-    return request.getfixturevalue(request.param)
 
 
 def assert_packed_equal(a: Packed, b: Packed, what=""):
@@ -100,14 +92,16 @@ def test_pk_ops_on_a_stack_equal_the_ops_per_slice(order, lead):
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
-def test_pk_const_and_pk_stack_on_a_stack(order):
+def test_pk_const_and_pk_at_on_a_stack(order):
     rng = np.random.default_rng(5)
     vals = rng.standard_normal((3, 2, 4))
     stacked = pk_const(vals, 6, order)
     parts = [pk_const(v, 6, order) for v in vals]
     for i, p in enumerate(parts):
         assert_packed_equal(pk_at(stacked, i), p, i)
-    assert_packed_equal(pk_stack(parts, (3,)), stacked)
+    # an index array selects a sub-stack
+    sub = pk_at(stacked, (np.array([2, 0]),))
+    assert_packed_equal(sub, pk_const(vals[[2, 0]], 6, order))
 
 
 def test_pk_inv_rejects_a_stack_with_one_singular_matrix():
@@ -133,6 +127,24 @@ def test_base_at_on_a_stack_equals_base_at_per_point(system, order, size):
         for f in FIELDS:
             assert_packed_equal(pk_at(getattr(stacked, f), i),
                                 getattr(single, f), (f, i))
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_kernel_frame_stack_mixing_pivot_patterns_equals_per_point(
+        kernel_path, order):
+    # eps = -y dx + dz: pivot on x where y != 0, on z where y = 0
+    qs = np.array([[0.3, 0.7, -0.2], [0.1, 0.0, 0.5], [-1.2, -0.4, 1.0],
+                   [0.9, 0.0, -1.5], [1.1, 1.3, 0.2]])
+    stacked = base_at(kernel_path, qs, order)
+    for i, q in enumerate(qs):
+        single = base_at(kernel_path, q, order)
+        for f in FIELDS:
+            assert_packed_equal(pk_at(getattr(stacked, f), i),
+                                getattr(single, f), (f, i))
+    for i in (1, 3):
+        assert np.array_equal(stacked.X.val[i], np.eye(3)[:, :2])
+    np.testing.assert_allclose(stacked.X.val[0, 0], [0.0, 1 / 0.7],
+                               rtol=1e-15, atol=0.0)
 
 
 def test_base_at_on_a_stack_names_the_first_failing_point():
