@@ -8,7 +8,8 @@ and its Jacobi defect from a plain JSON description of the system
 (metric, constraint one-forms, optional frames and potential), along
 several independent routes that are cross-validated against each other:
 
-* direct differentiation of the bracket coefficients (jet route);
+* direct differentiation of the bracket coefficients (brute-force
+  route, in packed value/derivative arithmetic);
 * a curvature formula pairing the splitting curvature K_W against the
   sharp images of the covectors;
 * closed coordinate expressions for systems declared in adapted

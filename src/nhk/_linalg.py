@@ -17,9 +17,9 @@
 
 2. Matrices of :class:`~nhk.jet.Jet2` entries (plain nested lists) with a
    hand-rolled partial-pivot Gauss-Jordan elimination whose pivot
-   selection consults only the value parts.  No library path calls
-   these; they are the test reference that the packed bivector route is
-   pinned against at sampled points of every test system.
+   selection consults only the value parts.  They are the test reference
+   that the packed bivector route is pinned against at sampled points of
+   every test system; the library only reads values (``jm_values``).
 
 The Jet2 code left is these ``jm_*`` and the ``pk_unpack``/``pk_from_jets``
 boundary.  ``nhkbench/spans.py`` traces them by name, so deleting them
@@ -209,6 +209,8 @@ def jm_identity(n: int, nvars: int, order: int) -> list[list[Jet2]]:
 
 
 def jm_values(A) -> np.ndarray:
+    """The value matrix of a Jet2 grid (a nested list, as pk_unpack
+    gives it)."""
     return np.array([[e.value for e in row] for row in A])
 
 

@@ -21,17 +21,17 @@ Two independent constructions live here:
   C-basis, invert the restricted Gram matrix, and conjugate back, in
   packed arithmetic whose derivatives run along the chart variables.
   At order 1 entries come out as Jet2 of the chart variables.  The
-  tests pin it against the same construction in Jet2-matrix arithmetic
-  (``_linalg.jm_*``).
-* ``chart_tensors`` -- the fast packed route used by the Jacobiator,
-  curvature and simulation internals: the closed block form and its
-  chart-direction derivatives assembled with numpy.
+  brute-force Jacobiator route differentiates it.
+* ``chart_tensors`` -- the closed block form and its chart-direction
+  derivatives assembled with numpy; the global Jacobiator route reads
+  it.
 
 The two are pinned against each other in the test suite.
 
 Dynamics: the Hamiltonian is H = (1/2) ptilde . kD^{-1} ptilde + U with
 kD the D-frame Gram matrix of the kinetic metric, and the evolution
-field is X_nh = -pi#(dH).
+field is X_nh = -pi#(dH), written out componentwise in ``_field``; the
+integrator (``sim``) evaluates the same H, dH and field.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._compile import get_compiled
-from ._linalg import Packed, pk_inv, pk_matmul, pk_transpose, pk_unpack
+from ._linalg import (Packed, jm_values, pk_inv, pk_matmul, pk_transpose,
+                      pk_unpack)
 from .errors import GeometryError
 from .manifold import (BaseData, NonholonomicSystem, PointM, _c_basis,
                        _omega_arrays, _omega_packed, base_at)
@@ -66,7 +67,7 @@ class BivectorAtPoint:
     def values(self) -> np.ndarray:
         if self.order == 0:
             return np.asarray(self.mat, dtype=float)
-        return np.array([[e.value for e in row] for row in self.mat])
+        return jm_values(self.mat)
 
     def sharp(self, alpha) -> np.ndarray:
         return self.values() @ np.asarray(alpha, dtype=float)
@@ -195,36 +196,48 @@ def hamiltonian_M(system: NonholonomicSystem, p: PointM):
     return _hamiltonian(system, p, base_at(system, p.q, order=1))
 
 
+def _energy(system: NonholonomicSystem, q, pt, bd: BaseData):
+    """H and its differential at (q, ptilde), from base data ``bd`` at q
+    of order at least 1: returns (H, U, dH_q, v), where v = kD^{-1}
+    ptilde is both dH_ptilde and the D-frame velocity."""
+    uval, ugrad, _ = get_compiled(system).potential.evaluate(q, 1)
+    vel = bd.kD_inv.val @ pt
+    value = 0.5 * float(pt @ vel) + uval
+    dHq = 0.5 * np.einsum("a,lab,b->l", pt, bd.kD_inv.d1, pt) + ugrad
+    return value, uval, dHq, vel
+
+
+def _field(bd: BaseData, pt, dHq, vel):
+    """X_nh = -pi#(dH) in chart components, from base data ``bd`` at q
+    of order at least 1 and dH = (dHq, vel) as ``_energy`` gives it:
+
+        qdot      =  X kD^{-1} ptilde          (the admitted velocity),
+        ptildedot = -X^T dH_q - S kD^{-1} ptilde,   S = X^T E X.
+
+    Returns (qdot, ptildedot)."""
+    X = bd.X.val
+    ew = np.einsum("a,jai->ij", pt, bd.mu.d1)
+    s_mat = X.T @ (ew - ew.T) @ X
+    return X @ vel, -(X.T @ dHq) - s_mat @ vel
+
+
 def _hamiltonian(system: NonholonomicSystem, p: PointM, bd: BaseData):
     """hamiltonian_M from base data ``bd`` at p.q of order at least 1."""
-    n = system.n
-    pt = p.ptilde
-    uval, ugrad, _ = get_compiled(system).potential.evaluate(p.q, 1)
-    value = 0.5 * float(pt @ bd.kD_inv.val @ pt) + uval
-
-    p_amb = bd.mu.val.T @ pt
+    value, uval, dHq, vel = _energy(system, p.q, p.ptilde, bd)
+    p_amb = bd.mu.val.T @ p.ptilde
     value_amb = 0.5 * float(p_amb @ np.linalg.solve(bd.kappa.val, p_amb)) \
         + uval
     if abs(value - value_amb) > ROUTE_TOL * max(1.0, abs(value)):
         raise GeometryError(
             f"Hamiltonian routes disagree: {value!r} vs {value_amb!r}")
-
-    dH = np.zeros(system.dimM)
-    dH[:n] = 0.5 * np.einsum("a,lab,b->l", pt, bd.kD_inv.d1, pt) + ugrad
-    dH[n:] = bd.kD_inv.val @ pt
-    return value, dH
+    return value, np.concatenate([dHq, vel])
 
 
 def nh_vector_field(system: NonholonomicSystem, p: PointM) -> np.ndarray:
-    """Evolution vector field X_nh = -pi#(dH) in chart components:
-
-        qdot      =  X kD^{-1} ptilde          (the admitted velocity),
-        ptildedot = -X^T dH_q - S dH_ptilde.
-
-    The chart tensors and the Hamiltonian share one base evaluation.
-    """
+    """Evolution vector field X_nh = -pi#(dH) in chart components (see
+    ``_field``), from one base evaluation shared with the Hamiltonian."""
     system.check_point(p)
     bd = base_at(system, p.q, order=1)
-    ct = _chart_tensors(system, p, bd, 0)
     _, dH = _hamiltonian(system, p, bd)
-    return -ct.Pi @ dH
+    n = system.n
+    return np.concatenate(_field(bd, p.ptilde, dH[:n], dH[n:]))

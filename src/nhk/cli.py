@@ -19,7 +19,7 @@ import numpy as np
 
 from . import expr as ex
 from .errors import LoadError, NhkError, ParseError
-from .jacobiator import cross_validate, jacobiator_tensor
+from .jacobiator import _applicable_methods, cross_validate, jacobiator_tensor
 from .manifold import (NonholonomicSystem, PointM, adapted_coframe,
                        load_system)
 from .sim import integrate, trajectory_csv
@@ -218,9 +218,7 @@ def _cmd_jacobiator(args) -> CommandOutcome:
         raise _CliExit(2, "--method km requires a system declared in "
                           "adapted coordinates")
     if args.method == "all":
-        methods = ["bruteforce", "global"]
-        if system.adapted is not None:
-            methods.append("km")
+        methods = _applicable_methods(system)
     else:
         methods = [{"brute": "bruteforce"}.get(args.method, args.method)]
 

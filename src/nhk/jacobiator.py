@@ -24,6 +24,9 @@ covectors (no 1/2 normalization).  Three routes compute it:
   momentum coupling J -- nonzero only on patterns with at least two
   momentum covectors.
 
+The scalar entry points read (or, global route, contract) the route's
+whole tensor from ``jacobiator_tensor``, its one implementation.
+
 ``cross_validate`` runs all applicable routes over a deterministic
 sample of points and all chart covector triples and reports any
 pairwise discrepancy beyond tolerance.  It evaluates the points as
@@ -35,9 +38,11 @@ others, which yields its whole tensor at every point of the stack.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -53,15 +58,6 @@ __all__ = ["JacobiatorReport", "jacobiator_bruteforce", "jacobiator_global",
 
 
 # ------------------------------------------------------------ brute force
-def _bivector_arrays(system: NonholonomicSystem, p: PointM, bd: BaseData):
-    """Value and gradient arrays of the bivector matrix from the
-    reference route: V[L, I] = Pi[L, I], G[L, K, J] = d_L Pi[K, J].
-    ``bd`` is the order-2 base data at p.q (p and bd may be stacked
-    alike; the arrays then lead with the stack axis)."""
-    Pi = _bivector_packed(system, p, bd, order=1)
-    return Pi.val, Pi.d1
-
-
 def _cyclic_sum(T: np.ndarray) -> np.ndarray:
     """T[..., i, j, k] + T[..., j, k, i] + T[..., k, i, j]."""
     s = T.ndim - 3
@@ -70,29 +66,23 @@ def _cyclic_sum(T: np.ndarray) -> np.ndarray:
             + T.transpose(lead + (s + 2, s, s + 1)))
 
 
-def _trivector_from_arrays(V: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """T[I, J, K] = sum_cyc sum_L Pi[L, I] d_L Pi[K, J]."""
-    BM = V.swapaxes(-1, -2)       # BM[I, L] = Pi[L, I]
-    dBM = G.swapaxes(-1, -2)      # dBM[L, J, K] = d_L Pi[K, J]
-    return _cyclic_sum(np.einsum("...il,...ljk->...ijk", BM, dBM))
-
-
 def _trivector_brute(system: NonholonomicSystem, p: PointM,
                      bd: BaseData) -> np.ndarray:
-    return _trivector_from_arrays(*_bivector_arrays(system, p, bd))
+    """T[I, J, K] = sum_cyc sum_L Pi[L, I] d_L Pi[K, J] for the reference
+    bivector (``bracket._bivector_packed``), from the order-2 base data
+    ``bd`` at p.q (p and bd may be stacked alike, and so is T)."""
+    Pi = _bivector_packed(system, p, bd, order=1)
+    BM = Pi.val.swapaxes(-1, -2)      # BM[I, L] = Pi[L, I]
+    dBM = Pi.d1.swapaxes(-1, -2)      # dBM[L, J, K] = d_L Pi[K, J]
+    return _cyclic_sum(np.einsum("...il,...ljk->...ijk", BM, dBM))
 
 
 def jacobiator_bruteforce(system: NonholonomicSystem, p: PointM,
                           triple) -> float:
     """Jacobiator on three chart basis covectors by direct
     differentiation of the bracket coefficients (reference route)."""
-    i, j, k = _check_triple(system, triple)
-    system.check_point(p)
-    V, G = _bivector_arrays(system, p, base_at(system, p.q, order=2))
-    total = 0.0
-    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-        total += float(V[:, a] @ G[:, c, b])
-    return total
+    t = _check_triple(system, triple)
+    return float(jacobiator_tensor(system, p, "bruteforce")[t])
 
 
 def _check_triple(system, triple):
@@ -112,19 +102,8 @@ def _check_triple(system, triple):
 def jacobiator_global(system: NonholonomicSystem, p: PointM,
                       alpha, beta, gamma, lift=None) -> float:
     """Jacobiator of three chart covectors via the curvature formula."""
-    system.check_point(p)
-    bd = base_at(system, p.q, order=1)
-    ct = _chart_tensors(system, p, bd, 0)
-    cv = _curvature_coeffs(system, bd, lift)
-    al = np.asarray(alpha, dtype=float)
-    be = np.asarray(beta, dtype=float)
-    ga = np.asarray(gamma, dtype=float)
-    total = 0.0
-    for (a, b, c) in ((al, be, ga), (be, ga, al), (ga, al, be)):
-        u, v, w = ct.Pi @ a, ct.Pi @ b, ct.Pi @ c
-        kv = cv.W_lift @ np.einsum("aij,i,j->a", cv.coeffs, u, v)
-        total += float(kv @ ct.Omega @ w - c @ kv)
-    return total
+    T = jacobiator_tensor(system, p, "global", lift=lift)
+    return float(np.einsum("ijk,i,j,k->", T, alpha, beta, gamma))
 
 
 def _global_tensor(system: NonholonomicSystem, p: PointM, bd: BaseData,
@@ -264,6 +243,14 @@ def jacobiator_tensor(system: NonholonomicSystem, p: PointM,
 
 
 # --------------------------------------------------------- cross-validate
+def _applicable_methods(system: NonholonomicSystem) -> tuple:
+    """The routes that apply to ``system``: brute force and global, plus
+    km when it is declared in adapted coordinates."""
+    if system.adapted is None:
+        return ("bruteforce", "global")
+    return ("bruteforce", "global", "km")
+
+
 @dataclass(frozen=True)
 class JacobiatorReport:
     """Outcome of a cross-validation run.
@@ -334,10 +321,14 @@ def cross_validate(system: NonholonomicSystem, samples: int = 100,
     degeneracy, an expression guard) are skipped and reported, not
     failed: when a stack raises, its points are evaluated again one at a
     time, so each skip names that point's own first error."""
-    methods = ["bruteforce", "global"]
-    if system.adapted is not None:
-        methods.append("km")
-    methods = tuple(methods)
+    if isinstance(samples, bool) or not (isinstance(samples, Integral)
+                                         and samples >= 1):
+        raise ParameterError(
+            f"samples must be a positive integer, got {samples!r}")
+    if isinstance(tol, bool) or not (isinstance(tol, Real)
+                                     and 0.0 <= tol < math.inf):
+        raise ParameterError(f"tol must be a finite real >= 0, got {tol!r}")
+    methods = _applicable_methods(system)
     pts = sample_points(system, samples, seed)
     triples = tuple(combinations(range(system.dimM), 3))
     tri = (slice(None),) + tuple(np.array(triples, dtype=np.intp)

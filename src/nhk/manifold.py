@@ -37,8 +37,9 @@ import numpy as np
 
 from . import expr as ex
 from ._compile import get_compiled
-from ._linalg import (Packed, _first, pk_add, pk_at, pk_const, pk_hstack,
-                      pk_inv, pk_matmul, pk_rows, pk_transpose, pk_unpack)
+from ._linalg import (Packed, _first, jm_values, pk_add, pk_at, pk_const,
+                      pk_hstack, pk_inv, pk_matmul, pk_rows, pk_transpose,
+                      pk_unpack)
 from ._rng import Lcg64
 from .errors import DomainError, EvalError, GeometryError, LoadError, ParseError
 
@@ -114,7 +115,7 @@ class TwoFormAtPoint:
     def values(self) -> np.ndarray:
         if self.order == 0:
             return self.mat
-        return np.array([[e.value for e in row] for row in self.mat])
+        return jm_values(self.mat)
 
 
 @dataclass(frozen=True, eq=False)

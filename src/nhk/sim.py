@@ -2,26 +2,24 @@
 
 The integrator advances the chart state u = (q, ptilde) with classical
 fourth-order Runge-Kutta.  The right-hand side is the nonholonomic vector
-field written out componentwise,
-
-    qdot      =  X kappa_D^{-1} ptilde
-    ptdot     = -X^T dH_q - S kappa_D^{-1} ptilde,
-
-which is exactly ``-Pi . dH`` with the bivector in block form; a test pins
-the fused evaluation against :func:`nhk.bracket.nh_vector_field`.  Each
-recorded sample carries the Hamiltonian and the constraint residual
+field X_nh = -pi#(dH) as ``bracket._field`` writes it out componentwise,
+with H and dH from ``bracket._energy`` -- the same code behind
+:func:`nhk.bracket.nh_vector_field` -- from one base evaluation per stage.
+A test pins it against the block form ``-Pi . dH`` of the chart tensors.
+Each recorded sample carries the Hamiltonian and the constraint residual
 max_a |eps^a(qdot)|; both are conserved/zero in exact arithmetic, so the
 recorded values measure integrator and floating-point error only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
-from ._compile import get_compiled
+from .bracket import _energy, _field
 from .errors import DomainError, EvalError, GeometryError, ParameterError
 from .manifold import NonholonomicSystem, PointM, base_at
 
@@ -67,22 +65,13 @@ class Trajectory:
         return np.array([np.concatenate([p.q, p.ptilde]) for p in self.states])
 
 
-def _rhs(system: NonholonomicSystem, comp, u: np.ndarray):
+def _rhs(system: NonholonomicSystem, u: np.ndarray):
     """One fused evaluation at chart state u: returns (du/dt, H, residual)."""
     n = system.n
     q, pt = u[:n], u[n:]
     bd = base_at(system, q, order=1)
-    vel = bd.kD_inv.val @ pt
-    qdot = bd.X.val @ vel
-
-    uval, ugrad, _ = comp.potential.evaluate(q, 1)
-    dHq = 0.5 * np.einsum("a,iab,b->i", pt, bd.kD_inv.d1, pt) + ugrad
-    ew = np.einsum("a,jai->ij", pt, bd.mu.d1)
-    ss = ew - ew.T
-    s_mat = bd.X.val.T @ ss @ bd.X.val
-    ptdot = -(bd.X.val.T @ dHq) - s_mat @ vel
-
-    energy = 0.5 * float(pt @ vel) + uval
+    energy, _, dHq, vel = _energy(system, q, pt, bd)
+    qdot, ptdot = _field(bd, pt, dHq, vel)
     residual = float(np.max(np.abs(bd.eps.val @ qdot))) if system.k else 0.0
     return np.concatenate([qdot, ptdot]), energy, residual
 
@@ -97,19 +86,20 @@ def integrate(system: NonholonomicSystem, init: PointM, dt: float,
     ``completed`` / ``exit_reason``); a frame singularity is fatal and
     raises :class:`GeometryError` with the step index.
     """
-    if not (isinstance(dt, (int, float)) and float(dt) > 0.0):
-        raise ParameterError(f"dt must be a positive real, got {dt!r}")
-    if not (isinstance(steps, (int, np.integer)) and steps >= 1):
+    if isinstance(dt, bool) or not (isinstance(dt, (int, float))
+                                    and 0.0 < float(dt) < math.inf):
+        raise ParameterError(f"dt must be a positive finite real, got {dt!r}")
+    if isinstance(steps, bool) or not (isinstance(steps, (int, np.integer))
+                                       and steps >= 1):
         raise ParameterError(f"steps must be a positive integer, got {steps!r}")
     system.check_point(init)
 
-    comp = get_compiled(system)
     dt = float(dt)
     n = system.n
     u = np.concatenate([init.q, init.ptilde])
 
     try:
-        k1, h, r = _rhs(system, comp, u)
+        k1, h, r = _rhs(system, u)
     except GeometryError as exc:
         raise GeometryError(f"frame singularity at step 0: {exc}") from exc
 
@@ -122,13 +112,13 @@ def integrate(system: NonholonomicSystem, init: PointM, dt: float,
 
     for step in range(1, steps + 1):
         try:
-            k2, _, _ = _rhs(system, comp, u + (0.5 * dt) * k1)
-            k3, _, _ = _rhs(system, comp, u + (0.5 * dt) * k2)
-            k4, _, _ = _rhs(system, comp, u + dt * k3)
+            k2, _, _ = _rhs(system, u + (0.5 * dt) * k1)
+            k3, _, _ = _rhs(system, u + (0.5 * dt) * k2)
+            k4, _, _ = _rhs(system, u + dt * k3)
             u_new = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             # Evaluating at the accepted state both validates it and
             # supplies the next step's k1 stage.
-            k1_new, h, r = _rhs(system, comp, u_new)
+            k1_new, h, r = _rhs(system, u_new)
         except (DomainError, EvalError) as exc:
             completed = False
             exit_reason = f"left the valid domain at step {step}: {exc}"

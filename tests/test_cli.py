@@ -83,6 +83,21 @@ def test_verify_failure_exits_one():
     assert "FAIL" in out.summary
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--tol", "nan"), ("--tol", "-1"), ("--tol", "inf"),
+    ("--samples", "0"), ("--samples", "-1"),
+])
+def test_verify_rejects_meaningless_arguments(flag, value):
+    # nan would pass every comparison, 0 samples check nothing, and a
+    # negative tolerance fails every value: a parameter error (exit 3),
+    # not a verdict
+    doc, out = run_json(["verify", "--system", "nh_particle", flag, value],
+                        expect_code=3)
+    assert doc["error"]["type"] == "ParameterError"
+    assert flag[2:] in doc["error"]["message"]
+    assert out.summary.startswith("error:")
+
+
 def test_verify_rejects_both_sources(tmp_path):
     path = tmp_path / "x.json"
     path.write_text("{}")
@@ -289,6 +304,11 @@ def test_simulate_bad_dt():
     assert out.exit_code == 2  # argparse type failure
     doc, _ = run_json([
         "simulate", "--system", "nh_particle", "--dt", "-0.1",
+        "--steps", "5",
+    ], expect_code=3)
+    assert doc["error"]["type"] == "ParameterError"
+    doc, _ = run_json([
+        "simulate", "--system", "nh_particle", "--dt", "inf",
         "--steps", "5",
     ], expect_code=3)
     assert doc["error"]["type"] == "ParameterError"

@@ -197,6 +197,29 @@ def test_multilinearity_of_the_global_route(system):
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
 
 
+def test_global_route_forwards_the_lift(system):
+    # an admissible (C-valued) lift correction leaves the value unchanged
+    # through the scalar entry point too
+    k, nk = system.k, system.n - system.k
+    rng = np.random.default_rng(21)
+    for p in sample_points(system, 3, seed=353):
+        a, b, c = rng.normal(size=(3, system.dimM))
+        lift = (rng.normal(size=(k, nk)), rng.normal(size=(k, nk)))
+        plain = jacobiator_global(system, p, a, b, c)
+        lifted = jacobiator_global(system, p, a, b, c, lift=lift)
+        scale = max(1.0, np.max(np.abs(jacobiator_tensor(system, p, "global")))
+                    * np.sum(np.abs(a)) * np.sum(np.abs(b)) * np.sum(np.abs(c)))
+        assert abs(lifted - plain) <= 1e-9 * scale
+
+
+def test_global_route_rejects_a_malformed_lift(particle):
+    p = sample_points(particle, 1, seed=359)[0]
+    a, b, c = np.eye(particle.dimM)[[0, 3, 4]]
+    with pytest.raises(ValueError, match="lift coefficient arrays"):
+        jacobiator_global(particle, p, a, b, c,
+                          lift=(np.zeros((2, 2)), np.zeros((1, 2))))
+
+
 def test_momentum_sparsity_pattern(adapted_system):
     # entries with fewer than two momentum covectors vanish identically
     sys = adapted_system
@@ -443,6 +466,22 @@ def test_cross_validate_flags_genuine_discrepancies(particle):
 
 
 # ------------------------------------------------------------ error paths
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"samples": 0}, {"samples": -1}, {"samples": True}, {"samples": 2.0},
+    {"tol": float("nan")}, {"tol": -1.0}, {"tol": float("inf")},
+    {"tol": True}, {"tol": "1e-8"},
+], ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
+def test_cross_validate_rejects_meaningless_arguments(particle, kwargs):
+    with pytest.raises(ParameterError):
+        cross_validate(particle, **{"samples": 3, **kwargs})
+
+
+def test_cross_validate_accepts_numpy_scalars(particle):
+    a = cross_validate(particle, samples=np.int64(3), tol=np.float64(0.0))
+    b = cross_validate(particle, samples=3, tol=0.0)
+    np.testing.assert_array_equal(a.values, b.values)
 
 
 def test_bad_triples_rejected(particle):

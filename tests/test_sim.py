@@ -8,13 +8,13 @@ import pytest
 import nhk.sim
 from nhk import (
     PointM,
+    chart_tensors,
     hamiltonian_M,
     integrate,
     nh_vector_field,
     sample_points,
     trajectory_csv,
 )
-from nhk._compile import get_compiled
 from nhk.errors import DomainError, GeometryError, ParameterError
 from nhk.sim import _rhs
 
@@ -22,11 +22,14 @@ from nhk.sim import _rhs
 
 
 def test_rhs_is_the_nonholonomic_vector_field(system):
-    comp = get_compiled(system)
+    # reference: the block form -Pi . dH of the chart tensors, which
+    # shares no code with the componentwise field behind _rhs
     for p in sample_points(system, 10, seed=77):
-        du, h, resid = _rhs(system, comp, np.concatenate([p.q, p.ptilde]))
-        np.testing.assert_allclose(du, nh_vector_field(system, p),
+        du, h, resid = _rhs(system, np.concatenate([p.q, p.ptilde]))
+        Pi = chart_tensors(system, p, order=0).Pi
+        np.testing.assert_allclose(du, -Pi @ hamiltonian_M(system, p)[1],
                                    rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(du, nh_vector_field(system, p))
         assert h == pytest.approx(hamiltonian_M(system, p)[0], rel=1e-12)
         assert resid < 1e-10  # qdot lies in the constraint kernel exactly
 
@@ -136,13 +139,14 @@ def test_frame_singularity_at_start(particle, monkeypatch):
 # --------------------------------------------------------------- validation
 
 
-@pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan"), "0.1"])
+@pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan"), "0.1",
+                                float("inf"), True])
 def test_bad_dt_rejected(particle, dt):
     with pytest.raises(ParameterError):
         integrate(particle, PointM([0, 0, 0], [1, 0]), dt=dt, steps=10)
 
 
-@pytest.mark.parametrize("steps", [0, -5, 2.5, "10"])
+@pytest.mark.parametrize("steps", [0, -5, 2.5, "10", True])
 def test_bad_steps_rejected(particle, steps):
     with pytest.raises(ParameterError):
         integrate(particle, PointM([0, 0, 0], [1, 0]), dt=1e-3, steps=steps)
