@@ -200,12 +200,13 @@ _GLOBALS = {"_fn_derivatives": _fn_derivatives,
 
 
 class GridEval:
-    """Compiled evaluator of one expression grid to packed jets."""
+    """Compiled evaluator of one expression grid to packed jets (an
+    empty grid is 0 x n: no forms on the n coordinates)."""
 
     def __init__(self, grid, coord_names):
-        rows = len(grid)
-        cols = len(grid[0]) if rows else 0
         n = len(coord_names)
+        rows = len(grid)
+        cols = len(grid[0]) if rows else n
         self.n = n
         self.shape = (rows, cols)
         self._val0 = np.zeros((rows, cols))
@@ -287,8 +288,7 @@ class CompiledSystem:
     def __init__(self, system):
         names = system.coord_names
         self.metric = GridEval(system._metric_c, names)
-        self.eps = GridEval(system._constraints_c, names) \
-            if system.k > 0 else None
+        self.eps = GridEval(system._constraints_c, names)
         self.w = GridEval(system._w_frame_c, names) \
             if system._w_frame_c is not None else None
         self.d = GridEval(system._d_frame_c, names) \

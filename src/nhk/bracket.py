@@ -43,7 +43,7 @@ import numpy as np
 from ._compile import get_compiled
 from ._linalg import (Packed, jm_values, pk_inv, pk_matmul, pk_transpose,
                       pk_unpack)
-from .errors import GeometryError
+from .errors import GeometryError, check_integer
 from .manifold import (BaseData, NonholonomicSystem, PointM, _c_basis,
                        _omega_arrays, _omega_packed, base_at)
 
@@ -103,8 +103,7 @@ def chart_tensors(system: NonholonomicSystem, p: PointM,
                   order: int = 1) -> ChartTensors:
     """Assemble Omega_M, the sharp matrix Pi, and (order >= 1) their
     chart-direction derivatives from the packed base pipeline."""
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
+    order = check_integer("order", order, 0, 2)
     system.check_point(p)
     return _chart_tensors(system, p, base_at(system, p.q, order + 1), order)
 
@@ -176,8 +175,7 @@ def nh_bivector(system: NonholonomicSystem, p: PointM,
     sharp matrix is Pi = C G^{-1} C^T.  All steps run in packed
     arithmetic carrying derivatives along the chart variables at the
     requested order."""
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
+    order = check_integer("order", order, 0, 2)
     system.check_point(p)
     Pi = _bivector_packed(system, p, base_at(system, p.q, order + 1), order)
     mat = Pi.val if order == 0 else pk_unpack(Pi)

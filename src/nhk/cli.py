@@ -128,10 +128,10 @@ def _resolve_point(system: NonholonomicSystem, assigns: dict):
 
 def _covector_basis(system: NonholonomicSystem, point: PointM, basis: str):
     if basis == "adapted":
-        if system.adapted is None and system.name != "snakeboard":
+        if system.adapted is None and system.d_frame is None:
             raise _CliExit(
-                2, "--basis adapted requires a system declared in adapted "
-                   "coordinates (or the built-in snakeboard)")
+                2, "--basis adapted requires a declared frame: an adapted "
+                   "declaration or a d_frame")
         return adapted_coframe(system, point.q)
     return system.chart_names, np.eye(system.dimM)
 
@@ -379,8 +379,8 @@ def _build_parser() -> _Parser:
                    help="evaluation route(s) (default all applicable)")
     p.add_argument("--basis", choices=["chart", "adapted"], default="chart",
                    help="covector basis: chart differentials, or the "
-                        "frame-adapted coframe (adapted-coordinate systems "
-                        "and the snakeboard only)")
+                        "frame-adapted coframe (systems with an adapted "
+                        "declaration or a d_frame only)")
     p.set_defaults(func=_cmd_jacobiator)
 
     p = subs.add_parser(

@@ -1,11 +1,15 @@
-"""Exception taxonomy for the nhk package.
+"""Exception taxonomy for the nhk package, and the argument rules.
 
 Every error raised deliberately by the library derives from NhkError so
 callers (and the CLI) can distinguish usage problems from runtime/domain
-failures.
+failures.  Numeric arguments are checked by check_integer and
+check_real, which raise ParameterError (also a ValueError).
 """
 
 from __future__ import annotations
+
+import math
+from numbers import Integral, Real
 
 
 class NhkError(Exception):
@@ -62,11 +66,43 @@ class DomainError(GeometryError):
     domain."""
 
 
-class ParameterError(NhkError):
+class ParameterError(NhkError, ValueError):
     """Parameters outside their validity region (e.g. non-positive mass
-    or inertia)."""
+    or inertia, a negative sample count or a non-integer order)."""
 
 
 class UnsupportedOperationError(NhkError):
     """Operation not defined for this system (e.g. the adapted-coordinate
     Jacobiator formula on a system without an adapted declaration)."""
+
+
+def check_integer(name: str, value, lo: int | None = None,
+                  hi: int | None = None) -> int:
+    """``value`` as a plain int: a numbers.Integral that is not a bool
+    (numpy integers pass), in [lo, hi) where those bounds are given."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ParameterError(f"{name} {value!r} is not an integer")
+    value = int(value)
+    lo = -math.inf if lo is None else lo
+    hi = math.inf if hi is None else hi
+    if not lo <= value < hi:
+        raise ParameterError(f"{name} {value} out of range [{lo}, {hi})")
+    return value
+
+
+def check_real(name: str, value, lo: float = -math.inf,
+               strict: bool = False) -> float:
+    """``value`` as a plain float: a finite numbers.Real that is not a
+    bool, at least lo (above lo when strict)."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ParameterError(f"{name} {value!r} is not a real number")
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ParameterError(f"{name} is beyond the float range") from None
+    if not math.isfinite(x):
+        raise ParameterError(f"{name} {value!r} is not finite")
+    if not (x > lo if strict else x >= lo):
+        raise ParameterError(
+            f"{name} {x!r} out of range {'(' if strict else '['}{lo}, inf)")
+    return x

@@ -38,18 +38,17 @@ others, which yields its whole tensor at every point of the stack.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from numbers import Integral, Real
 
 import numpy as np
 
 from .bracket import _bivector_packed, _chart_tensors
 from .curvature import _curvature_coeffs, _nonholonomy
 from ._linalg import pk_matmul, Packed
-from .errors import NhkError, ParameterError, UnsupportedOperationError
+from .errors import (NhkError, ParameterError, UnsupportedOperationError,
+                     check_integer, check_real)
 from .manifold import (BaseData, NonholonomicSystem, PointM, base_at,
                        sample_points)
 
@@ -89,13 +88,8 @@ def _check_triple(system, triple):
     t = tuple(triple)
     if len(t) != 3:
         raise ValueError("triple must have three covector indices")
-    dim = system.dimM
-    for i in t:
-        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-            raise ValueError(f"covector index {i!r} is not an integer")
-        if not 0 <= i < dim:
-            raise ValueError(f"covector index {i} out of range [0, {dim})")
-    return tuple(int(i) for i in t)
+    return tuple(check_integer("covector index", i, 0, system.dimM)
+                 for i in t)
 
 
 # ----------------------------------------------------------- global route
@@ -321,13 +315,9 @@ def cross_validate(system: NonholonomicSystem, samples: int = 100,
     degeneracy, an expression guard) are skipped and reported, not
     failed: when a stack raises, its points are evaluated again one at a
     time, so each skip names that point's own first error."""
-    if isinstance(samples, bool) or not (isinstance(samples, Integral)
-                                         and samples >= 1):
-        raise ParameterError(
-            f"samples must be a positive integer, got {samples!r}")
-    if isinstance(tol, bool) or not (isinstance(tol, Real)
-                                     and 0.0 <= tol < math.inf):
-        raise ParameterError(f"tol must be a finite real >= 0, got {tol!r}")
+    samples = check_integer("samples", samples, 1)
+    seed = check_integer("seed", seed)
+    tol = check_real("tol", tol, 0.0)
     methods = _applicable_methods(system)
     pts = sample_points(system, samples, seed)
     triples = tuple(combinations(range(system.dimM), 3))

@@ -41,7 +41,8 @@ from ._linalg import (Packed, _first, jm_values, pk_add, pk_at, pk_const,
                       pk_hstack, pk_inv, pk_matmul, pk_rows, pk_transpose,
                       pk_unpack)
 from ._rng import Lcg64
-from .errors import DomainError, EvalError, GeometryError, LoadError, ParseError
+from .errors import (DomainError, EvalError, GeometryError, LoadError,
+                     ParseError, check_integer, check_real)
 
 __all__ = [
     "NonholonomicSystem", "PointM", "FrameAtPoint", "SplittingAtPoint",
@@ -189,13 +190,6 @@ class NonholonomicSystem:
             if not lo < v < hi:
                 raise DomainError(
                     f"coordinate {name} = {v!r} outside open domain ({lo}, {hi})")
-
-    def in_domain(self, q) -> bool:
-        try:
-            self.check_domain(q)
-            return True
-        except DomainError:
-            return False
 
     def check_point(self, p: PointM) -> None:
         self.check_domain(p.q)
@@ -430,12 +424,12 @@ def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
     same order; the first failing check raises, naming the first point
     that fails it.
     """
+    order = check_integer("order", order, 0, 3)
     q = np.asarray(q, dtype=float)
     for qi in (q if q.ndim == 2 else (q,)):
         system.check_domain(qi)
     n, k = system.n, system.k
     qs = q.reshape(-1, n)                       # one row per point
-    lead = q.shape[:-1]
     comp = get_compiled(system)
 
     kappa = comp.metric.packed(q, order)
@@ -449,16 +443,13 @@ def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
             f"metric not positive definite at q={qs[i].tolist()} "
             f"(min eigenvalue {evmin.reshape(-1)[i]:.3e})")
 
-    if k > 0:
-        eps = comp.eps.packed(q, order)
-        smin = np.linalg.svd(eps.val, compute_uv=False).min(axis=-1)
-        i = _first(smin <= RANK_TOL)
-        if i is not None:
-            raise GeometryError(
-                f"constraint forms rank-deficient at q={qs[i].tolist()} "
-                f"(min singular value {smin.reshape(-1)[i]:.3e})")
-    else:
-        eps = pk_const(np.zeros(lead + (0, n)), n, order)
+    eps = comp.eps.packed(q, order)
+    smin = np.linalg.svd(eps.val, compute_uv=False).min(-1, initial=np.inf)
+    i = _first(smin <= RANK_TOL)
+    if i is not None:
+        raise GeometryError(
+            f"constraint forms rank-deficient at q={qs[i].tolist()} "
+            f"(min singular value {smin.reshape(-1)[i]:.3e})")
 
     if system.adapted is not None:
         blk = eps.val[..., list(system.s_indices)]
@@ -472,25 +463,23 @@ def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
     X = _d_frame_at(system, comp, q, eps, order)
     Z = _w_frame_at(system, comp, q, kappa, eps, order)
 
-    if k > 0:
-        i = _first(_max_dev(eps.val @ Z.val, np.eye(k)) > DUALITY_TOL)
-        if i is not None:
-            raise GeometryError(
-                f"complement frame not dual to constraints at q={qs[i].tolist()}")
-        i = _first(_max_dev(eps.val @ X.val) > DUALITY_TOL)
-        if i is not None:
-            raise GeometryError(
-                f"D-frame does not lie in the constraint kernel at q={qs[i].tolist()}")
+    i = _first(_max_dev(eps.val @ Z.val, np.eye(k)) > DUALITY_TOL)
+    if i is not None:
+        raise GeometryError(
+            f"complement frame not dual to constraints at q={qs[i].tolist()}")
+    i = _first(_max_dev(eps.val @ X.val) > DUALITY_TOL)
+    if i is not None:
+        raise GeometryError(
+            f"D-frame does not lie in the constraint kernel at q={qs[i].tolist()}")
 
     F = pk_hstack(X, Z)
     Finv = pk_inv(F, what="frame matrix [X|Z]")
     chi = pk_rows(Finv, 0, n - k)
     epshat = pk_rows(Finv, n - k, n)
-    if k > 0:
-        i = _first(_max_dev(epshat.val, eps.val) > DUALITY_TOL)
-        if i is not None:
-            raise GeometryError(
-                f"coframe rows do not reproduce the constraint forms at q={qs[i].tolist()}")
+    i = _first(_max_dev(epshat.val, eps.val) > DUALITY_TOL)
+    if i is not None:
+        raise GeometryError(
+            f"coframe rows do not reproduce the constraint forms at q={qs[i].tolist()}")
 
     kD = pk_matmul(pk_matmul(pk_transpose(X), kappa), X)
     kD_inv = pk_inv(kD, what="D-frame Gram matrix")
@@ -522,8 +511,6 @@ def _d_frame_at(system, comp, q, eps, order) -> Packed:
                 if order >= 2:
                     d2[..., s, al] = -eps.d2[..., a, r]
         return Packed(val, d1, d2)
-    if k == 0:
-        return pk_const(np.tile(np.eye(n), lead + (1, 1)), n, order)
     return _kernel_frame(eps)
 
 
@@ -614,8 +601,6 @@ def _w_frame_at(system, comp, q, kappa, eps, order) -> Packed:
         for a, s in enumerate(system.s_indices):
             val[..., s, a] = 1.0
         return pk_const(val, n, order)
-    if k == 0:
-        return pk_const(np.zeros(lead + (n, 0)), n, order)
     # kappa-orthogonal complement, normalized so eps(Z) = identity
     Z0 = pk_matmul(pk_inv(kappa, what="metric"), pk_transpose(eps))
     G = pk_matmul(eps, Z0)
@@ -634,8 +619,6 @@ def pick_default_W(system: NonholonomicSystem, q) -> np.ndarray:
 def frame_at(system: NonholonomicSystem, q, order: int = 1) -> FrameAtPoint:
     """D-frame X, complement Z, dual coframe rows chi, and elimination
     coefficients J at q, entries as Jet2 of the requested order."""
-    if order not in (0, 1, 2):
-        raise ValueError("order must be 0, 1 or 2")
     bd = base_at(system, q, order)
     return FrameAtPoint(X=pk_unpack(bd.X), Z=pk_unpack(bd.Z),
                         chi=pk_unpack(bd.chi), J=pk_unpack(bd.J), order=order)
@@ -731,8 +714,7 @@ def omega_M(system: NonholonomicSystem, p: PointM, order: int = 0) -> TwoFormAtP
     d p_i / d ptilde_alpha block.  order=1 returns entries as Jet2 over
     the chart variables (one more derivative level, for bracket use).
     """
-    if order not in (0, 1):
-        raise ValueError("order must be 0 or 1")
+    order = check_integer("order", order, 0, 2)
     system.check_point(p)
     bd = base_at(system, p.q, order + 1)
     om, det = _omega_packed(system, p, bd, order)
@@ -810,12 +792,12 @@ def sample_points(system: NonholonomicSystem, count: int, seed: int,
     """Deterministic sample points: base coordinates uniform in the
     declared domain boxes ([-2, 2] when unbounded), momenta uniform in
     [momentum_lo, momentum_hi].  Draw order per point: coordinates in
-    declaration order, then momenta."""
-    rng = Lcg64(seed)
-    pts = []
-    for _ in range(count):
-        q = _sample_q(system, rng)
-        pt = np.array([rng.uniform(momentum_lo, momentum_hi)
-                       for _ in range(system.n - system.k)])
-        pts.append(PointM(q, pt))
-    return pts
+    declaration order, then momenta.  Any integer seed, taken mod 2^64."""
+    count = check_integer("count", count, 0)
+    rng = Lcg64(check_integer("seed", seed))
+    lo = check_real("momentum_lo", momentum_lo)
+    hi = check_real("momentum_hi", momentum_hi, lo)
+    nk = system.n - system.k
+    return [PointM(_sample_q(system, rng),
+                   [rng.uniform(lo, hi) for _ in range(nk)])
+            for _ in range(count)]

@@ -13,14 +13,14 @@ recorded values measure integrator and floating-point error only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .bracket import _energy, _field
-from .errors import DomainError, EvalError, GeometryError, ParameterError
+from .errors import (DomainError, EvalError, GeometryError, check_integer,
+                     check_real)
 from .manifold import NonholonomicSystem, PointM, base_at
 
 __all__ = ["Trajectory", "integrate", "trajectory_csv"]
@@ -72,7 +72,7 @@ def _rhs(system: NonholonomicSystem, u: np.ndarray):
     bd = base_at(system, q, order=1)
     energy, _, dHq, vel = _energy(system, q, pt, bd)
     qdot, ptdot = _field(bd, pt, dHq, vel)
-    residual = float(np.max(np.abs(bd.eps.val @ qdot))) if system.k else 0.0
+    residual = float(np.max(np.abs(bd.eps.val @ qdot), initial=0.0))
     return np.concatenate([qdot, ptdot]), energy, residual
 
 
@@ -86,15 +86,10 @@ def integrate(system: NonholonomicSystem, init: PointM, dt: float,
     ``completed`` / ``exit_reason``); a frame singularity is fatal and
     raises :class:`GeometryError` with the step index.
     """
-    if isinstance(dt, bool) or not (isinstance(dt, (int, float))
-                                    and 0.0 < float(dt) < math.inf):
-        raise ParameterError(f"dt must be a positive finite real, got {dt!r}")
-    if isinstance(steps, bool) or not (isinstance(steps, (int, np.integer))
-                                       and steps >= 1):
-        raise ParameterError(f"steps must be a positive integer, got {steps!r}")
+    dt = check_real("dt", dt, 0.0, strict=True)
+    steps = check_integer("steps", steps, 1)
     system.check_point(init)
 
-    dt = float(dt)
     n = system.n
     u = np.concatenate([init.q, init.ptilde])
 

@@ -30,7 +30,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, ParameterError
+from .errors import DomainError, ParameterError, check_real
 from .manifold import NonholonomicSystem, PointM, load_system
 
 __all__ = [
@@ -169,10 +169,7 @@ def _merged_params(name: str, params) -> dict:
                 f"unknown parameter(s) for {name}: {unknown}; "
                 f"available: {sorted(base)}")
         for key, v in params.items():
-            if not isinstance(v, (int, float)) or isinstance(v, bool) \
-                    or not math.isfinite(v):
-                raise ParameterError(f"parameter {key} must be a finite number")
-            base[key] = float(v)
+            base[key] = check_real(f"parameter {key}", v)
     broken = [req for pred, req in _PARAM_RULES[name] if not pred(base)]
     if broken:
         raise ParameterError(

@@ -1,7 +1,7 @@
 """Shared fixtures: built-in systems plus synthetic test systems that
 exercise code paths the builtins do not (generic kernel frames, rank-2
 adapted declarations with fully coordinate-dependent coefficients,
-integrable constraints)."""
+integrable constraints, no constraints at all)."""
 
 import numpy as np
 import pytest
@@ -95,10 +95,22 @@ KERNEL2_DEF = {
         ["0", "2 + 0.3*cos(c)", "0.3*d", "0.3*a*b", "0.5 + 0.1*e"],
     ],
 }
+# No constraints (k = 0): D is all of TQ, so the bracket is the
+# canonical one and every Jacobiator vanishes.  The metric has an
+# off-diagonal, coordinate-dependent entry and the potential is nonzero,
+# so the dynamics are not trivial.
+FREE_DEF = {
+    "name": "free",
+    "coords": ["x", "y"],
+    "constraints_rank": 0,
+    "metric": [["1 + 0.2*y^2", "0.3*sin(x)"], ["0.3*sin(x)", "1.5"]],
+    "potential": "0.5*x^2 + 0.1*x*y",
+    "constraint_forms": [],
+}
 
 # Every system fixture, and the ones with an adapted declaration.
 SYSTEMS = ["snakeboard", "particle", "disk", "twist3", "twist5",
-           "holonomic", "kernel_path", "kernel2"]
+           "holonomic", "kernel_path", "kernel2", "free"]
 ADAPTED = ["particle", "disk", "twist3", "twist5", "holonomic"]
 
 
@@ -150,6 +162,11 @@ def kernel_path():
 @pytest.fixture(scope="session")
 def kernel2():
     return nhk.load_system(dict(KERNEL2_DEF))
+
+
+@pytest.fixture(scope="session")
+def free():
+    return nhk.load_system(dict(FREE_DEF))
 
 
 def chart_state(p):

@@ -216,10 +216,11 @@ def test_bracket_with_hamiltonian_gives_the_evolution_field(system):
 
 def test_bad_orders_rejected(particle):
     p = sample_points(particle, 1, seed=1)[0]
-    with pytest.raises(ValueError):
-        nh_bivector(particle, p, order=2)
-    with pytest.raises(ValueError):
-        chart_tensors(particle, p, order=2)
+    for order in (2, -1, True, 1.0):
+        with pytest.raises(ValueError):
+            nh_bivector(particle, p, order=order)
+        with pytest.raises(ValueError):
+            chart_tensors(particle, p, order=order)
 
 
 # ----------------------------------------------------- the Hamiltonian

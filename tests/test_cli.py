@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from nhk import PointM, adapted_coframe, jacobiator_tensor
+from nhk import PointM, adapted_coframe, builtin_definition, jacobiator_tensor
 from nhk.cli import CommandOutcome, main, run
 from nhk.systems import snakeboard_expected
 
@@ -213,12 +213,19 @@ def test_km_needs_adapted_coordinates():
 
 
 def test_adapted_basis_gating(tmp_path, kernel_path):
-    path = tmp_path / "kp.json"
-    path.write_text(json.dumps(kernel_path.definition))
-    out = run(["jacobiator", "--file", str(path), "--basis", "adapted",
-               "--triple", "0,1,2"])
-    assert out.exit_code == 2
-    assert "adapted" in out.summary
+    # the adapted coframe needs a declared frame (adapted or d_frame);
+    # the system's name plays no part
+    refused = [kernel_path.definition,
+               dict(kernel_path.definition, name="snakeboard")]
+    accepted = [dict(builtin_definition("snakeboard"), name="board")]
+    for doc, code in [(d, 2) for d in refused] + [(d, 0) for d in accepted]:
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(doc))
+        out = run(["jacobiator", "--file", str(path), "--basis", "adapted",
+                   "--triple", "0,1,2"])
+        assert out.exit_code == code, (doc["name"], out.summary)
+        if code == 2:
+            assert "adapted" in out.summary
 
 
 def test_jacobiator_usage_errors():

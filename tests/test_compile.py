@@ -11,7 +11,7 @@ import nhk
 from expr_corpus import CORPUS, nested_system
 from nhk import _compile
 from nhk._compile import GridEval, get_compiled
-from nhk._linalg import pk_from_jets
+from nhk._linalg import pk_const, pk_from_jets
 from nhk.errors import EvalError
 from nhk.expr import eval_expr, fold_constants, parse, resolve
 
@@ -30,6 +30,10 @@ def _assert_kernel_exact(packed, grid, names, q):
         ref = pk_from_jets([[eval_expr(e, coords, {}, names, order)
                              for e in row] for row in grid],
                            len(names), order)
+        if not grid:
+            # no forms on n coordinates: pk_from_jets reads an empty
+            # grid as 0 x 0, the kernel returns the 0 x n matrix
+            ref = pk_const(np.zeros((0, len(names))), len(names), order)
         assert np.array_equal(got.val, ref.val)
         if order >= 1:
             assert np.array_equal(got.d1, ref.d1)

@@ -2,6 +2,7 @@
 snakeboard values, sparsity patterns, and the cross-validation report."""
 
 import itertools
+import json
 import re
 import sys
 
@@ -19,6 +20,7 @@ from nhk import (
     base_at,
     builtin_definition,
     cross_validate,
+    curvature_coeffs,
     jacobiator_bruteforce,
     jacobiator_global,
     jacobiator_km,
@@ -237,6 +239,22 @@ def test_holonomic_jacobiator_vanishes(holonomic):
         for method in ("bruteforce", "global", "km"):
             T = jacobiator_tensor(holonomic, p, method=method)
             assert np.max(np.abs(T)) < 1e-10
+
+
+def test_unconstrained_jacobiator_is_exactly_zero(free):
+    # k = 0: the bracket is the canonical Poisson bracket, so every route
+    # gives exact zeros, and there is no complement to curve into
+    adapted = load_system(dict(free.definition, adapted={"s_indices": []}))
+    for s, methods in [(free, ("bruteforce", "global")),
+                       (adapted, ("bruteforce", "global", "km"))]:
+        d = s.dimM
+        for p in sample_points(s, 5, seed=359):
+            for method in methods:
+                T = jacobiator_tensor(s, p, method=method)
+                assert T.shape == (d, d, d) and not np.any(T)
+            cv = curvature_coeffs(s, p)
+            assert cv.coeffs.shape == (0, d, d)
+            assert cv.W_lift.shape == (d, 0)
 
 
 def test_nonholonomic_jacobiator_does_not_vanish(snakeboard):
@@ -472,6 +490,7 @@ def test_cross_validate_flags_genuine_discrepancies(particle):
     {"samples": 0}, {"samples": -1}, {"samples": True}, {"samples": 2.0},
     {"tol": float("nan")}, {"tol": -1.0}, {"tol": float("inf")},
     {"tol": True}, {"tol": "1e-8"},
+    {"seed": 1.5}, {"seed": True}, {"seed": "3"},
 ], ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
 def test_cross_validate_rejects_meaningless_arguments(particle, kwargs):
     with pytest.raises(ParameterError):
@@ -479,9 +498,12 @@ def test_cross_validate_rejects_meaningless_arguments(particle, kwargs):
 
 
 def test_cross_validate_accepts_numpy_scalars(particle):
-    a = cross_validate(particle, samples=np.int64(3), tol=np.float64(0.0))
-    b = cross_validate(particle, samples=3, tol=0.0)
+    a = cross_validate(particle, samples=np.int64(3), seed=np.int64(3),
+                       tol=np.float64(0.0))
+    b = cross_validate(particle, samples=3, seed=3, tol=0.0)
     np.testing.assert_array_equal(a.values, b.values)
+    # the report holds the plain validated values
+    assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
 
 
 def test_bad_triples_rejected(particle):

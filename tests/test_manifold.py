@@ -121,6 +121,18 @@ def test_load_probes_indefinite_metric():
     assert any("positive definite" in v for v in err.value.violations)
 
 
+def test_load_accepts_an_empty_complement_frame(free):
+    # k = 0 with an explicit "w_frame": []: the complement of no forms is
+    # an n x 0 frame, and D-frame and coframe are the identity
+    s = load_system(dict(free.definition, w_frame=[]))
+    q = sample_points(s, 1, seed=3)[0].q
+    for order in (0, 1, 2):
+        bd = base_at(s, q, order)
+        assert bd.Z.val.shape == (s.n, 0) and bd.eps.val.shape == (0, s.n)
+        assert np.array_equal(bd.X.val, np.eye(s.n))
+        assert np.array_equal(bd.chi.val, np.eye(s.n))
+
+
 def test_loads_are_distinct_objects():
     doc = builtin_definition("nh_particle")
     a = load_system(copy.deepcopy(doc))
@@ -192,6 +204,12 @@ def test_frame_at_exposes_jets(particle):
     assert fr0.X[0][0].grad is None
     with pytest.raises(ValueError):
         frame_at(particle, [0.2, -0.1, 0.3], order=3)
+
+
+@pytest.mark.parametrize("order", [3, -1, True, 1.0])
+def test_base_at_rejects_bad_order(particle, order):
+    with pytest.raises(ValueError):
+        base_at(particle, [0.2, -0.1, 0.3], order=order)
 
 
 def test_base_at_jets_match_finite_differences(system):
@@ -416,8 +434,9 @@ def test_two_form_is_closed(system):
 
 def test_two_form_rejects_bad_order(particle):
     pt = sample_points(particle, 1, seed=1)[0]
-    with pytest.raises(ValueError):
-        omega_M(particle, pt, order=2)
+    for order in (2, -1, True, 1.0):
+        with pytest.raises(ValueError):
+            omega_M(particle, pt, order=order)
 
 
 # ----------------------------------------------------------- splitting
@@ -535,6 +554,25 @@ def test_sample_points_deterministic(snakeboard):
 def test_sample_points_respect_domain(system):
     for pt in sample_points(system, 50, seed=61):
         system.check_point(pt)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"count": -1}, {"count": 2.5}, {"count": True}, {"seed": 1.5},
+    {"momentum_lo": float("nan")}, {"momentum_hi": float("inf")},
+    {"momentum_lo": 1.0, "momentum_hi": -1.0},
+], ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
+def test_sample_points_rejects_meaningless_arguments(particle, kwargs):
+    with pytest.raises(ValueError):
+        sample_points(particle, **{"count": 2, "seed": 1, **kwargs})
+
+
+def test_sample_points_seed_is_any_integer(particle):
+    # numpy integers are integers, and seeds are taken mod 2^64
+    ref = sample_points(particle, 3, seed=3)
+    for seed in (np.int64(3), 3 + 2**64):
+        for a, b in zip(sample_points(particle, 3, seed=seed), ref):
+            assert np.array_equal(a.q, b.q)
+            assert np.array_equal(a.ptilde, b.ptilde)
 
 
 def test_sample_points_momentum_bounds(particle):

@@ -140,10 +140,19 @@ def test_frame_singularity_at_start(particle, monkeypatch):
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan"), "0.1",
-                                float("inf"), True])
+                                float("inf"), True,
+                                pytest.param(10**400, id="int-1e400")])
 def test_bad_dt_rejected(particle, dt):
     with pytest.raises(ParameterError):
         integrate(particle, PointM([0, 0, 0], [1, 0]), dt=dt, steps=10)
+
+
+def test_numpy_scalar_dt_and_steps_accepted(particle):
+    init = PointM([0, 0, 0], [1, 0])
+    a = integrate(particle, init, dt=np.float32(0.01), steps=np.int64(3))
+    b = integrate(particle, init, dt=float(np.float32(0.01)), steps=3)
+    assert type(a.dt) is float and a.dt == b.dt
+    np.testing.assert_array_equal(a.states_array(), b.states_array())
 
 
 @pytest.mark.parametrize("steps", [0, -5, 2.5, "10", True])
