@@ -18,6 +18,10 @@ integer powers ``jet._ipow_derivatives`` and divisions
 are structurally zero, so the compiled arrays are bit-equal to
 ``expr.eval_expr`` on the same constant-folded expressions, and both
 raise EvalError with the same message at the same points.
+
+A grid with no q-dependent code has no kernel: its arrays are filled at
+compile time and shared, read-only.  ``CompiledSystem`` also keeps the
+rest of what base_at needs that is constant in q.
 """
 
 from __future__ import annotations
@@ -199,9 +203,18 @@ _GLOBALS = {"_fn_derivatives": _fn_derivatives,
             "_div_inverse": _div_inverse}
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 class GridEval:
     """Compiled evaluator of one expression grid to packed jets (an
-    empty grid is 0 x n: no forms on the n coordinates)."""
+    empty grid is 0 x n: no forms on the n coordinates).
+
+    A grid without q-dependent code is constant: its value and its
+    (zero) derivatives are computed once, here, and a single point
+    reads them as shared read-only arrays."""
 
     def __init__(self, grid, coord_names):
         n = len(coord_names)
@@ -234,6 +247,8 @@ class GridEval:
                     elif t is not None:
                         s2.append(f"d2[{l},{m},{i},{j}] = "
                                   f"d2[{m},{l},{i},{j}] = {t}")
+        for a in (self._val0, self._d10, self._d20):
+            _read_only(a)
         if not (s0 or s1 or s2):
             self._fill = None
         else:
@@ -247,12 +262,20 @@ class GridEval:
             exec(compile("\n".join(src), "<nhk-grid>", "exec"), ns)
             self._fill = ns["_fill"]
 
+    @property
+    def constant(self) -> bool:
+        return self._fill is None
+
     def packed(self, q, order: int) -> Packed:
         """The grid at q of shape (n,), or at every row of a stack of
         shape (B, n); the arrays then lead with the stack axis.  The
-        generated code fills one point at a time."""
+        generated code fills one point at a time.  A stack gets its own
+        contiguous copies, laid out per point as a single point's."""
         q = np.asarray(q, dtype=float)
         if q.ndim == 1:
+            if self._fill is None:
+                return Packed(self._val0, self._d10 if order >= 1 else None,
+                              self._d20 if order >= 2 else None)
             val = self._val0.copy()
             d1 = self._d10.copy() if order >= 1 else None
             d2 = self._d20.copy() if order >= 2 else None
@@ -271,7 +294,9 @@ class GridEval:
 
 
 class ScalarEval:
-    """Compiled evaluator of one scalar expression (value, grad, hess)."""
+    """Compiled evaluator of one scalar expression (value, grad, hess);
+    grad and hess of a constant expression are shared read-only
+    arrays."""
 
     def __init__(self, e, coord_names):
         self._grid = GridEval([[e]], coord_names)
@@ -279,14 +304,27 @@ class ScalarEval:
     def evaluate(self, q, order: int):
         p = self._grid.packed(q, order)
         value = float(p.val[0, 0])
-        grad = p.d1[:, 0, 0].copy() if order >= 1 else None
-        hess = p.d2[:, :, 0, 0].copy() if order >= 2 else None
+        grad = p.d1[:, 0, 0] if order >= 1 else None
+        hess = p.d2[:, :, 0, 0] if order >= 2 else None
         return value, grad, hess
 
 
+def _unit_rows(indices, n) -> list:
+    """Constant rows: row a is the unit covector/vector of indices[a]."""
+    return [[Num(1.0 if j == i else 0.0) for j in range(n)]
+            for i in indices]
+
+
 class CompiledSystem:
+    """The compiled grids of one system, and what of its base geometry
+    is constant in q: the index bookkeeping, the domain bounds, the
+    canonical frames of adapted coordinates, and whether the value
+    checks of the constant metric and constraint grids have passed.
+    It holds no reference to the system, which keys it weakly."""
+
     def __init__(self, system):
         names = system.coord_names
+        n, k = system.n, system.k
         self.metric = GridEval(system._metric_c, names)
         self.eps = GridEval(system._constraints_c, names)
         self.w = GridEval(system._w_frame_c, names) \
@@ -294,6 +332,27 @@ class CompiledSystem:
         self.d = GridEval(system._d_frame_c, names) \
             if system._d_frame_c is not None else None
         self.potential = ScalarEval(system._potential_c, names)
+
+        # r/s coordinate indices; r_pos[al] is the column of the D-frame
+        # whose r-row r_idx[al] holds the 1 of an adapted frame
+        self.r_idx = _read_only(np.array(system.r_indices, dtype=np.intp))
+        self.r_pos = _read_only(np.arange(n - k))
+        self.s_idx = _read_only(np.array(system.s_indices, dtype=np.intp))
+        self.eye_k = _read_only(np.eye(k))
+        # the declared domain as (coordinate index, name, lo, hi)
+        self.bounds = tuple((names.index(c), c, lo, hi)
+                            for c, (lo, hi) in system.domain.items())
+        # adapted coordinates with the canonical complement Z = d/ds:
+        # the coframe dual to [X|Z] is {dr^alpha, eps^a}, with chi as
+        # rows dr^alpha, and Z as rows d/ds^a
+        self.adapted_Z = self.adapted_chi = None
+        if system.adapted is not None and system._w_frame_c is None:
+            self.adapted_Z = GridEval(_unit_rows(system.s_indices, n), names)
+            self.adapted_chi = GridEval(_unit_rows(system.r_indices, n),
+                                        names)
+        # set once the checks of a constant grid have passed
+        self.metric_checked = False
+        self.eps_checked = False
 
 
 _CACHE: WeakKeyDictionary = WeakKeyDictionary()

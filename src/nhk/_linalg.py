@@ -38,7 +38,7 @@ from .jet import Jet2, jet_binary, jet_const
 __all__ = [
     "Packed", "pk_from_jets", "pk_const", "pk_matmul", "pk_inv", "pk_add",
     "pk_sub", "pk_neg", "pk_transpose", "pk_hstack", "pk_rows", "pk_unpack",
-    "pk_at",
+    "pk_at", "check_nonsingular",
     "jm_matmul", "jm_inv", "jm_identity", "jm_values",
     "SINGULAR_TOL",
 ]
@@ -146,9 +146,15 @@ def pk_matmul(a: Packed, b: Packed) -> Packed:
     return Packed(val, d1, d2)
 
 
-def pk_inv(a: Packed, tol: float = SINGULAR_TOL, what: str = "matrix") -> Packed:
-    if _first(abs(np.linalg.det(a.val)) <= tol) is not None:
+def check_nonsingular(m: np.ndarray, tol: float = SINGULAR_TOL,
+                      what: str = "matrix") -> None:
+    """The guard of pk_inv: |det| of every matrix of m exceeds tol."""
+    if _first(abs(np.linalg.det(m)) <= tol) is not None:
         raise GeometryError(f"singular {what} (|det| <= {tol})")
+
+
+def pk_inv(a: Packed, tol: float = SINGULAR_TOL, what: str = "matrix") -> Packed:
+    check_nonsingular(a.val, tol, what)
     B = np.linalg.inv(a.val)
     d1 = d2 = None
     if a.order >= 1:

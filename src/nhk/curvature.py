@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._compile import get_compiled
 from ._linalg import Packed, pk_unpack
 from .errors import GeometryError, UnsupportedOperationError
 from .manifold import BaseData, NonholonomicSystem, PointM, base_at
@@ -210,9 +211,14 @@ def _nonholonomy(system: NonholonomicSystem, bd: BaseData):
     nonholonomy derivative C[a, al, be] = dA^a_be/dr^al -
     A^b_al dA^a_be/ds^b and its antisymmetrization Kc = C - C^T(al, be),
     from base data ``bd`` of order at least 1 (stacked like bd)."""
-    r_idx, s_idx = list(system.r_indices), list(system.s_indices)
+    comp = get_compiled(system)
+    r_idx, s_idx = comp.r_idx, comp.s_idx
     A = bd.eps.val[..., r_idx]
     dA = bd.eps.d1[..., r_idx]           # (chart dir, a, beta)
+    # A^b_al dA^a_be/ds^b as one product over b: (al, b) @ (b, (a, be))
+    lead, (k, nk) = A.shape[:-2], A.shape[-2:]
+    AdA = A.swapaxes(-1, -2) @ dA[..., s_idx, :, :].reshape(
+        lead + (k, k * nk))
     C = (dA[..., r_idx, :, :].swapaxes(-3, -2)
-         - np.einsum("...bl,...bae->...ale", A, dA[..., s_idx, :, :]))
+         - AdA.reshape(lead + (nk, k, nk)).swapaxes(-3, -2))
     return A, dA, C, C - C.swapaxes(-1, -2)

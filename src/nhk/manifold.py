@@ -22,7 +22,19 @@ Packed arrays, and all linear algebra runs on them.  Frames are chosen
 like this: an explicit `d_frame` wins; else an `adapted` declaration
 gives X_alpha = d/dr^alpha - A^a_alpha d/ds^a; else a kernel basis of
 eps(q), with pivot columns from an elimination of the values at each
-point and one packed solve per pivot pattern.
+point and one packed solve per pivot pattern.  The complement is the
+declared `w_frame`; else, for an adapted declaration, Z_a = d/ds^a,
+whose dual coframe is chi^alpha = dr^alpha in closed form; else the
+kappa-orthogonal complement, and the coframe comes from inverting
+[X|Z].
+
+What is constant in q lives on the system's compiled form
+(``_compile.CompiledSystem``) and is built once: grids with no
+q-dependent code, such as a constant metric, d/ds and dr (their
+derivatives exactly zero), the index arrays and the domain bounds.  A
+single point reads these constants as shared read-only arrays; a stack
+gets contiguous copies.  The checks on a constant metric or constant
+constraint forms run until they have passed once for the system.
 """
 
 from __future__ import annotations
@@ -37,9 +49,9 @@ import numpy as np
 
 from . import expr as ex
 from ._compile import get_compiled
-from ._linalg import (Packed, _first, jm_values, pk_add, pk_at, pk_const,
-                      pk_hstack, pk_inv, pk_matmul, pk_rows, pk_transpose,
-                      pk_unpack)
+from ._linalg import (Packed, _first, check_nonsingular, jm_values, pk_add,
+                      pk_at, pk_hstack, pk_inv, pk_matmul, pk_rows,
+                      pk_transpose, pk_unpack)
 from ._rng import Lcg64
 from .errors import (DomainError, EvalError, GeometryError, LoadError,
                      ParseError, check_integer, check_real)
@@ -183,10 +195,10 @@ class NonholonomicSystem:
         if q.shape != (self.n,):
             raise DomainError(
                 f"expected {self.n} coordinates, got shape {q.shape}")
-        if not np.all(np.isfinite(q)):
+        if not np.isfinite(q).all():
             raise DomainError("non-finite coordinate value")
-        for name, (lo, hi) in self.domain.items():
-            v = float(q[self.coord_names.index(name)])
+        for i, name, lo, hi in get_compiled(self).bounds:
+            v = float(q[i])
             if not lo < v < hi:
                 raise DomainError(
                     f"coordinate {name} = {v!r} outside open domain ({lo}, {hi})")
@@ -241,8 +253,9 @@ def load_system(definition) -> NonholonomicSystem:
     Raises LoadError listing *all* violations found.  Pointwise geometric
     invariants (metric positive-definiteness, constraint rank, adapted
     identity block, frame duality) are additionally re-checked lazily at
-    every queried point; here they are probed at a handful of sampled
-    points to fail fast on structurally bad definitions.
+    every queried point (see base_at for constant grids); here they are
+    probed at a handful of sampled points to fail fast on structurally
+    bad definitions.
     """
     if isinstance(definition, (str, bytes)):
         try:
@@ -422,7 +435,9 @@ def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
     each point's slice equals base_at at that point alone, bit for bit.
     Every check runs on every point with the same thresholds and in the
     same order; the first failing check raises, naming the first point
-    that fails it.
+    that fails it.  The exception: the checks on a grid constant in q
+    (the metric, or the constraint forms) run until they have passed
+    once for the system.
     """
     order = check_integer("order", order, 0, 3)
     q = np.asarray(q, dtype=float)
@@ -433,37 +448,40 @@ def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
     comp = get_compiled(system)
 
     kappa = comp.metric.packed(q, order)
-    i = _first(_max_dev(kappa.val, kappa.val.swapaxes(-1, -2)) > SYM_TOL)
-    if i is not None:
-        raise GeometryError(f"metric not symmetric at q={qs[i].tolist()}")
-    evmin = np.linalg.eigvalsh(kappa.val).min(axis=-1)
-    i = _first(evmin <= POSDEF_TOL)
-    if i is not None:
-        raise GeometryError(
-            f"metric not positive definite at q={qs[i].tolist()} "
-            f"(min eigenvalue {evmin.reshape(-1)[i]:.3e})")
-
-    eps = comp.eps.packed(q, order)
-    smin = np.linalg.svd(eps.val, compute_uv=False).min(-1, initial=np.inf)
-    i = _first(smin <= RANK_TOL)
-    if i is not None:
-        raise GeometryError(
-            f"constraint forms rank-deficient at q={qs[i].tolist()} "
-            f"(min singular value {smin.reshape(-1)[i]:.3e})")
-
-    if system.adapted is not None:
-        blk = eps.val[..., list(system.s_indices)]
-        i = _first(_max_dev(blk, np.eye(k)) > ADAPTED_TOL)
+    if not comp.metric_checked:
+        i = _first(_max_dev(kappa.val, kappa.val.swapaxes(-1, -2)) > SYM_TOL)
+        if i is not None:
+            raise GeometryError(f"metric not symmetric at q={qs[i].tolist()}")
+        evmin = np.linalg.eigvalsh(kappa.val).min(axis=-1)
+        i = _first(evmin <= POSDEF_TOL)
         if i is not None:
             raise GeometryError(
-                "adapted-declaration mismatch: constraint forms do not have "
-                f"an identity block over s-columns {list(system.s_indices)} "
-                f"at q={qs[i].tolist()}")
+                f"metric not positive definite at q={qs[i].tolist()} "
+                f"(min eigenvalue {evmin.reshape(-1)[i]:.3e})")
+        comp.metric_checked = comp.metric.constant
+
+    eps = comp.eps.packed(q, order)
+    if not comp.eps_checked:
+        smin = np.linalg.svd(eps.val, compute_uv=False).min(-1, initial=np.inf)
+        i = _first(smin <= RANK_TOL)
+        if i is not None:
+            raise GeometryError(
+                f"constraint forms rank-deficient at q={qs[i].tolist()} "
+                f"(min singular value {smin.reshape(-1)[i]:.3e})")
+        if system.adapted is not None:
+            blk = eps.val[..., comp.s_idx]
+            i = _first(_max_dev(blk, comp.eye_k) > ADAPTED_TOL)
+            if i is not None:
+                raise GeometryError(
+                    "adapted-declaration mismatch: constraint forms do not "
+                    "have an identity block over s-columns "
+                    f"{list(system.s_indices)} at q={qs[i].tolist()}")
+        comp.eps_checked = comp.eps.constant
 
     X = _d_frame_at(system, comp, q, eps, order)
-    Z = _w_frame_at(system, comp, q, kappa, eps, order)
+    Z = _w_frame_at(comp, q, kappa, eps, order)
 
-    i = _first(_max_dev(eps.val @ Z.val, np.eye(k)) > DUALITY_TOL)
+    i = _first(_max_dev(eps.val @ Z.val, comp.eye_k) > DUALITY_TOL)
     if i is not None:
         raise GeometryError(
             f"complement frame not dual to constraints at q={qs[i].tolist()}")
@@ -473,44 +491,46 @@ def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
             f"D-frame does not lie in the constraint kernel at q={qs[i].tolist()}")
 
     F = pk_hstack(X, Z)
-    Finv = pk_inv(F, what="frame matrix [X|Z]")
-    chi = pk_rows(Finv, 0, n - k)
-    epshat = pk_rows(Finv, n - k, n)
-    i = _first(_max_dev(epshat.val, eps.val) > DUALITY_TOL)
+    if comp.adapted_chi is not None:
+        # [X|Z] = [d/dr - A d/ds | d/ds] has the dual coframe chi = dr
+        # (constant) and eps-hat = ds + A dr: the constraint rows with
+        # their s-block, identity to within ADAPTED_TOL, made exact
+        check_nonsingular(F.val, what="frame matrix [X|Z]")
+        chi = comp.adapted_chi.packed(q, order)
+        epshat = eps.val.copy()
+        epshat[..., comp.s_idx] = comp.eye_k
+    else:
+        Finv = pk_inv(F, what="frame matrix [X|Z]")
+        chi = pk_rows(Finv, 0, n - k)
+        epshat = Finv.val[..., n - k:, :]
+    i = _first(_max_dev(epshat, eps.val) > DUALITY_TOL)
     if i is not None:
         raise GeometryError(
             f"coframe rows do not reproduce the constraint forms at q={qs[i].tolist()}")
 
-    kD = pk_matmul(pk_matmul(pk_transpose(X), kappa), X)
+    # kD = X^T kappa X and kWD = Z^T kappa X, the row blocks of F^T kappa X
+    G = pk_matmul(pk_matmul(pk_transpose(F), kappa), X)
+    kD = pk_rows(G, 0, n - k)
     kD_inv = pk_inv(kD, what="D-frame Gram matrix")
-    kWD = pk_matmul(pk_matmul(pk_transpose(Z), kappa), X)
-    J = pk_matmul(kWD, kD_inv)
+    J = pk_matmul(pk_rows(G, n - k, n), kD_inv)
     mu = pk_add(chi, pk_matmul(pk_transpose(J), eps))
     return BaseData(q=q, order=order, kappa=kappa, eps=eps, X=X, Z=Z,
                     chi=chi, J=J, mu=mu, kD=kD, kD_inv=kD_inv)
 
 
 def _d_frame_at(system, comp, q, eps, order) -> Packed:
-    n, k = system.n, system.k
-    lead = q.shape[:-1]
     if system._d_frame_c is not None:
         return pk_transpose(comp.d.packed(q, order))
     if system.adapted is not None:
         # X_alpha = d/dr^alpha - A^a_alpha d/ds^a, with A^a_alpha the
         # r-column entries of eps^a (identity block already verified).
-        r_idx, s_idx = system.r_indices, system.s_indices
-        val = np.zeros(lead + (n, n - k))
-        d1 = np.zeros(lead + (n, n, n - k)) if order >= 1 else None
-        d2 = np.zeros(lead + (n, n, n, n - k)) if order >= 2 else None
-        for al, r in enumerate(r_idx):
-            val[..., r, al] = 1.0
-            for a, s in enumerate(s_idx):
-                val[..., s, al] = -eps.val[..., a, r]
-                if order >= 1:
-                    d1[..., s, al] = -eps.d1[..., a, r]
-                if order >= 2:
-                    d2[..., s, al] = -eps.d2[..., a, r]
-        return Packed(val, d1, d2)
+        parts = []
+        for m in (eps.val, eps.d1, eps.d2)[:order + 1]:
+            x = np.zeros(m.shape[:-2] + (system.n, system.n - system.k))
+            x[..., comp.s_idx, :] = -m.take(comp.r_idx, axis=-1)
+            parts.append(x)
+        parts[0][..., comp.r_idx, comp.r_pos] = 1.0
+        return Packed(*parts)
     return _kernel_frame(eps)
 
 
@@ -591,16 +611,11 @@ def _kernel_solve(eps: Packed, piv: tuple) -> Packed:
     return Packed(*X)
 
 
-def _w_frame_at(system, comp, q, kappa, eps, order) -> Packed:
-    n, k = system.n, system.k
-    lead = q.shape[:-1]
-    if system._w_frame_c is not None:
+def _w_frame_at(comp, q, kappa, eps, order) -> Packed:
+    if comp.w is not None:
         return pk_transpose(comp.w.packed(q, order))
-    if system.adapted is not None:
-        val = np.zeros(lead + (n, k))
-        for a, s in enumerate(system.s_indices):
-            val[..., s, a] = 1.0
-        return pk_const(val, n, order)
+    if comp.adapted_Z is not None:
+        return pk_transpose(comp.adapted_Z.packed(q, order))
     # kappa-orthogonal complement, normalized so eps(Z) = identity
     Z0 = pk_matmul(pk_inv(kappa, what="metric"), pk_transpose(eps))
     G = pk_matmul(eps, Z0)

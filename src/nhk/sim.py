@@ -66,14 +66,19 @@ class Trajectory:
 
 
 def _rhs(system: NonholonomicSystem, u: np.ndarray):
-    """One fused evaluation at chart state u: returns (du/dt, H, residual)."""
+    """One fused evaluation at chart state u: returns du/dt, H and the
+    constraint forms' values eps(q), for ``_residual``."""
     n = system.n
     q, pt = u[:n], u[n:]
     bd = base_at(system, q, order=1)
     energy, _, dHq, vel = _energy(system, q, pt, bd)
     qdot, ptdot = _field(bd, pt, dHq, vel)
-    residual = float(np.max(np.abs(bd.eps.val @ qdot), initial=0.0))
-    return np.concatenate([qdot, ptdot]), energy, residual
+    return np.concatenate([qdot, ptdot]), energy, bd.eps.val
+
+
+def _residual(eps: np.ndarray, du: np.ndarray) -> float:
+    """max_a |eps^a(qdot)| of the right-hand side du = (qdot, ptildedot)."""
+    return float(np.max(np.abs(eps @ du[:eps.shape[-1]]), initial=0.0))
 
 
 def integrate(system: NonholonomicSystem, init: PointM, dt: float,
@@ -94,14 +99,14 @@ def integrate(system: NonholonomicSystem, init: PointM, dt: float,
     u = np.concatenate([init.q, init.ptilde])
 
     try:
-        k1, h, r = _rhs(system, u)
+        k1, h, eps = _rhs(system, u)
     except GeometryError as exc:
         raise GeometryError(f"frame singularity at step 0: {exc}") from exc
 
     times = [0.0]
     states = [PointM(u[:n], u[n:])]
     energy = [h]
-    residual = [r]
+    residual = [_residual(eps, k1)]
     completed = True
     exit_reason = None
 
@@ -112,8 +117,9 @@ def integrate(system: NonholonomicSystem, init: PointM, dt: float,
             k4, _, _ = _rhs(system, u + dt * k3)
             u_new = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             # Evaluating at the accepted state both validates it and
-            # supplies the next step's k1 stage.
-            k1_new, h, r = _rhs(system, u_new)
+            # supplies the next step's k1 stage; only accepted states
+            # record a residual.
+            k1_new, h, eps = _rhs(system, u_new)
         except (DomainError, EvalError) as exc:
             completed = False
             exit_reason = f"left the valid domain at step {step}: {exc}"
@@ -125,7 +131,7 @@ def integrate(system: NonholonomicSystem, init: PointM, dt: float,
         times.append(step * dt)
         states.append(PointM(u[:n], u[n:]))
         energy.append(h)
-        residual.append(r)
+        residual.append(_residual(eps, k1))
 
     return Trajectory(
         system=system,

@@ -1,7 +1,8 @@
 """The demos run end to end: each exits 0 and prints its walkthrough.
 
-Demo 03 (integration diagnostics) takes about 19 s, so it is left out of
-this suite; run it with ``python3 demos/03_rolling_and_drifting.py``."""
+Demo 03 (integration diagnostics) takes about 15 s on 2 cores, so it is
+left out of this suite; run it with
+``python3 demos/03_rolling_and_drifting.py``."""
 
 import os
 import subprocess

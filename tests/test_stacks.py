@@ -115,7 +115,7 @@ def test_pk_inv_rejects_a_stack_with_one_singular_matrix():
 
 # ------------------------------------------------------------ base data
 @pytest.mark.parametrize("order", [0, 1, 2])
-@pytest.mark.parametrize("size", [1, 2, 7])
+@pytest.mark.parametrize("size", [1, 2, 7, 70])
 def test_base_at_on_a_stack_equals_base_at_per_point(system, order, size):
     qs = np.array([p.q for p in sample_points(system, size, seed=71)])
     stacked = base_at(system, qs, order)
@@ -198,6 +198,17 @@ def test_stacked_routes_equal_the_public_tensors(system):
     assert (km == -km.transpose(0, 2, 1, 3)).all()
     assert (km == -km.transpose(0, 1, 3, 2)).all()
     assert (km == km.transpose(0, 2, 3, 1)).all()
+
+
+def test_km_route_on_a_large_stack_equals_the_public_tensor(adapted_system):
+    pts = sample_points(adapted_system, 70, seed=31)
+    ps = PointM(np.array([p.q for p in pts]),
+                np.array([p.ptilde for p in pts]))
+    km = _km_value(_km_point_data(adapted_system, ps,
+                                  base_at(adapted_system, ps.q, order=2)))
+    for i, p in enumerate(pts):
+        assert np.array_equal(km[i], jacobiator_tensor(adapted_system, p,
+                                                       "km"))
 
 
 # -------------------------------------------------------- cross-validate
