@@ -26,10 +26,10 @@ from .errors import (DomainError, EvalError, GeometryError, LoadError,
                      NhkError, ParameterError, ParseError,
                      UnsupportedOperationError)
 from .jet import Jet2
-from .manifold import (FrameAtPoint, NonholonomicSystem, PointM,
-                       SplittingAtPoint, TwoFormAtPoint, adapted_coframe,
-                       base_at, embed, frame_at, load_system, omega_M,
-                       pick_default_W, sample_points, splitting_at)
+from .manifold import (NonholonomicSystem, PointM, SplittingAtPoint,
+                       TwoFormAtPoint, adapted_coframe, base_at, embed,
+                       load_system, omega_M, pick_default_W, sample_points,
+                       splitting_at)
 from .bracket import (BivectorAtPoint, chart_tensors, hamiltonian_M,
                       nh_bivector, nh_vector_field)
 from .curvature import (AdaptedData, CurvatureAtPoint, adapted_data,
@@ -55,9 +55,9 @@ __all__ = [
     # jets
     "Jet2",
     # manifold
-    "NonholonomicSystem", "PointM", "FrameAtPoint", "SplittingAtPoint",
-    "TwoFormAtPoint", "load_system", "pick_default_W", "frame_at", "embed",
-    "omega_M", "splitting_at", "base_at", "adapted_coframe", "sample_points",
+    "NonholonomicSystem", "PointM", "SplittingAtPoint", "TwoFormAtPoint",
+    "load_system", "pick_default_W", "embed", "omega_M", "splitting_at",
+    "base_at", "adapted_coframe", "sample_points",
     # bracket
     "BivectorAtPoint", "nh_bivector", "hamiltonian_M", "nh_vector_field",
     "chart_tensors",

@@ -279,8 +279,7 @@ class GridEval:
             val = self._val0.copy()
             d1 = self._d10.copy() if order >= 1 else None
             d2 = self._d20.copy() if order >= 2 else None
-            if self._fill is not None:
-                self._fill(q, val, d1, d2, order)
+            self._fill(q, val, d1, d2, order)
             return Packed(val, d1, d2)
         b = len(q)
         val = self._val0[None].repeat(b, 0)

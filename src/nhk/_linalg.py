@@ -1,29 +1,27 @@
-"""Small dense linear algebra in two interchangeable forms.
+"""Small dense linear algebra on matrices carried with their derivatives.
 
-1. *Packed* matrices (:class:`Packed`): a float matrix together with its
-   first and optionally second derivatives along a set of base directions
-   (the derivative axes sit just before the two matrix axes: ``d1`` is
-   (..., V, r, c) and ``d2`` (..., V, V, r, c)).  Products and inverses
-   propagate derivatives analytically (d(A^-1) = -A^-1 dA A^-1 and its
-   second-order extension).  Pivoting inside ``np.linalg`` sees values
-   only, never derivative data.  Every library path uses this form,
-   including the reference bivector route (``bracket.nh_bivector``).
+*Packed* matrices (:class:`Packed`): a float matrix together with its
+first and optionally second derivatives along a set of base directions
+(the derivative axes sit just before the two matrix axes: ``d1`` is
+(..., V, r, c) and ``d2`` (..., V, V, r, c)).  Products and inverses
+propagate derivatives analytically (d(A^-1) = -A^-1 dA A^-1 and its
+second-order extension).  Pivoting inside ``np.linalg`` sees values
+only, never derivative data.  Every library path uses this form.
 
-   Any leading axes before those are stack axes: a stacked Packed holds
-   one matrix per point, and every ``pk_*`` operation broadcasts over
-   them.  Each operation computes a point's slice with the same numpy
-   calls in the same operand order as for that point alone, so a
-   stacked result equals the per-point results bit for bit.
+Any leading axes before those are stack axes: a stacked Packed holds
+one matrix per point, and every ``pk_*`` operation broadcasts over
+them.  Each operation computes a point's slice with the same numpy
+calls in the same operand order as for that point alone, so a stacked
+result equals the per-point results bit for bit.
 
-2. Matrices of :class:`~nhk.jet.Jet2` entries (plain nested lists) with a
-   hand-rolled partial-pivot Gauss-Jordan elimination whose pivot
-   selection consults only the value parts.  They are the test reference
-   that the packed bivector route is pinned against at sampled points of
-   every test system; the library only reads values (``jm_values``).
-
-The Jet2 code left is these ``jm_*`` and the ``pk_unpack``/``pk_from_jets``
-boundary.  ``nhkbench/spans.py`` traces them by name, so deleting them
-waits for a change to its layer list.
+The last section is a test reference with no library caller: matrices
+of :class:`~nhk.jet.Jet2` entries (plain nested lists) with a
+hand-rolled partial-pivot Gauss-Jordan elimination whose pivot
+selection consults only the value parts (``jm_*``), the Jet2-grid
+boundary ``pk_from_jets``/``pk_unpack``, and ``pk_const``.  The test
+suite pins the packed routes against them.  ``nhkbench/spans.py``
+traces them by name, so deleting them waits for a change to its layer
+list.
 """
 
 from __future__ import annotations
@@ -64,52 +62,12 @@ class Packed:
         return 0
 
 
-def pk_from_jets(grid, nvars: int, order: int) -> Packed:
-    """Pack a 2-D grid (nested lists) of Jet2 into arrays."""
-    rows = len(grid)
-    cols = len(grid[0]) if rows else 0
-    val = np.empty((rows, cols))
-    d1 = np.zeros((nvars, rows, cols)) if order >= 1 else None
-    d2 = np.zeros((nvars, nvars, rows, cols)) if order >= 2 else None
-    for i in range(rows):
-        for j in range(cols):
-            jet = grid[i][j]
-            val[i, j] = jet.value
-            if order >= 1:
-                d1[:, i, j] = jet.grad
-            if order >= 2:
-                d2[:, :, i, j] = jet.hess
-    return Packed(val, d1, d2)
-
-
-def pk_unpack(p: Packed) -> list[list[Jet2]]:
-    """Inverse of pk_from_jets: a grid of Jet2 views of the packed data."""
-    rows, cols = p.val.shape
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            g = p.d1[:, i, j].copy() if p.d1 is not None else None
-            h = p.d2[:, :, i, j].copy() if p.d2 is not None else None
-            row.append(Jet2(float(p.val[i, j]), g, h))
-        out.append(row)
-    return out
-
-
 def pk_at(p: Packed, i) -> Packed:
     """The matrix of stack position ``i`` (an index or index tuple); for a
     tuple of index arrays, the sub-stack of those positions."""
     return Packed(p.val[i],
                   p.d1[i] if p.d1 is not None else None,
                   p.d2[i] if p.d2 is not None else None)
-
-
-def pk_const(val: np.ndarray, nvars: int, order: int) -> Packed:
-    val = np.asarray(val, dtype=float)
-    lead, mat = val.shape[:-2], val.shape[-2:]
-    d1 = np.zeros(lead + (nvars,) + mat) if order >= 1 else None
-    d2 = np.zeros(lead + (nvars, nvars) + mat) if order >= 2 else None
-    return Packed(val, d1, d2)
 
 
 def _min_order(a: Packed, b: Packed) -> int:
@@ -208,7 +166,47 @@ def pk_rows(a: Packed, lo: int, hi: int) -> Packed:
                   a.d2[..., lo:hi, :] if a.d2 is not None else None)
 
 
-# -------------------------------------------------------- Jet2 matrices
+# ------------------------------------------- test reference (no library caller)
+def pk_const(val: np.ndarray, nvars: int, order: int) -> Packed:
+    val = np.asarray(val, dtype=float)
+    lead, mat = val.shape[:-2], val.shape[-2:]
+    d1 = np.zeros(lead + (nvars,) + mat) if order >= 1 else None
+    d2 = np.zeros(lead + (nvars, nvars) + mat) if order >= 2 else None
+    return Packed(val, d1, d2)
+
+
+def pk_from_jets(grid, nvars: int, order: int) -> Packed:
+    """Pack a 2-D grid (nested lists) of Jet2 into arrays."""
+    rows = len(grid)
+    cols = len(grid[0]) if rows else 0
+    val = np.empty((rows, cols))
+    d1 = np.zeros((nvars, rows, cols)) if order >= 1 else None
+    d2 = np.zeros((nvars, nvars, rows, cols)) if order >= 2 else None
+    for i in range(rows):
+        for j in range(cols):
+            jet = grid[i][j]
+            val[i, j] = jet.value
+            if order >= 1:
+                d1[:, i, j] = jet.grad
+            if order >= 2:
+                d2[:, :, i, j] = jet.hess
+    return Packed(val, d1, d2)
+
+
+def pk_unpack(p: Packed) -> list[list[Jet2]]:
+    """Inverse of pk_from_jets: a grid of Jet2 views of the packed data."""
+    rows, cols = p.val.shape
+    out = []
+    for i in range(rows):
+        row = []
+        for j in range(cols):
+            g = p.d1[:, i, j].copy() if p.d1 is not None else None
+            h = p.d2[:, :, i, j].copy() if p.d2 is not None else None
+            row.append(Jet2(float(p.val[i, j]), g, h))
+        out.append(row)
+    return out
+
+
 def jm_identity(n: int, nvars: int, order: int) -> list[list[Jet2]]:
     return [[jet_const(1.0 if i == j else 0.0, nvars, order)
              for j in range(n)] for i in range(n)]

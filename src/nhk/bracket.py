@@ -20,8 +20,8 @@ Two independent constructions live here:
 * ``nh_bivector`` -- the reference route: restrict Omega_M to the
   C-basis, invert the restricted Gram matrix, and conjugate back, in
   packed arithmetic whose derivatives run along the chart variables.
-  At order 1 entries come out as Jet2 of the chart variables.  The
-  brute-force Jacobiator route differentiates it.
+  At order 1 the result carries them as an array beside the matrix.
+  The brute-force Jacobiator route differentiates it.
 * ``chart_tensors`` -- the closed block form and its chart-direction
   derivatives assembled with numpy; the global Jacobiator route reads
   it.
@@ -41,8 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._compile import get_compiled
-from ._linalg import (Packed, jm_values, pk_inv, pk_matmul, pk_transpose,
-                      pk_unpack)
+from ._linalg import Packed, pk_inv, pk_matmul, pk_transpose
 from .errors import GeometryError, check_integer
 from .manifold import (BaseData, NonholonomicSystem, PointM, _c_basis,
                        _omega_arrays, _omega_packed, base_at)
@@ -57,20 +56,17 @@ ROUTE_TOL = 1e-10
 class BivectorAtPoint:
     """The induced bivector at a point, in the chart basis.
 
-    mat holds the matrix of the sharp map -- components of pi#(alpha)
-    are mat @ alpha.  Entries are floats (order 0) or Jet2 of the chart
-    variables (order 1)."""
-    mat: object
+    mat holds the float matrix of the sharp map -- components of
+    pi#(alpha) are mat @ alpha.  At order 1, d1[l] is its derivative
+    along chart variable l, laid out as ``ChartTensors.dPi``; at order 0,
+    d1 is None."""
+    mat: np.ndarray
+    d1: np.ndarray | None
     order: int
     chart_names: tuple
 
-    def values(self) -> np.ndarray:
-        if self.order == 0:
-            return np.asarray(self.mat, dtype=float)
-        return jm_values(self.mat)
-
     def sharp(self, alpha) -> np.ndarray:
-        return self.values() @ np.asarray(alpha, dtype=float)
+        return self.mat @ np.asarray(alpha, dtype=float)
 
     def pairing(self, alpha, beta) -> float:
         """pi(alpha, beta) = beta(pi#(alpha))."""
@@ -78,7 +74,7 @@ class BivectorAtPoint:
 
     def bracket_matrix(self) -> np.ndarray:
         """B[I, J] = {u^I, u^J} of the chart functions."""
-        return self.values().T
+        return self.mat.T
 
 
 @dataclass(frozen=True)
@@ -178,8 +174,7 @@ def nh_bivector(system: NonholonomicSystem, p: PointM,
     order = check_integer("order", order, 0, 2)
     system.check_point(p)
     Pi = _bivector_packed(system, p, base_at(system, p.q, order + 1), order)
-    mat = Pi.val if order == 0 else pk_unpack(Pi)
-    return BivectorAtPoint(mat=mat, order=order,
+    return BivectorAtPoint(mat=Pi.val, d1=Pi.d1, order=order,
                            chart_names=system.chart_names)
 
 

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._compile import get_compiled
-from ._linalg import Packed, pk_unpack
-from .errors import GeometryError, UnsupportedOperationError
+from ._linalg import Packed
+from .errors import ParameterError, UnsupportedOperationError
 from .manifold import BaseData, NonholonomicSystem, PointM, base_at
 
 __all__ = ["CurvatureAtPoint", "AdaptedData", "curvature_coeffs",
@@ -59,14 +59,15 @@ class CurvatureAtPoint:
 class AdaptedData:
     """Adapted-coordinate data at a base point.
 
-    For constraints eps^a = ds^a + A^a_alpha dr^alpha: the matrix A as
-    second-order jets, the nonholonomy derivative
+    For constraints eps^a = ds^a + A^a_alpha dr^alpha: the matrix A with
+    its first and second derivatives along q (A.val, A.d1[l],
+    A.d2[l, m]), the nonholonomy derivative
     C[a, al, be] = dA^a_be/dr^al - A^b_al dA^a_be/ds^b, and its
     antisymmetrization Kcoef = C - C^T(al,be): the curvature
     coefficients of the coordinate frame."""
     r_indices: tuple
     s_indices: tuple
-    A: list                    # k x (n-k) grid of Jet2 (order 2)
+    A: Packed                  # k x (n-k), order 2
     C: np.ndarray              # (k, n-k, n-k)
     Kcoef: np.ndarray          # (k, n-k, n-k)
 
@@ -91,11 +92,7 @@ def _projector_arrays(system, bd, lift):
     dZl = np.zeros(lead + (n, dim, k))
     dZl[..., :n, :] = bd.Z.d1
     if lift is not None:
-        c, d = lift
-        c = np.asarray(c, dtype=float)
-        d = np.asarray(d, dtype=float)
-        if c.shape != (k, nk) or d.shape != (k, nk):
-            raise ValueError(f"lift coefficient arrays must be {(k, nk)}")
+        c, d = _check_lift(lift, (k, nk))
         Zl[..., :n, :] += bd.X.val @ c.T
         Zl[..., n:, :] += d.T
         dZl[..., :n, :] += np.einsum("...lib,ab->...lia", bd.X.d1, c)
@@ -109,6 +106,20 @@ def _projector_arrays(system, bd, lift):
     dP_C[..., :n, :, :] = -(np.einsum("...lia,...aj->...lij", dZl, epse)
                             + np.einsum("...ia,...laj->...lij", Zl, depse))
     return Zl, dZl, epse, P_W, P_C, dP_C
+
+
+def _check_lift(lift, shape: tuple):
+    """The lift's coefficient arrays (c, d) as floats: a pair of arrays of
+    the given shape with finite real entries, else ParameterError."""
+    try:
+        pair = [np.asarray(m) for m in lift]
+    except (TypeError, ValueError):     # not iterable, or ragged
+        pair = []
+    if len(pair) != 2 or any(m.shape != shape or m.dtype.kind not in "iuf"
+                             or not np.isfinite(m).all() for m in pair):
+        raise ParameterError(f"lift coefficient arrays must be a pair (c, d) "
+                             f"of finite real {shape} arrays, got {lift!r}")
+    return [m.astype(float) for m in pair]
 
 
 def curvature_coeffs(system: NonholonomicSystem, p: PointM,
@@ -200,9 +211,9 @@ def adapted_data(system: NonholonomicSystem, q) -> AdaptedData:
     bd = base_at(system, q, order=2)
     A, dA, C, Kcoef = _nonholonomy(system, bd)
     r_idx = list(system.r_indices)
-    Apk = Packed(A, dA, bd.eps.d2[:, :, :, r_idx])
     return AdaptedData(r_indices=tuple(r_idx), s_indices=system.s_indices,
-                       A=pk_unpack(Apk), C=C, Kcoef=Kcoef)
+                       A=Packed(A, dA, bd.eps.d2[:, :, :, r_idx]), C=C,
+                       Kcoef=Kcoef)
 
 
 def _nonholonomy(system: NonholonomicSystem, bd: BaseData):

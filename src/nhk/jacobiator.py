@@ -25,7 +25,9 @@ covectors (no 1/2 normalization).  Three routes compute it:
   momentum covectors.
 
 The scalar entry points read (or, global route, contract) the route's
-whole tensor from ``jacobiator_tensor``, its one implementation.
+whole tensor from ``jacobiator_tensor``, its one implementation.  It and
+``cross_validate`` reach every route through one dispatch,
+``_route_tensor``.
 
 ``cross_validate`` runs all applicable routes over a deterministic
 sample of points and all chart covector triples and reports any
@@ -85,9 +87,10 @@ def jacobiator_bruteforce(system: NonholonomicSystem, p: PointM,
 
 
 def _check_triple(system, triple):
-    t = tuple(triple)
+    t = tuple(triple) if np.iterable(triple) else ()
     if len(t) != 3:
-        raise ValueError("triple must have three covector indices")
+        raise ParameterError(
+            f"triple {triple!r} is not an iterable of three covector indices")
     return tuple(check_integer("covector index", i, 0, system.dimM)
                  for i in t)
 
@@ -218,22 +221,27 @@ def jacobiator_tensor(system: NonholonomicSystem, p: PointM,
     of chart components; contract it with arbitrary covectors (e.g. a
     frame-adapted coframe).  ``lift`` only affects method "global" and
     must leave the result unchanged (lift-independence)."""
+    if method not in ("bruteforce", "global", "km"):
+        raise ParameterError(f"unknown Jacobiator method {method!r}")
+    if method not in _applicable_methods(system):
+        raise UnsupportedOperationError(
+            f"coordinate Jacobiator needs an adapted declaration; "
+            f"system {system.name!r} has none")
+    system.check_point(p)
+    bd = base_at(system, p.q, order=2 if method == "bruteforce" else 1)
+    return _route_tensor(system, p, bd, method, lift)
+
+
+def _route_tensor(system: NonholonomicSystem, p: PointM, bd: BaseData,
+                  method: str, lift=None) -> np.ndarray:
+    """The tensor of route ``method`` at p from base data ``bd`` at p.q
+    (order 2 for the brute-force route, else at least 1); p and bd may
+    be stacked alike, and so is the tensor."""
     if method == "bruteforce":
-        system.check_point(p)
-        return _trivector_brute(system, p, base_at(system, p.q, order=2))
+        return _trivector_brute(system, p, bd)
     if method == "global":
-        system.check_point(p)
-        return _global_tensor(system, p, base_at(system, p.q, order=1),
-                              lift=lift)
-    if method == "km":
-        if system.adapted is None:
-            raise UnsupportedOperationError(
-                f"coordinate Jacobiator needs an adapted declaration; "
-                f"system {system.name!r} has none")
-        system.check_point(p)
-        bd = base_at(system, p.q, order=1)
-        return _km_value(_km_point_data(system, p, bd))
-    raise ParameterError(f"unknown Jacobiator method {method!r}")
+        return _global_tensor(system, p, bd, lift)
+    return _km_value(_km_point_data(system, p, bd))
 
 
 # --------------------------------------------------------- cross-validate
@@ -287,17 +295,13 @@ def _stack_values(system: NonholonomicSystem, pts: list, methods: tuple,
     methods[m], from one stack: one base evaluation and one pass per
     route (a lone point runs without a stack axis).  ``tri`` indexes a
     stack of tensors at the triples.  Raises the first NhkError of any
-    point."""
-    for p in pts:
-        system.check_point(p)
+    point; ``base_at`` checks every q, and the momenta of
+    ``sample_points`` are valid by construction."""
     b, d = len(pts), system.dimM
     ps = pts[0] if b == 1 else PointM(np.stack([p.q for p in pts]),
                                       np.stack([p.ptilde for p in pts]))
     bd = base_at(system, ps.q, order=2)
-    tensors = [_trivector_brute(system, ps, bd),
-               _global_tensor(system, ps, bd)]
-    if "km" in methods:
-        tensors.append(_km_value(_km_point_data(system, ps, bd)))
+    tensors = [_route_tensor(system, ps, bd, m) for m in methods]
     return np.stack([T.reshape(b, d, d, d)[tri] for T in tensors], axis=-1)
 
 

@@ -28,6 +28,10 @@ whose dual coframe is chi^alpha = dr^alpha in closed form; else the
 kappa-orthogonal complement, and the coframe comes from inverting
 [X|Z].
 
+The public results hold numpy arrays too: ``base_at`` returns the
+Packed frames and elimination data, and ``omega_M`` the matrix with its
+chart derivatives in ``d1``.
+
 What is constant in q lives on the system's compiled form
 (``_compile.CompiledSystem``) and is built once: grids with no
 q-dependent code, such as a constant metric, d/ds and dr (their
@@ -49,17 +53,16 @@ import numpy as np
 
 from . import expr as ex
 from ._compile import get_compiled
-from ._linalg import (Packed, _first, check_nonsingular, jm_values, pk_add,
-                      pk_at, pk_hstack, pk_inv, pk_matmul, pk_rows,
-                      pk_transpose, pk_unpack)
+from ._linalg import (Packed, _first, check_nonsingular, pk_add, pk_at,
+                      pk_hstack, pk_inv, pk_matmul, pk_rows, pk_transpose)
 from ._rng import Lcg64
 from .errors import (DomainError, EvalError, GeometryError, LoadError,
                      ParseError, check_integer, check_real)
 
 __all__ = [
-    "NonholonomicSystem", "PointM", "FrameAtPoint", "SplittingAtPoint",
-    "TwoFormAtPoint", "load_system", "pick_default_W", "frame_at", "embed",
-    "omega_M", "splitting_at", "sample_points", "BaseData", "base_at",
+    "NonholonomicSystem", "PointM", "SplittingAtPoint", "TwoFormAtPoint",
+    "load_system", "pick_default_W", "embed", "omega_M", "splitting_at",
+    "sample_points", "BaseData", "base_at",
 ]
 
 RANK_TOL = 1e-10
@@ -89,21 +92,6 @@ class PointM:
 
 
 @dataclass(frozen=True)
-class FrameAtPoint:
-    """Frames and elimination data at a base point, entries as Jet2.
-
-    X: n x (n-k) columns spanning D;  Z: n x k columns spanning W;
-    chi: (n-k) x n rows of the coframe dual to X within {chi, eps};
-    J: k x (n-k) with p(Z_a) = J[a, beta] ptilde_beta.
-    """
-    X: list
-    Z: list
-    chi: list
-    J: list
-    order: int
-
-
-@dataclass(frozen=True)
 class SplittingAtPoint:
     """Pointwise T_m M = C (+) W-lift with projections (chart basis)."""
     dimM: int
@@ -117,18 +105,16 @@ class SplittingAtPoint:
 class TwoFormAtPoint:
     """Matrix of a 2-form on M in the chart basis {dq^i, dptilde_alpha}.
 
-    mat is a float matrix at order 0, or a nested list of Jet2 over the
-    chart variables at order 1.  restricted_abs_det is |det| of the
-    restriction to C in the C-basis (nondegeneracy certificate).
+    mat is the float matrix.  At order 1, d1[l] is its derivative along
+    chart variable l (q first, then the momenta), laid out as
+    ``ChartTensors.dOmega``; at order 0, d1 is None.  restricted_abs_det
+    is |det| of the restriction to C in the C-basis (nondegeneracy
+    certificate).
     """
-    mat: object
+    mat: np.ndarray
+    d1: np.ndarray | None
     order: int
     restricted_abs_det: float
-
-    def values(self) -> np.ndarray:
-        if self.order == 0:
-            return self.mat
-        return jm_values(self.mat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,17 +390,18 @@ def load_system(definition) -> NonholonomicSystem:
 # ----------------------------------------------------- pointwise pipeline
 @dataclass(frozen=True)
 class BaseData:
-    """Packed per-point base data (derivatives along q in the derivative
-    axes).  For a stack of points, q is (B, n) and every Packed leads
-    with the same stack axis."""
+    """Packed per-point base data: each field's val is the matrix, d1[l]
+    (order >= 1) its derivative along q^l and d2[l, m] (order 2) the
+    second derivative.  For a stack of points, q is (B, n) and every
+    Packed leads with the same stack axis."""
     q: np.ndarray
     order: int
     kappa: Packed            # n x n
     eps: Packed              # k x n
-    X: Packed                # n x (n-k)
-    Z: Packed                # n x k
-    chi: Packed              # (n-k) x n
-    J: Packed                # k x (n-k)
+    X: Packed                # n x (n-k) columns spanning D
+    Z: Packed                # n x k columns spanning W
+    chi: Packed              # (n-k) x n coframe rows dual to X in {chi, eps}
+    J: Packed                # k x (n-k): p(Z_a) = J[a, beta] ptilde_beta
     mu: Packed               # (n-k) x n
     kD: Packed               # (n-k) x (n-k) Gram of X
     kD_inv: Packed
@@ -426,8 +413,10 @@ def _max_dev(m, ref=0.0):
 
 
 def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
-    """Evaluate all base-level geometry at q to the requested jet order,
-    enforcing the pointwise invariants (metric symmetry and positive
+    """Evaluate all base-level geometry at q to the requested jet order
+    (0, 1 or 2) as ``BaseData``: metric, constraint forms, the frames X
+    and Z, the coframe chi, J, mu and the D-frame Gram matrix.  It
+    enforces the pointwise invariants (metric symmetry and positive
     definiteness, constraint rank, adapted identity block, frame duality).
 
     q is one point, shape (n,), or a stack of B points, shape (B, n).  A
@@ -631,14 +620,6 @@ def pick_default_W(system: NonholonomicSystem, q) -> np.ndarray:
     return bd.Z.val.copy()
 
 
-def frame_at(system: NonholonomicSystem, q, order: int = 1) -> FrameAtPoint:
-    """D-frame X, complement Z, dual coframe rows chi, and elimination
-    coefficients J at q, entries as Jet2 of the requested order."""
-    bd = base_at(system, q, order)
-    return FrameAtPoint(X=pk_unpack(bd.X), Z=pk_unpack(bd.Z),
-                        chi=pk_unpack(bd.chi), J=pk_unpack(bd.J), order=order)
-
-
 def embed(system: NonholonomicSystem, p: PointM) -> np.ndarray:
     """Canonical momenta p_i on T*Q of the point (q, ptilde):
     p = ptilde_alpha mu^alpha.  Internally cross-checked against the
@@ -726,15 +707,14 @@ def omega_M(system: NonholonomicSystem, p: PointM, order: int = 0) -> TwoFormAtP
     The embedded momenta p_i(q, ptilde) = ptilde_alpha mu^alpha_i(q) are
     differentiated along the chart variables; the matrix is assembled
     from d p_i / d q^j antisymmetrized (top-left block) and the
-    d p_i / d ptilde_alpha block.  order=1 returns entries as Jet2 over
+    d p_i / d ptilde_alpha block.  order=1 adds the derivatives along
     the chart variables (one more derivative level, for bracket use).
     """
     order = check_integer("order", order, 0, 2)
     system.check_point(p)
     bd = base_at(system, p.q, order + 1)
     om, det = _omega_packed(system, p, bd, order)
-    mat = om.val if order == 0 else pk_unpack(om)
-    return TwoFormAtPoint(mat=mat, order=order,
+    return TwoFormAtPoint(mat=om.val, d1=om.d1, order=order,
                           restricted_abs_det=float(det))
 
 

@@ -196,8 +196,7 @@ def test_criterion_5_bracket_table_on_adapted_builtins(capsys):
         for p in sample_points(system, 50, seed=45):
             B = nh_bivector(system, p, order=0).bracket_matrix()
             ad = adapted_data(system, p.q)
-            A_val = np.array([[ad.A[a][al].value for al in range(n - k)]
-                              for a in range(k)])
+            A_val = ad.A.val
             P = base_at(system, p.q, order=0).J.val @ p.ptilde
             worst = max(worst, np.max(np.abs(B[:n, :n])))
             for al, r_i in enumerate(ad.r_indices):

@@ -18,7 +18,7 @@ from nhk import (
 )
 from nhk._compile import get_compiled
 from nhk.bracket import _chart_tensors
-from nhk._linalg import jm_inv, jm_matmul
+from nhk._linalg import Packed, jm_inv, jm_matmul, pk_unpack
 from nhk.jet import Jet2, jet_const
 
 # ------------------------------------------------- structure of the sharp
@@ -88,7 +88,8 @@ def test_reference_and_fast_routes_agree(system):
     for p in sample_points(system, 10, seed=113):
         ref = nh_bivector(system, p, order=0)
         fast = chart_tensors(system, p, order=0)
-        np.testing.assert_allclose(ref.values(), fast.Pi,
+        assert ref.d1 is None
+        np.testing.assert_allclose(ref.mat, fast.Pi,
                                    rtol=1e-9, atol=1e-10)
 
 
@@ -96,21 +97,17 @@ def test_reference_route_first_derivatives_agree(system):
     p = sample_points(system, 1, seed=127)[0]
     ref = nh_bivector(system, p, order=1)
     fast = chart_tensors(system, p, order=1)
-    dim = system.dimM
-    vals = ref.values()
-    np.testing.assert_allclose(vals, fast.Pi, rtol=1e-9, atol=1e-10)
-    grads = np.array([[ref.mat[i][j].grad for j in range(dim)]
-                      for i in range(dim)])
-    # grads[i, j, l] = d_l Pi_ij vs packed dPi[l, i, j]
-    np.testing.assert_allclose(np.einsum("ijl->lij", grads), fast.dPi,
-                               rtol=1e-8, atol=1e-8)
+    np.testing.assert_allclose(ref.mat, fast.Pi, rtol=1e-9, atol=1e-10)
+    # d1[l, i, j] = d_l Pi_ij, the layout of dPi
+    np.testing.assert_allclose(ref.d1, fast.dPi, rtol=1e-8, atol=1e-8)
 
 
 def _jet_matrix_bivector(system, p):
     """Pi = C G^{-1} C^T with G = C^T Omega C in Jet2-matrix arithmetic
     (jm_*): a reference for nh_bivector's packed construction."""
     n, nk, dim = system.n, system.n - system.k, system.dimM
-    Om = omega_M(system, p, order=1).mat
+    om = omega_M(system, p, order=1)
+    Om = pk_unpack(Packed(om.mat, om.d1))
     bd = base_at(system, p.q, order=1)
     zero, one = jet_const(0.0, dim, 1), jet_const(1.0, dim, 1)
     C = [[zero] * (2 * nk) for _ in range(dim)]
@@ -129,14 +126,13 @@ def _jet_matrix_bivector(system, p):
 def test_reference_route_matches_the_jet_matrix_construction(system):
     for p in sample_points(system, 3, seed=163):
         ref = _jet_matrix_bivector(system, p)
-        got = nh_bivector(system, p, order=1).mat
-        for grid in (ref, got):
-            assert all(e.order == 1 for row in grid for e in row)
+        got = nh_bivector(system, p, order=1)
+        assert all(e.order == 1 for row in ref for e in row)
         np.testing.assert_allclose(
-            [[e.value for e in row] for row in got],
-            [[e.value for e in row] for row in ref], rtol=0, atol=1e-12)
+            got.mat, [[e.value for e in row] for row in ref],
+            rtol=0, atol=1e-12)
         np.testing.assert_allclose(
-            [[e.grad for e in row] for row in got],
+            np.moveaxis(got.d1, 0, -1),
             [[e.grad for e in row] for row in ref], rtol=0, atol=1e-12)
 
 
@@ -179,6 +175,12 @@ def test_chart_tensors_omega_matches_two_form(system):
         ct = chart_tensors(system, p, order=0)
         om = omega_M(system, p, order=0)
         np.testing.assert_allclose(ct.Omega, om.mat, atol=1e-12)
+        assert ct.dOmega is om.d1 is None
+        # the same arrays at order 1: d1[l] of the two-form is dOmega[l]
+        ct = chart_tensors(system, p, order=1)
+        om = omega_M(system, p, order=1)
+        assert np.array_equal(ct.Omega, om.mat)
+        assert np.array_equal(ct.dOmega, om.d1)
 
 
 # --------------------------------------------------- bracket semantics

@@ -252,9 +252,10 @@ def test_adapted_data_reproduces_constraint_coefficients(adapted_system):
     ad = adapted_data(sys, q)
     bd = base_at(sys, q, order=0)
     r_idx = list(ad.r_indices)
+    assert ad.A.order == 2
     for a in range(sys.k):
         for al in range(sys.n - sys.k):
-            assert ad.A[a][al].value == pytest.approx(
+            assert ad.A.val[a, al] == pytest.approx(
                 bd.eps.val[a, r_idx[al]], rel=1e-12, abs=1e-12)
 
 
@@ -263,8 +264,7 @@ def test_adapted_data_disk_closed_form(disk):
     R = disk.params["R"]
     th = q[3]
     ad = adapted_data(disk, q)
-    A = np.array([[ad.A[a][al].value for al in range(2)] for a in range(2)])
-    np.testing.assert_allclose(A, [[-R * np.cos(th), 0.0],
+    np.testing.assert_allclose(ad.A.val, [[-R * np.cos(th), 0.0],
                                    [-R * np.sin(th), 0.0]], atol=1e-12)
     # r = (phi, theta): dA^x_phi/dtheta = R sin(theta) and A is
     # s-independent, so C has a single nonzero column pair
@@ -287,9 +287,7 @@ def test_adapted_nonholonomy_matches_finite_differences(adapted_system):
     h = 1e-6
 
     def A_at(qq):
-        a = adapted_data(sys, qq)
-        return np.array([[a.A[i][j].value for j in range(nk)]
-                         for i in range(k)])
+        return adapted_data(sys, qq).A.val
 
     A0 = A_at(q)
     dA = np.zeros((sys.n, k, nk))

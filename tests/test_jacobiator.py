@@ -12,15 +12,21 @@ import pytest
 import nhk.bracket
 import nhk.curvature
 import nhk.jacobiator
+import nhk.jet
 import nhk.manifold
 import nhk.sim
 from nhk import (
     PointM,
     adapted_coframe,
+    adapted_data,
     base_at,
     builtin_definition,
+    chart_tensors,
     cross_validate,
     curvature_coeffs,
+    embed,
+    hamiltonian_M,
+    integrate,
     jacobiator_bruteforce,
     jacobiator_global,
     jacobiator_km,
@@ -28,7 +34,9 @@ from nhk import (
     load_system,
     nh_bivector,
     nh_vector_field,
+    omega_M,
     sample_points,
+    splitting_at,
 )
 from nhk.errors import NhkError, ParameterError, UnsupportedOperationError
 from nhk.jacobiator import _km_point_data
@@ -72,9 +80,39 @@ def test_bruteforce_route_makes_no_scalar_jet_calls(request, monkeypatch):
         pts = sample_points(s, 3, seed=319)
         p = pts[1]
         assert np.all(np.isfinite(jacobiator_tensor(s, p, "bruteforce")))
-        assert np.all(np.isfinite(nh_bivector(s, p, order=0).values()))
+        assert np.all(np.isfinite(nh_bivector(s, p, order=0).mat))
         bd = base_at(s, np.array([pt.q for pt in pts]), order=2)
         assert np.all(np.isfinite(bd.X.d2))
+
+
+def test_public_point_operations_construct_no_jet2(system, monkeypatch):
+    # after load_system, derivatives travel as arrays only: Jet2 is the
+    # reference evaluator's type, not the library's
+    p = sample_points(system, 1, seed=323)[0]
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("Jet2 constructed by a point operation")
+
+    monkeypatch.setattr(nhk.jet.Jet2, "__init__", refuse)
+    for order in (0, 1):
+        omega_M(system, p, order=order)
+        nh_bivector(system, p, order=order)
+    base_at(system, p.q, order=2)
+    chart_tensors(system, p)
+    curvature_coeffs(system, p)
+    hamiltonian_M(system, p)
+    nh_vector_field(system, p)
+    embed(system, p)
+    splitting_at(system, p)
+    adapted_coframe(system, p.q)
+    methods = ("bruteforce", "global")
+    if system.adapted is not None:
+        methods += ("km",)
+        adapted_data(system, p.q)
+    for method in methods:
+        jacobiator_tensor(system, p, method)
+    cross_validate(system, samples=3, seed=5)
+    integrate(system, p, 0.01, 3)
 
 
 def test_adapted_route_agrees(adapted_system):
@@ -217,9 +255,20 @@ def test_global_route_forwards_the_lift(system):
 def test_global_route_rejects_a_malformed_lift(particle):
     p = sample_points(particle, 1, seed=359)[0]
     a, b, c = np.eye(particle.dimM)[[0, 3, 4]]
-    with pytest.raises(ValueError, match="lift coefficient arrays"):
-        jacobiator_global(particle, p, a, b, c,
-                          lift=(np.zeros((2, 2)), np.zeros((1, 2))))
+    zeros = np.zeros((1, 2))
+    bad_lifts = [(np.zeros((2, 2)), zeros),         # wrong shape
+                 (zeros,), (zeros, zeros, zeros),    # not a pair
+                 zeros[0], 3.0,
+                 (np.full((1, 2), np.nan), zeros),   # not finite
+                 (zeros, np.full((1, 2), np.inf)),
+                 (np.full((1, 2), 1j), zeros),       # not real
+                 (zeros, [["a", "b"]]), (zeros, [[True, False]]),
+                 (zeros, [[0.0], [0.0, 1.0]])]       # ragged
+    for lift in bad_lifts:
+        with pytest.raises(ParameterError, match="lift coefficient arrays"):
+            jacobiator_global(particle, p, a, b, c, lift=lift)
+        with pytest.raises(ParameterError, match="lift coefficient arrays"):
+            curvature_coeffs(particle, p, lift=lift)
 
 
 def test_momentum_sparsity_pattern(adapted_system):
@@ -509,9 +558,12 @@ def test_cross_validate_accepts_numpy_scalars(particle):
 def test_bad_triples_rejected(particle):
     p = sample_points(particle, 1, seed=1)[0]
     with pytest.raises(ValueError):
-        jacobiator_bruteforce(particle, p, (0, 1))
-    with pytest.raises(ValueError):
         jacobiator_bruteforce(particle, p, (0, 1, 99))
+    # a triple is an iterable of exactly three indices
+    for triple in [(0, 1), (0, 1, 2, 3), 5, None, 2.5]:
+        for route in (jacobiator_bruteforce, jacobiator_km):
+            with pytest.raises(ParameterError, match="three covector"):
+                route(particle, p, triple)
     # non-integer indices are rejected, not truncated: (2, 3.9, 4) is not
     # (2, 3, 4), and neither is "234"
     for triple, bad in [((2, 3.9, 4), "3.9"), ((2, 3.0, 4), "3.0"),

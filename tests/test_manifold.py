@@ -14,7 +14,6 @@ from nhk import (
     base_at,
     builtin_definition,
     embed,
-    frame_at,
     load_system,
     omega_M,
     pick_default_W,
@@ -193,17 +192,6 @@ def test_frame_duality_everywhere(system):
         # Gram matrix of the D-frame is symmetric positive definite
         np.testing.assert_allclose(bd.kD.val, bd.kD.val.T, atol=1e-12)
         assert np.min(np.linalg.eigvalsh(bd.kD.val)) > 0
-
-
-def test_frame_at_exposes_jets(particle):
-    fr = frame_at(particle, [0.2, -0.1, 0.3], order=2)
-    assert fr.order == 2
-    j = fr.X[0][0]
-    assert j.hess is not None and j.nvars == particle.n
-    fr0 = frame_at(particle, [0.2, -0.1, 0.3], order=0)
-    assert fr0.X[0][0].grad is None
-    with pytest.raises(ValueError):
-        frame_at(particle, [0.2, -0.1, 0.3], order=3)
 
 
 @pytest.mark.parametrize("order", [3, -1, True, 1.0])
@@ -415,7 +403,8 @@ def test_two_form_orders_agree(system):
     pt = sample_points(system, 1, seed=37)[0]
     om0 = omega_M(system, pt, order=0)
     om1 = omega_M(system, pt, order=1)
-    np.testing.assert_allclose(om1.values(), om0.mat, atol=1e-14)
+    assert om0.d1 is None and om1.d1.shape == (system.dimM,) * 3
+    np.testing.assert_allclose(om1.mat, om0.mat, atol=1e-14)
     assert om1.restricted_abs_det == pytest.approx(om0.restricted_abs_det,
                                                    rel=1e-12)
 
@@ -425,8 +414,8 @@ def test_two_form_is_closed(system):
     # (it is the pullback of d of the tautological 1-form)
     dim = system.dimM
     for pt in sample_points(system, 3, seed=41):
-        om = omega_M(system, pt, order=1).mat
-        G = np.array([[om[i][j].grad for j in range(dim)] for i in range(dim)])
+        G = np.moveaxis(omega_M(system, pt, order=1).d1, 0, -1)
+        assert G.shape == (dim, dim, dim)
         # G[i, j, l] = d_l Omega_ij; cyclic sum d_l O_ij + d_i O_jl + d_j O_li
         cyc = np.einsum("ijl->lij", G) + np.einsum("jli->lij", G) + G
         np.testing.assert_allclose(cyc, 0.0, atol=1e-9)

@@ -125,6 +125,8 @@ def test_base_at_on_a_stack_equals_base_at_per_point(system, order, size):
         single = base_at(system, q, order)
         assert np.array_equal(stacked.q[i], single.q)
         for f in FIELDS:
+            # d1 is None at order 0, and d2 is present at order 2
+            assert getattr(single, f).order == order, (f, i)
             assert_packed_equal(pk_at(getattr(stacked, f), i),
                                 getattr(single, f), (f, i))
 
