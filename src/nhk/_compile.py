@@ -22,13 +22,15 @@ raise EvalError with the same message at the same points.
 A grid with no q-dependent code has no kernel: its arrays are filled at
 compile time and shared, read-only.  ``CompiledSystem`` also keeps the
 rest of what base_at needs that is constant in q.
+
+``manifold.load_system`` builds a system's ``CompiledSystem`` once and
+stores it on the system; ``get_compiled`` reads it back.  Nothing here
+is built lazily, so there is no cache and no lock.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
@@ -319,18 +321,19 @@ class CompiledSystem:
     is constant in q: the index bookkeeping, the domain bounds, the
     canonical frames of adapted coordinates, and whether the value
     checks of the constant metric and constraint grids have passed.
-    It holds no reference to the system, which keys it weakly."""
+    ``load_system`` builds it from the system's constant-folded grids
+    and stores it on the system; it holds no reference to the system."""
 
     def __init__(self, system):
         names = system.coord_names
         n, k = system.n, system.k
-        self.metric = GridEval(system._metric_c, names)
-        self.eps = GridEval(system._constraints_c, names)
-        self.w = GridEval(system._w_frame_c, names) \
-            if system._w_frame_c is not None else None
-        self.d = GridEval(system._d_frame_c, names) \
-            if system._d_frame_c is not None else None
-        self.potential = ScalarEval(system._potential_c, names)
+        self.metric = GridEval(system.metric, names)
+        self.eps = GridEval(system.constraints, names)
+        self.w = GridEval(system.w_frame, names) \
+            if system.w_frame is not None else None
+        self.d = GridEval(system.d_frame, names) \
+            if system.d_frame is not None else None
+        self.potential = ScalarEval(system.potential, names)
 
         # r/s coordinate indices; r_pos[al] is the column of the D-frame
         # whose r-row r_idx[al] holds the 1 of an adapted frame
@@ -345,7 +348,7 @@ class CompiledSystem:
         # the coframe dual to [X|Z] is {dr^alpha, eps^a}, with chi as
         # rows dr^alpha, and Z as rows d/ds^a
         self.adapted_Z = self.adapted_chi = None
-        if system.adapted is not None and system._w_frame_c is None:
+        if system.adapted is not None and system.w_frame is None:
             self.adapted_Z = GridEval(_unit_rows(system.s_indices, n), names)
             self.adapted_chi = GridEval(_unit_rows(system.r_indices, n),
                                         names)
@@ -354,16 +357,6 @@ class CompiledSystem:
         self.eps_checked = False
 
 
-_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-_LOCK = threading.Lock()
-
-
 def get_compiled(system) -> CompiledSystem:
-    comp = _CACHE.get(system)
-    if comp is None:
-        with _LOCK:
-            comp = _CACHE.get(system)
-            if comp is None:
-                comp = CompiledSystem(system)
-                _CACHE[system] = comp
-    return comp
+    """The compiled form that ``load_system`` stored on the system."""
+    return system._compiled

@@ -42,7 +42,7 @@ import numpy as np
 
 from ._compile import get_compiled
 from ._linalg import Packed, pk_inv, pk_matmul, pk_transpose
-from .errors import GeometryError, check_integer
+from .errors import GeometryError, check_array, check_integer
 from .manifold import (BaseData, NonholonomicSystem, PointM, _c_basis,
                        _omega_arrays, _omega_packed, base_at)
 
@@ -66,11 +66,12 @@ class BivectorAtPoint:
     chart_names: tuple
 
     def sharp(self, alpha) -> np.ndarray:
-        return self.mat @ np.asarray(alpha, dtype=float)
+        return self.mat @ check_array("alpha", alpha, self.mat.shape[-1:])
 
     def pairing(self, alpha, beta) -> float:
         """pi(alpha, beta) = beta(pi#(alpha))."""
-        return float(np.asarray(beta, dtype=float) @ self.sharp(alpha))
+        return float(check_array("beta", beta, self.mat.shape[-1:])
+                     @ self.sharp(alpha))
 
     def bracket_matrix(self) -> np.ndarray:
         """B[I, J] = {u^I, u^J} of the chart functions."""

@@ -27,7 +27,8 @@ import numpy as np
 
 from ._compile import get_compiled
 from ._linalg import Packed
-from .errors import ParameterError, UnsupportedOperationError
+from .errors import (ParameterError, UnsupportedOperationError,
+                     check_array)
 from .manifold import BaseData, NonholonomicSystem, PointM, base_at
 
 __all__ = ["CurvatureAtPoint", "AdaptedData", "curvature_coeffs",
@@ -50,8 +51,8 @@ class CurvatureAtPoint:
 
     def pair(self, u, v) -> np.ndarray:
         """Vector K_W(u, v) in chart components."""
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
+        u = check_array("u", u, self.P_C.shape[-1:])
+        v = check_array("v", v, self.P_C.shape[-1:])
         return self.W_lift @ np.einsum("aij,i,j->a", self.coeffs, u, v)
 
 
@@ -112,14 +113,12 @@ def _check_lift(lift, shape: tuple):
     """The lift's coefficient arrays (c, d) as floats: a pair of arrays of
     the given shape with finite real entries, else ParameterError."""
     try:
-        pair = [np.asarray(m) for m in lift]
-    except (TypeError, ValueError):     # not iterable, or ragged
-        pair = []
-    if len(pair) != 2 or any(m.shape != shape or m.dtype.kind not in "iuf"
-                             or not np.isfinite(m).all() for m in pair):
-        raise ParameterError(f"lift coefficient arrays must be a pair (c, d) "
-                             f"of finite real {shape} arrays, got {lift!r}")
-    return [m.astype(float) for m in pair]
+        c, d = lift
+    except (TypeError, ValueError):     # not a pair
+        raise ParameterError(f"lift coefficient arrays must be a pair "
+                             f"(c, d), got {lift!r}") from None
+    return [check_array(f"lift coefficient arrays (c, d): {name}", m, shape)
+            for name, m in (("c", c), ("d", d))]
 
 
 def curvature_coeffs(system: NonholonomicSystem, p: PointM,
@@ -154,10 +153,8 @@ def curvature_KW_Q(system: NonholonomicSystem, q, v, w) -> np.ndarray:
     K(v, w) = dps^a(P_D v, P_D w) Z_a with P_D = id - Z eps the
     projection onto D along the complement."""
     bd = base_at(system, q, order=1)
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if v.shape != (system.n,) or w.shape != (system.n,):
-        raise ValueError(f"expected tangent vectors with {system.n} components")
+    v = check_array("v", v, (system.n,))
+    w = check_array("w", w, (system.n,))
     P_D = np.eye(system.n) - bd.Z.val @ bd.eps.val
     pv, pw = P_D @ v, P_D @ w
     # d eps^a (u1, u2) = (d_i eps^a_j - d_j eps^a_i) u1^i u2^j

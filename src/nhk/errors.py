@@ -2,14 +2,17 @@
 
 Every error raised deliberately by the library derives from NhkError so
 callers (and the CLI) can distinguish usage problems from runtime/domain
-failures.  Numeric arguments are checked by check_integer and
-check_real, which raise ParameterError (also a ValueError).
+failures.  Numeric arguments are checked by check_integer,
+check_real and check_array, which raise ParameterError (also a
+ValueError).
 """
 
 from __future__ import annotations
 
 import math
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class NhkError(Exception):
@@ -106,3 +109,17 @@ def check_real(name: str, value, lo: float = -math.inf,
         raise ParameterError(
             f"{name} {x!r} out of range {'(' if strict else '['}{lo}, inf)")
     return x
+
+
+def check_array(name: str, value, shape: tuple) -> np.ndarray:
+    """``value`` as a new float array: an array-like of the given shape
+    with finite real entries (integers pass, bools do not)."""
+    try:
+        a = np.asarray(value)
+    except (TypeError, ValueError):     # ragged
+        a = None
+    if (a is None or a.shape != shape or a.dtype.kind not in "iuf"
+            or not np.isfinite(a).all()):
+        raise ParameterError(f"{name} must be a finite real array of shape "
+                             f"{shape}, got {value!r}")
+    return a.astype(float)

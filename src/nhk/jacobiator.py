@@ -50,7 +50,7 @@ from .bracket import _bivector_packed, _chart_tensors
 from .curvature import _curvature_coeffs, _nonholonomy
 from ._linalg import pk_matmul, Packed
 from .errors import (NhkError, ParameterError, UnsupportedOperationError,
-                     check_integer, check_real)
+                     check_array, check_integer, check_real)
 from .manifold import (BaseData, NonholonomicSystem, PointM, base_at,
                        sample_points)
 
@@ -99,8 +99,10 @@ def _check_triple(system, triple):
 def jacobiator_global(system: NonholonomicSystem, p: PointM,
                       alpha, beta, gamma, lift=None) -> float:
     """Jacobiator of three chart covectors via the curvature formula."""
+    covectors = [check_array(name, c, (system.dimM,)) for name, c in
+                 (("alpha", alpha), ("beta", beta), ("gamma", gamma))]
     T = jacobiator_tensor(system, p, "global", lift=lift)
-    return float(np.einsum("ijk,i,j,k->", T, alpha, beta, gamma))
+    return float(np.einsum("ijk,i,j,k->", T, *covectors))
 
 
 def _global_tensor(system: NonholonomicSystem, p: PointM, bd: BaseData,

@@ -32,13 +32,15 @@ The public results hold numpy arrays too: ``base_at`` returns the
 Packed frames and elimination data, and ``omega_M`` the matrix with its
 chart derivatives in ``d1``.
 
-What is constant in q lives on the system's compiled form
-(``_compile.CompiledSystem``) and is built once: grids with no
-q-dependent code, such as a constant metric, d/ds and dr (their
-derivatives exactly zero), the index arrays and the domain bounds.  A
-single point reads these constants as shared read-only arrays; a stack
-gets contiguous copies.  The checks on a constant metric or constant
-constraint forms run until they have passed once for the system.
+The system's grids hold resolved, constant-folded expressions (the
+parameters substituted).  ``load_system`` compiles them once into the
+system's compiled form (``_compile.CompiledSystem``), which also holds
+what is constant in q: grids with no q-dependent code, such as a
+constant metric, d/ds and dr (their derivatives exactly zero), the
+index arrays and the domain bounds.  A single point reads these
+constants as shared read-only arrays; a stack gets contiguous copies.
+The checks on a constant metric or constant constraint forms run until
+they have passed once for the system.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from ._compile import get_compiled
+from ._compile import CompiledSystem, get_compiled
 from ._linalg import (Packed, _first, check_nonsingular, pk_add, pk_at,
                       pk_hstack, pk_inv, pk_matmul, pk_rows, pk_transpose)
 from ._rng import Lcg64
@@ -120,29 +122,26 @@ class TwoFormAtPoint:
 @dataclass(frozen=True, eq=False)
 class NonholonomicSystem:
     """Immutable loaded system; all expressions parsed, resolved against
-    the coordinate/parameter lists, and constant-folded.  Identity
-    semantics: two loads of the same definition are distinct objects."""
+    the coordinate/parameter lists, and constant-folded, and compiled
+    once by load_system.  Identity semantics: two loads of the same
+    definition are distinct objects."""
     name: str
     coord_names: tuple
     params: dict
     n: int
     k: int
-    metric: list                  # n x n resolved Expr
-    potential: object             # resolved Expr
-    constraints: list             # k x n resolved Expr
-    w_frame: list | None          # k x n resolved Expr (rows = Z_a)
-    d_frame: list | None          # (n-k) x n resolved Expr (rows = X_alpha)
+    metric: list                  # n x n folded Expr
+    potential: object             # folded Expr
+    constraints: list             # k x n folded Expr
+    w_frame: list | None          # k x n folded Expr (rows = Z_a)
+    d_frame: list | None          # (n-k) x n folded Expr (rows = X_alpha)
     adapted: tuple | None         # s-coordinate indices
     domain: dict                  # coord name -> (lo, hi), declared only
     definition: dict = field(repr=False)
-
-    # compiled (constant-folded) copies, set in load_system
-    _metric_c: list = field(default=None, repr=False, compare=False)
-    _potential_c: object = field(default=None, repr=False, compare=False)
-    _constraints_c: list = field(default=None, repr=False, compare=False)
-    _w_frame_c: list = field(default=None, repr=False, compare=False)
-    _d_frame_c: list = field(default=None, repr=False, compare=False)
     d_frame_labels: tuple | None = None
+    # the compiled form, set once in load_system
+    _compiled: CompiledSystem = field(default=None, init=False,
+                                      repr=False, compare=False)
 
     # ---------------------------------------------------------- helpers
     @property
@@ -211,31 +210,30 @@ def _is_num(x) -> bool:
 
 def _parse_grid(raw, rows, cols, what, names, params, bad):
     """Parse/resolve a rows x cols grid of expression strings against the
-    coordinate names and the parameter dict; collect problems into `bad`;
-    returns (resolved, folded) or (None, None)."""
+    coordinate names and the parameter dict, and fold its constants;
+    collect problems into `bad`; returns the folded grid or None."""
     if not (isinstance(raw, list) and len(raw) == rows
             and all(isinstance(r, list) and len(r) == cols for r in raw)):
         bad.append(f"{what} must be a {rows}x{cols} grid of expression strings")
-        return None, None
-    resolved = [[None] * cols for _ in range(rows)]
+        return None
     folded = [[None] * cols for _ in range(rows)]
     ok = True
     for i in range(rows):
         for j in range(cols):
             try:
-                e = ex.parse(raw[i][j])
-                r = ex.resolve(e, names, set(params))
-                resolved[i][j] = r
+                r = ex.resolve(ex.parse(raw[i][j]), names, set(params))
                 folded[i][j] = ex.fold_constants(r, params)
             except (ParseError, EvalError, TypeError) as err:
                 bad.append(f"{what}[{i}][{j}]: {err}")
                 ok = False
-    return (resolved, folded) if ok else (None, None)
+    return folded if ok else None
 
 
 def load_system(definition) -> NonholonomicSystem:
     """Validate and load a system-definition document (dict or JSON text).
 
+    Every expression is parsed, resolved and constant-folded, and the
+    system is compiled once (``_compile.CompiledSystem``).
     Raises LoadError listing *all* violations found.  Pointwise geometric
     invariants (metric positive-definiteness, constraint rank, adapted
     identity block, frame duality) are additionally re-checked lazily at
@@ -284,25 +282,26 @@ def load_system(definition) -> NonholonomicSystem:
 
     cset = set(coords)
 
-    metric, metric_c = _parse_grid(doc.get("metric"), n, n, "metric",
-                                   cset, params, bad)
-    constraints, constraints_c = _parse_grid(
-        doc.get("constraint_forms"), k, n, "constraint_forms", cset, params, bad)
+    metric = _parse_grid(doc.get("metric"), n, n, "metric", cset, params,
+                         bad)
+    constraints = _parse_grid(doc.get("constraint_forms"), k, n,
+                              "constraint_forms", cset, params, bad)
 
-    potential = potential_c = None
+    potential = None
     if not isinstance(doc.get("potential"), str):
         bad.append("potential must be an expression string")
     else:
         try:
-            potential = ex.resolve(ex.parse(doc["potential"]), cset, set(params))
-            potential_c = ex.fold_constants(potential, params)
+            potential = ex.fold_constants(
+                ex.resolve(ex.parse(doc["potential"]), cset, set(params)),
+                params)
         except (ParseError, EvalError) as err:
             bad.append(f"potential: {err}")
 
-    w_frame = w_frame_c = None
+    w_frame = None
     if doc.get("w_frame") is not None:
-        w_frame, w_frame_c = _parse_grid(doc["w_frame"], k, n, "w_frame",
-                                         cset, params, bad)
+        w_frame = _parse_grid(doc["w_frame"], k, n, "w_frame", cset, params,
+                              bad)
 
     adapted = None
     if doc.get("adapted") is not None:
@@ -316,14 +315,13 @@ def load_system(definition) -> NonholonomicSystem:
         else:
             adapted = tuple(si)
 
-    d_frame = d_frame_c = None
-    d_labels = None
+    d_frame = d_labels = None
     if doc.get("d_frame") is not None:
         if adapted is not None:
             bad.append("d_frame may not be combined with an adapted "
                        "declaration (the adapted frame is canonical)")
-        d_frame, d_frame_c = _parse_grid(doc["d_frame"], n - k, n, "d_frame",
-                                         cset, params, bad)
+        d_frame = _parse_grid(doc["d_frame"], n - k, n, "d_frame", cset,
+                              params, bad)
     if doc.get("d_frame_labels") is not None:
         dl = doc["d_frame_labels"]
         if doc.get("d_frame") is None:
@@ -358,11 +356,9 @@ def load_system(definition) -> NonholonomicSystem:
         name=name, coord_names=tuple(coords), params=params, n=n, k=k,
         metric=metric, potential=potential, constraints=constraints,
         w_frame=w_frame, d_frame=d_frame, adapted=adapted, domain=domain,
-        definition=doc,
-        _metric_c=metric_c, _potential_c=potential_c,
-        _constraints_c=constraints_c, _w_frame_c=w_frame_c,
-        _d_frame_c=d_frame_c, d_frame_labels=d_labels,
+        definition=doc, d_frame_labels=d_labels,
     )
+    object.__setattr__(system, "_compiled", CompiledSystem(system))
 
     # probe pointwise invariants at a few deterministic sample points, as
     # one stack; on a failure, probe point by point so that the error
@@ -508,7 +504,7 @@ def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
 
 
 def _d_frame_at(system, comp, q, eps, order) -> Packed:
-    if system._d_frame_c is not None:
+    if comp.d is not None:
         return pk_transpose(comp.d.packed(q, order))
     if system.adapted is not None:
         # X_alpha = d/dr^alpha - A^a_alpha d/ds^a, with A^a_alpha the

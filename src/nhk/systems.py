@@ -30,7 +30,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, check_real
+from .errors import DomainError, ParameterError, check_array, check_real
 from .manifold import NonholonomicSystem, PointM, load_system
 
 __all__ = [
@@ -267,14 +267,7 @@ SNAKEBOARD_REDUCED_NAMES = ("psi", "phi", "ptilde_psi", "ptilde_phi",
                             "ptilde_S")
 # rows of the full chart (x, y, theta, psi, phi, ptilde_*) kept by reduction
 SNAKEBOARD_REDUCED_CHART_INDICES = (3, 4, 5, 6, 7)
-
-
-def _reduced_point(p_red) -> np.ndarray:
-    p_red = np.asarray(p_red, dtype=float)
-    if p_red.shape != (5,):
-        raise ValueError("reduced point must be (psi, phi, ptilde_psi, "
-                         "ptilde_phi, ptilde_S)")
-    return p_red
+_REDUCED_POINT = "reduced point (psi, phi, ptilde_psi, ptilde_phi, ptilde_S)"
 
 
 def snakeboard_reduced_sharp(p_red, alpha, params=None) -> np.ndarray:
@@ -287,10 +280,8 @@ def snakeboard_reduced_sharp(p_red, alpha, params=None) -> np.ndarray:
     surviving structure function is G = {ptilde_phi, ptilde_S}.
     """
     pr = _sb_params(params)
-    p_red = _reduced_point(p_red)
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (5,):
-        raise ValueError("alpha must have 5 components")
+    p_red = check_array(_REDUCED_POINT, p_red, (5,))
+    alpha = check_array("alpha", alpha, (5,))
     phi, pt_psi, pt_S = p_red[1], p_red[2], p_red[4]
     G = _sb_G(phi, pt_psi, pt_S, pr)
     mat = np.array([
@@ -312,7 +303,7 @@ def snakeboard_reduced_jacobiator(p_red, triple, params=None) -> float:
     nonzero value Jac(dptilde_phi, dptilde_S, dpsi) = 4 r cos(phi) J2.
     """
     pr = _sb_params(params)
-    p_red = _reduced_point(p_red)
+    p_red = check_array(_REDUCED_POINT, p_red, (5,))
     i, j, l = triple
     if len({i, j, l}) < 3:
         return 0.0

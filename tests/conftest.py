@@ -1,12 +1,19 @@
 """Shared fixtures: built-in systems plus synthetic test systems that
 exercise code paths the builtins do not (generic kernel frames, rank-2
 adapted declarations with fully coordinate-dependent coefficients,
-integrable constraints, no constraints at all)."""
+integrable constraints, no constraints at all).
+
+Hypothesis runs derandomized and without its example database, so every
+run draws the same examples and none is replayed from an earlier run."""
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import nhk
+
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 _IDENT3 = [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
 

@@ -15,7 +15,7 @@ from nhk._linalg import pk_const, pk_from_jets
 from nhk.errors import EvalError
 from nhk.expr import eval_expr, fold_constants, parse, resolve
 
-GRIDS = ("_metric_c", "_constraints_c", "_w_frame_c", "_d_frame_c")
+GRIDS = ("metric", "constraints", "w_frame", "d_frame")
 
 
 def _folded(text, names):
@@ -47,7 +47,7 @@ def _assert_system_exact(system, count, seed):
     kernels = [comp.metric, comp.eps, comp.w, comp.d]
     grids = [(k, getattr(system, g)) for k, g in zip(kernels, GRIDS)
              if k is not None]
-    grids.append((comp.potential._grid, [[system._potential_c]]))
+    grids.append((comp.potential._grid, [[system.potential]]))
     for p in nhk.sample_points(system, count, seed=seed):
         for kernel, grid in grids:
             _assert_kernel_exact(kernel.packed, grid, names, p.q)

@@ -19,7 +19,7 @@ import pytest
 import nhk
 from expr_corpus import nested_system
 from nhk import base_at, builtin_definition, load_system, sample_points
-from nhk import manifold, sim
+from nhk import _compile, manifold, sim
 from nhk._compile import get_compiled
 from nhk._rng import Lcg64
 from nhk.errors import GeometryError, LoadError
@@ -156,6 +156,40 @@ def test_stacked_constants_are_private_contiguous_copies(particle):
     for pk in (bd.kappa, bd.chi):
         for a in (pk.val, pk.d1):
             assert a.flags.c_contiguous and a.flags.writeable
+
+
+# --------------------------------------------------------- compile once
+def test_one_compile_per_load(system, monkeypatch):
+    compiles = []
+    init = _compile.CompiledSystem.__init__
+
+    def counting_init(self, s):
+        compiles.append(s.name)
+        init(self, s)
+
+    monkeypatch.setattr(_compile.CompiledSystem, "__init__", counting_init)
+    s = load_system(system.definition)
+    assert compiles == [s.name]
+    assert get_compiled(s) is get_compiled(s)
+    nhk.cross_validate(s, samples=3, seed=5)
+    p = sample_points(s, 1, seed=7)[0]
+    nhk.integrate(s, p, 0.01, 3)
+    dim, e = s.dimM, np.eye(s.dimM)
+    for call in (base_at, nhk.pick_default_W, nhk.adapted_coframe):
+        call(s, p.q)
+    for call in (nhk.embed, nhk.omega_M, nhk.splitting_at,
+                 nhk.chart_tensors, nhk.nh_bivector, nhk.hamiltonian_M,
+                 nhk.nh_vector_field, nhk.curvature_coeffs):
+        call(s, p)
+    nhk.curvature_KW_M(s, p, e[0], e[1])
+    nhk.curvature_KW_Q(s, p.q, e[0, :s.n], e[1, :s.n])
+    triple = (0, dim - 2, dim - 1)
+    nhk.jacobiator_bruteforce(s, p, triple)
+    nhk.jacobiator_global(s, p, *e[list(triple)])
+    if s.adapted is not None:
+        nhk.adapted_data(s, p.q)
+        nhk.jacobiator_km(s, p, triple)
+    assert compiles == [s.name]
 
 
 # ---------------------------------------------------------------- memory

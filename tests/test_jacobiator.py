@@ -23,6 +23,8 @@ from nhk import (
     builtin_definition,
     chart_tensors,
     cross_validate,
+    curvature_KW_M,
+    curvature_KW_Q,
     curvature_coeffs,
     embed,
     hamiltonian_M,
@@ -36,6 +38,8 @@ from nhk import (
     nh_vector_field,
     omega_M,
     sample_points,
+    snakeboard_reduced_jacobiator,
+    snakeboard_reduced_sharp,
     splitting_at,
 )
 from nhk.errors import NhkError, ParameterError, UnsupportedOperationError
@@ -577,6 +581,47 @@ def test_bad_triples_rejected(particle):
     for route in (jacobiator_bruteforce, jacobiator_km):
         assert (route(particle, p, np.array([2, 3, 4]))
                 == route(particle, p, (2, 3, 4)))
+
+
+def _vector_arguments(system, p):
+    """(size, call) for every vector or covector argument of the public
+    operations: call(x) passes x in that argument's place."""
+    dim, n = system.dimM, system.n
+    e, e5 = np.eye(dim), np.eye(5)
+    pi = nh_bivector(system, p)
+    cv = curvature_coeffs(system, p)
+    p_red = [0.3, 0.25, 0.7, -0.2, 1.1]
+    return [
+        (dim, lambda x: jacobiator_global(system, p, x, e[3], e[4])),
+        (dim, lambda x: jacobiator_global(system, p, e[0], e[3], x)),
+        (dim, lambda x: curvature_KW_M(system, p, e[0], x)),
+        (n, lambda x: curvature_KW_Q(system, p.q, x, np.eye(n)[1])),
+        (dim, pi.sharp),
+        (dim, lambda x: pi.pairing(e[0], x)),
+        (dim, lambda x: cv.pair(x, e[1])),
+        (5, lambda x: snakeboard_reduced_sharp(p_red, x)),
+        (5, lambda x: snakeboard_reduced_sharp(x, e5[0])),
+        (5, lambda x: snakeboard_reduced_jacobiator(x, (3, 4, 0))),
+    ]
+
+
+def test_vector_arguments_follow_one_rule(particle):
+    p = sample_points(particle, 1, seed=1)[0]
+    for size, call in _vector_arguments(particle, p):
+        good = np.linspace(0.5, 1.0, size)
+        assert np.isfinite(call(good)).all()
+        # lists and integer arrays are read as float arrays
+        assert np.array_equal(call(list(good)), call(good))
+        assert np.array_equal(call(np.arange(size)),
+                              call(np.arange(size, dtype=float)))
+        for bad in (np.zeros(size + 1), np.zeros(size - 1),
+                    np.zeros((1, size)), np.full(size, np.nan),
+                    np.full(size, -np.inf), np.full(size, 1j),
+                    ["a"] * size, [True] * size, [[0.0], [0.0, 1.0]],
+                    None, 3.0):
+            with pytest.raises(ParameterError,
+                               match=re.escape(f"of shape ({size},)")):
+                call(bad)
 
 
 def test_km_requires_adapted_coordinates(snakeboard):

@@ -23,7 +23,7 @@ from nhk import (
 from nhk._compile import get_compiled
 from nhk._linalg import pk_from_jets, pk_unpack
 from nhk.errors import DomainError, GeometryError, LoadError
-from nhk.expr import eval_expr
+from nhk.expr import eval_expr, parse, resolve
 from nhk.jet import jet_binary, jet_const, jet_unary
 from nhk.manifold import PIVOT_TOL
 
@@ -502,16 +502,25 @@ def test_adapted_coframe_chi_keeps_plain_names_for_adapted_systems(twist3):
 
 def test_compiled_grids_match_jet_evaluation(system):
     # the closed-form evaluator is an optimization; pin it against the
-    # direct jet interpretation of the same expressions
+    # direct jet interpretation of the same expressions, re-parsed from
+    # the definition and not constant-folded, so that the loader's
+    # folding is checked too
     comp = get_compiled(system)
     names = list(system.coord_names)
+    doc = system.definition
+
+    def unfolded(text):
+        return resolve(parse(text), set(names), set(system.params))
+
+    metric = [[unfolded(e) for e in row] for row in doc["metric"]]
+    potential = unfolded(doc["potential"])
     for pt in sample_points(system, 5, seed=59):
         q = pt.q
         coords = system.coord_map(q)
         pk = comp.metric.packed(q, 2)
         for i in range(system.n):
             for j in range(system.n):
-                jet = eval_expr(system.metric[i][j], coords,
+                jet = eval_expr(metric[i][j], coords,
                                 system.params, names, order=2)
                 assert pk.val[i, j] == pytest.approx(jet.value,
                                                      rel=1e-12, abs=1e-12)
@@ -520,7 +529,7 @@ def test_compiled_grids_match_jet_evaluation(system):
                 np.testing.assert_allclose(pk.d2[:, :, i, j], jet.hess,
                                            rtol=1e-9, atol=1e-10)
         val, grad, hess = comp.potential.evaluate(q, 2)
-        jet = eval_expr(system.potential, coords, system.params,
+        jet = eval_expr(potential, coords, system.params,
                         names, order=2)
         assert val == pytest.approx(jet.value, rel=1e-12, abs=1e-12)
         np.testing.assert_allclose(grad, jet.grad, rtol=1e-9, atol=1e-11)
