@@ -19,6 +19,19 @@ are structurally zero, so the compiled arrays are bit-equal to
 ``expr.eval_expr`` on the same constant-folded expressions, and both
 raise EvalError with the same message at the same points.
 
+The source is kept lean because Python's ``compile()`` of it dominates
+the set-up of a large system.  Each compound term carries its top
+operator (sum or difference, product or quotient, negation), and an
+operand is parenthesized only where Python would otherwise group it
+differently: the right operand of ``+``/``-`` when it is a sum, the
+left operand of ``*``/``/`` when it is a sum, the right operand of
+``*``/``/`` when it is a sum or a product, and the operand of a
+negation when it is a sum or a product.  The code so parses to the
+same expression trees as fully parenthesized code would, so the
+arithmetic, its order and its errors are those described above.  The
+code stores each Hessian entry [l, m] with l <= m once; ``packed``
+copies the entries with l < m onto [m, l].
+
 A grid with no q-dependent code has no kernel: its arrays are filled at
 compile time and shared, read-only.  ``CompiledSystem`` also keeps the
 rest of what base_at needs that is constant in q.
@@ -42,47 +55,64 @@ __all__ = ["get_compiled", "CompiledSystem", "GridEval"]
 
 
 # A term of the generated code is None (structurally zero), a float known
-# at compile time, or source text: a local name or a parenthesized
-# expression.  Float-only operations are done at compile time in the same
-# float arithmetic the code would do, and x*1.0 is x, so both are exact.
+# at compile time, a str naming a local, or a compound: a (text, rank)
+# pair whose rank is its top operator, _SUM (+ or -), _PROD (* or /) or
+# _NEG (unary -).  Float-only operations are done at compile time in the
+# same float arithmetic the code would do, and x*1.0 is x, so both are
+# exact.
+_SUM, _PROD, _NEG = 1, 2, 3
+
+
 def _src(t) -> str:
-    if isinstance(t, str):
+    """The text of an atom: a local name or a float literal."""
+    if type(t) is str:
         return t
     return repr(t) if math.isfinite(t) else f"float('{t!r}')"
 
 
+def _opnd(t, bare: int) -> str:
+    """The text of t as an operand, in parentheses if t is a compound
+    whose rank is below ``bare``."""
+    if type(t) is str:
+        return t
+    if type(t) is tuple:
+        return t[0] if t[1] >= bare else f"({t[0]})"
+    return _src(t)
+
+
 def _neg(a):
-    if isinstance(a, str):
-        return f"(-{a})"
-    return None if a is None else -a
+    if a is None or type(a) is float:
+        return None if a is None else -a
+    return ("-" + _opnd(a, _NEG), _NEG)
 
 
 def _add(a, b):
     if a is None or b is None:
         return b if a is None else a
-    if isinstance(a, float) and isinstance(b, float):
+    if type(a) is float and type(b) is float:
         return a + b
-    return f"({_src(a)} + {_src(b)})"
+    return (f"{_opnd(a, _SUM)} + {_opnd(b, _PROD)}", _SUM)
 
 
 def _sub(a, b):
     if a is None or b is None:
         return _neg(b) if a is None else a
-    if isinstance(a, float) and isinstance(b, float):
+    if type(a) is float and type(b) is float:
         return a - b
-    return f"({_src(a)} - {_src(b)})"
+    return (f"{_opnd(a, _SUM)} - {_opnd(b, _PROD)}", _SUM)
 
 
 def _mul(a, b):
     if a is None or b is None:
         return None
-    if isinstance(a, float) and isinstance(b, float):
-        return a * b
-    if a == 1.0:
-        return b
-    if b == 1.0:
+    if type(a) is float:
+        if type(b) is float:
+            return a * b
+        if a == 1.0:
+            return b
+    elif b == 1.0:
         return a
-    return f"({_src(a)} * {_src(b)})"
+    return (f"{_opnd(a, _PROD)} * {_opnd(b, _NEG)}", _PROD)
 
 
 class _Node:
@@ -94,10 +124,6 @@ class _Node:
         self.val, self.deps = val, deps
         self.grad, self.hess = {}, {}
 
-    def pairs(self):
-        d = self.deps
-        return [(l, m) for a, l in enumerate(d) for m in d[a:]]
-
 
 class _Emitter:
     """Hash-conses expressions into one DAG and emits, per new node, its
@@ -108,6 +134,15 @@ class _Emitter:
         self.idx = {name: i for i, name in enumerate(coord_names)}
         self.ids = {}
         self.s0, self.s1, self.s2 = [], [], []
+        self._pairs = {}
+
+    def pairs(self, deps) -> tuple:
+        """The index pairs (l, m), l <= m, of deps; made once per deps."""
+        p = self._pairs.get(deps)
+        if p is None:
+            p = self._pairs[deps] = tuple(
+                (l, m) for c, l in enumerate(deps) for m in deps[c:])
+        return p
 
     def node(self, e) -> _Node:
         # keyed by kind, payload and child nodes (hashed by identity), so
@@ -129,11 +164,10 @@ class _Emitter:
             nd = self.ids[key] = self._emit(key, e, len(self.ids))
         return nd
 
-    def _bind(self, lines, name, t):
-        """Assign a compound term to a new local; others pass through."""
-        if t is None or isinstance(t, float) or t.isidentifier():
-            return t
-        lines.append(f"{name} = {t}")
+    @staticmethod
+    def _bind(lines, name, t) -> str:
+        """Assign the compound term t to the new local ``name``."""
+        lines.append(f"{name} = {t[0]}")
         return name
 
     def _emit(self, key, e, i) -> _Node:
@@ -160,27 +194,26 @@ class _Emitter:
         if kind == "neg":
             val = _neg(a.val)
             grad = lambda l: _neg(ag(l))
-            hess = lambda lm: _neg(ah(lm))
+            hess = lambda l, m: _neg(ah((l, m)))
         elif kind in ("add", "sub"):
             op = _add if kind == "add" else _sub
             val = op(a.val, b.val)
             grad = lambda l: op(ag(l), bg(l))
-            hess = lambda lm: op(ah(lm), bh(lm))
+            hess = lambda l, m: op(ah((l, m)), bh((l, m)))
         elif kind == "mul":
             val = _mul(a.val, b.val)
             grad = lambda l: _add(_mul(a.val, bg(l)), _mul(b.val, ag(l)))
-            hess = lambda lm: _add(
-                _add(_mul(a.val, bh(lm)), _mul(b.val, ah(lm))),
-                _add(_mul(ag(lm[0]), bg(lm[1])), _mul(ag(lm[1]), bg(lm[0]))))
+            hess = lambda l, m: _add(
+                _add(_mul(a.val, bh((l, m))), _mul(b.val, ah((l, m)))),
+                _add(_mul(ag(l), bg(m)), _mul(ag(m), bg(l))))
         elif kind == "div":
             inv = f"i{i}"
             self.s0.append(f"{inv} = _div_inverse({_src(b.val)})")
-            val = f"({_src(a.val)} / {_src(b.val)})"
+            val = (f"{_opnd(a.val, _PROD)} / {_opnd(b.val, _NEG)}", _PROD)
             grad = lambda l: _mul(_sub(ag(l), _mul(v, bg(l))), inv)
-            hess = lambda lm: _mul(_sub(
-                _sub(ah(lm), _mul(v, bh(lm))),
-                _add(_mul(g.get(lm[0]), bg(lm[1])),
-                     _mul(g.get(lm[1]), bg(lm[0])))), inv)
+            hess = lambda l, m: _mul(_sub(
+                _sub(ah((l, m)), _mul(v, bh((l, m)))),
+                _add(_mul(g.get(l), bg(m)), _mul(g.get(m), bg(l)))), inv)
         else:                      # chain rule: functions, integer powers
             d1, d2 = f"f{i}", f"ff{i}"
             if kind == "pow":
@@ -190,13 +223,18 @@ class _Emitter:
             self.s0.append(f"{v}, {d1}, {d2} = {call}")
             val = v
             grad = lambda l: _mul(d1, ag(l))
-            hess = lambda lm: _add(_mul(d2, _mul(ag(lm[0]), ag(lm[1]))),
-                                   _mul(d1, ah(lm)))
-        nd.val = self._bind(self.s0, v, val)
+            hess = lambda l, m: _add(_mul(d2, _mul(ag(l), ag(m))),
+                                     _mul(d1, ah((l, m))))
+        # compound terms are bound to locals; the names are made only then
+        bind, s1, s2, h = self._bind, self.s1, self.s2, nd.hess
+        nd.val = val if type(val) is not tuple else bind(self.s0, v, val)
         for l in deps:
-            g[l] = self._bind(self.s1, f"g{i}_{l}", grad(l))
-        for l, m in nd.pairs():
-            nd.hess[l, m] = self._bind(self.s2, f"h{i}_{l}_{m}", hess((l, m)))
+            t = grad(l)
+            g[l] = t if type(t) is not tuple else bind(s1, f"g{i}_{l}", t)
+        for l, m in self.pairs(deps):
+            t = hess(l, m)
+            h[l, m] = t if type(t) is not tuple else \
+                bind(s2, f"h{i}_{l}_{m}", t)
         return nd
 
 
@@ -229,6 +267,7 @@ class GridEval:
         self._d20 = np.zeros((n, n, rows, cols))
         em = _Emitter(coord_names)
         s0, s1, s2 = em.s0, em.s1, em.s2
+        upper = []                 # (l, m, i, j), l < m, of stored entries
         for i in range(rows):
             for j in range(cols):
                 nd = em.node(grid[i][j])
@@ -242,15 +281,23 @@ class GridEval:
                         self._d10[l, i, j] = t
                     elif t is not None:
                         s1.append(f"d1[{l},{i},{j}] = {t}")
-                for l, m in nd.pairs():
+                for l, m in em.pairs(nd.deps):
                     t = nd.hess.get((l, m))
                     if isinstance(t, float):
                         self._d20[l, m, i, j] = self._d20[m, l, i, j] = t
                     elif t is not None:
-                        s2.append(f"d2[{l},{m},{i},{j}] = "
-                                  f"d2[{m},{l},{i},{j}] = {t}")
+                        s2.append(f"d2[{l},{m},{i},{j}] = {t}")
+                        if l != m:
+                            upper.append((l, m, i, j))
         for a in (self._val0, self._d10, self._d20):
             _read_only(a)
+        # flat offsets, in one point's Hessian block, of the stored
+        # entries [l, m] with l < m and of their mirror images [m, l]
+        self._upper = self._lower = None
+        if upper:
+            l, m, i, j = np.array(upper, dtype=np.intp).T
+            self._upper = np.ravel_multi_index((l, m, i, j), self._d20.shape)
+            self._lower = np.ravel_multi_index((m, l, i, j), self._d20.shape)
         if not (s0 or s1 or s2):
             self._fill = None
         else:
@@ -272,7 +319,13 @@ class GridEval:
         """The grid at q of shape (n,), or at every row of a stack of
         shape (B, n); the arrays then lead with the stack axis.  The
         generated code fills one point at a time.  A stack gets its own
-        contiguous copies, laid out per point as a single point's."""
+        contiguous copies, laid out per point as a single point's.
+
+        The code writes each q-dependent Hessian entry [l, m] with
+        l <= m only; at order 2 one indexed copy, made with index
+        arrays built at compile time, then sets [m, l] to [l, m] for
+        the entries with l < m: once for a single point, and once for
+        a whole stack."""
         q = np.asarray(q, dtype=float)
         if q.ndim == 1:
             if self._fill is None:
@@ -282,6 +335,9 @@ class GridEval:
             d1 = self._d10.copy() if order >= 1 else None
             d2 = self._d20.copy() if order >= 2 else None
             self._fill(q, val, d1, d2, order)
+            if d2 is not None and self._upper is not None:
+                f = d2.reshape(-1)         # a view: d2 is a new copy
+                f[self._lower] = f[self._upper]
             return Packed(val, d1, d2)
         b = len(q)
         val = self._val0[None].repeat(b, 0)
@@ -291,6 +347,9 @@ class GridEval:
             for i in range(b):
                 self._fill(q[i], val[i], None if d1 is None else d1[i],
                            None if d2 is None else d2[i], order)
+            if d2 is not None and self._upper is not None:
+                f = d2.reshape(b, -1)      # a view, one row per point
+                f[:, self._lower] = f.take(self._upper, axis=1)
         return Packed(val, d1, d2)
 
 

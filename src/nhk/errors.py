@@ -4,7 +4,8 @@ Every error raised deliberately by the library derives from NhkError so
 callers (and the CLI) can distinguish usage problems from runtime/domain
 failures.  Numeric arguments are checked by check_integer,
 check_real and check_array, which raise ParameterError (also a
-ValueError).
+ValueError); real_array is the entry rule check_array shares with the
+coordinate and momentum checks of ``manifold``.
 """
 
 from __future__ import annotations
@@ -111,15 +112,37 @@ def check_real(name: str, value, lo: float = -math.inf,
     return x
 
 
-def check_array(name: str, value, shape: tuple) -> np.ndarray:
-    """``value`` as a new float array: an array-like of the given shape
-    with finite real entries (integers pass, bools do not)."""
+def _holds_bool(value) -> bool:
+    if isinstance(value, (bool, np.bool_)):
+        return True
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind == "b"
+    if isinstance(value, (list, tuple)):
+        return any(map(_holds_bool, value))
+    return False
+
+
+def real_array(value) -> np.ndarray | None:
+    """``value`` as an array if all its entries are real numbers
+    (integers pass; bools, complex numbers, strings, None and ragged
+    input do not), else None.  An ndarray is returned as it is."""
+    if isinstance(value, np.ndarray):
+        return value if value.dtype.kind in "iuf" else None
     try:
         a = np.asarray(value)
     except (TypeError, ValueError):     # ragged
-        a = None
-    if (a is None or a.shape != shape or a.dtype.kind not in "iuf"
-            or not np.isfinite(a).all()):
+        return None
+    # numpy reads a bool among numbers as 0 or 1
+    if a.dtype.kind not in "iuf" or _holds_bool(value):
+        return None
+    return a
+
+
+def check_array(name: str, value, shape: tuple) -> np.ndarray:
+    """``value`` as a new float array: an array-like of the given shape
+    with finite real entries (see real_array)."""
+    a = real_array(value)
+    if a is None or a.shape != shape or not np.isfinite(a).all():
         raise ParameterError(f"{name} must be a finite real array of shape "
                              f"{shape}, got {value!r}")
     return a.astype(float)

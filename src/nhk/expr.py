@@ -89,34 +89,35 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-@dataclass(frozen=True, slots=True)
 class _Token:
-    kind: str  # 'num' | 'ident' | one of '+-*/^(),' | 'end'
-    text: str
-    pos: int
+    __slots__ = ("kind", "text", "pos")
+
+    def __init__(self, kind: str, text: str, pos: int):
+        self.kind = kind  # 'num' | 'ident' | one of '+-*/^(),' | 'end'
+        self.text = text
+        self.pos = pos
 
 
 def _tokenize(text: str) -> list[_Token]:
     toks = []
     i = 0
-    n = len(text)
-    while i < n:
+    # matches run back to back from offset 0; a gap or a non-ASCII start
+    # is the first offset no token begins at
+    for m in _TOKEN_RE.finditer(text):
+        start = m.start()
+        if start != i or text[i] > "\x7f":
+            break
+        i = m.end()
+        kind = m.lastgroup
+        if kind != "ws":
+            s = m.group()
+            toks.append(_Token(s if kind == "op" else kind, s, start))
+    if i < len(text):
         ch = text[i]
         if ord(ch) > 127:
             raise ParseError(f"non-ASCII character {ch!r}", i)
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ParseError(f"unexpected character {ch!r}", i)
-        i = m.end()
-        if m.lastgroup == "ws":
-            continue
-        if m.lastgroup == "num":
-            toks.append(_Token("num", m.group(), m.start()))
-        elif m.lastgroup == "ident":
-            toks.append(_Token("ident", m.group(), m.start()))
-        else:
-            toks.append(_Token(m.group(), m.group(), m.start()))
-    toks.append(_Token("end", "", n))
+        raise ParseError(f"unexpected character {ch!r}", i)
+    toks.append(_Token("end", "", i))
     return toks
 
 
@@ -391,7 +392,7 @@ def fold_constants(e: Expr, params: dict) -> Expr:
             except EvalError as err:
                 raise EvalError(err.message, e.pos) from None
             return Num(v, pos=e.pos)
-        return Unary(e.fn, c, pos=e.pos)
+        return e if c is e.child else Unary(e.fn, c, pos=e.pos)
     if isinstance(e, Binary):
         l = fold_constants(e.left, params)
         r = fold_constants(e.right, params)
@@ -402,5 +403,7 @@ def fold_constants(e: Expr, params: dict) -> Expr:
             except EvalError as err:
                 raise EvalError(err.message, e.pos) from None
             return Num(v, pos=e.pos)
+        if l is e.left and r is e.right:
+            return e
         return Binary(e.op, l, r, pos=e.pos)
     raise TypeError(f"not an Expr node: {e!r}")

@@ -59,7 +59,7 @@ from ._linalg import (Packed, _first, check_nonsingular, pk_add, pk_at,
                       pk_hstack, pk_inv, pk_matmul, pk_rows, pk_transpose)
 from ._rng import Lcg64
 from .errors import (DomainError, EvalError, GeometryError, LoadError,
-                     ParseError, check_integer, check_real)
+                     ParseError, check_integer, check_real, real_array)
 
 __all__ = [
     "NonholonomicSystem", "PointM", "SplittingAtPoint", "TwoFormAtPoint",
@@ -79,18 +79,33 @@ DEFAULT_BOX = (-2.0, 2.0)
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
+def _real(value, what: str) -> np.ndarray:
+    """``value`` as an array of real numbers (errors.real_array), else
+    DomainError."""
+    a = real_array(value)
+    if a is None:
+        raise DomainError(f"{what} must be real numbers, got {value!r}")
+    return a
+
+
 # ------------------------------------------------------------------ types
 @dataclass(frozen=True)
 class PointM:
     """A point of the constraint phase space: base coordinates q plus
-    momenta ptilde in the D-frame."""
+    momenta ptilde in the D-frame, as new float arrays of finite real
+    numbers (else DomainError)."""
     q: np.ndarray
     ptilde: np.ndarray
 
     def __init__(self, q, ptilde):
-        object.__setattr__(self, "q", np.asarray(q, dtype=float).copy())
-        object.__setattr__(self, "ptilde",
-                           np.asarray(ptilde, dtype=float).copy())
+        q = _real(q, "coordinates")
+        if not np.isfinite(q).all():
+            raise DomainError("non-finite coordinate value")
+        ptilde = _real(ptilde, "momenta")
+        if not np.isfinite(ptilde).all():
+            raise DomainError("non-finite momentum value")
+        object.__setattr__(self, "q", q.astype(float))
+        object.__setattr__(self, "ptilde", ptilde.astype(float))
 
 
 @dataclass(frozen=True)
@@ -176,7 +191,7 @@ class NonholonomicSystem:
         return {name: float(v) for name, v in zip(self.coord_names, q)}
 
     def check_domain(self, q) -> None:
-        q = np.asarray(q, dtype=float)
+        q = _real(q, "coordinates")
         if q.shape != (self.n,):
             raise DomainError(
                 f"expected {self.n} coordinates, got shape {q.shape}")
@@ -425,7 +440,7 @@ def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
     once for the system.
     """
     order = check_integer("order", order, 0, 3)
-    q = np.asarray(q, dtype=float)
+    q = _real(q, "coordinates").astype(float, copy=False)
     for qi in (q if q.ndim == 2 else (q,)):
         system.check_domain(qi)
     n, k = system.n, system.k

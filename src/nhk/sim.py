@@ -118,8 +118,10 @@ def integrate(system: NonholonomicSystem, init: PointM, dt: float,
             u_new = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             # Evaluating at the accepted state both validates it and
             # supplies the next step's k1 stage; only accepted states
-            # record a residual.
+            # record a residual.  PointM refuses a non-finite momentum,
+            # which so ends the trajectory like a domain exit.
             k1_new, h, eps = _rhs(system, u_new)
+            state = PointM(u_new[:n], u_new[n:])
         except (DomainError, EvalError) as exc:
             completed = False
             exit_reason = f"left the valid domain at step {step}: {exc}"
@@ -129,7 +131,7 @@ def integrate(system: NonholonomicSystem, init: PointM, dt: float,
                 f"frame singularity at step {step}: {exc}") from exc
         u, k1 = u_new, k1_new
         times.append(step * dt)
-        states.append(PointM(u[:n], u[n:]))
+        states.append(state)
         energy.append(h)
         residual.append(_residual(eps, k1))
 

@@ -2,7 +2,9 @@
 values and derivatives at orders 0, 1 and 2, the same guard errors at
 the same points, and one evaluation of a shared subexpression."""
 
+import ast
 import math
+import re
 
 import numpy as np
 import pytest
@@ -69,6 +71,59 @@ def test_compiled_corpus_entry_equals_jet_exactly(text, bindings):
     grid = [[_folded(text, names)]]
     q = np.array([bindings[n] for n in names], dtype=float)
     _assert_kernel_exact(GridEval(grid, names).packed, grid, names, q)
+
+
+# -------------------------------------------------------------- emission
+
+
+def _kernel_sources(monkeypatch, build) -> list:
+    """The source of every kernel compiled while ``build()`` runs."""
+    sources = []
+
+    def capturing(src, *args):
+        sources.append(src)
+        return compile(src, *args)
+
+    monkeypatch.setattr(_compile, "compile", capturing, raising=False)
+    build()
+    return sources
+
+
+def _assert_lean(sources):
+    """Parentheses only where Python would group the operands otherwise,
+    and one store per Hessian entry."""
+    for src in sources:
+        assert src.count("(") == ast.unparse(ast.parse(src)).count("(")
+        assert re.search(r"d2\[[^]]*\] = d2\[", src) is None
+
+
+def test_kernel_source_is_lean_on_fixtures(monkeypatch, system):
+    sources = _kernel_sources(
+        monkeypatch, lambda: nhk.load_system(system.definition))
+    comp = get_compiled(system)
+    grids = (comp.metric, comp.eps, comp.w, comp.d, comp.potential._grid)
+    assert len(sources) == sum(g is not None and not g.constant
+                               for g in grids)
+    _assert_lean(sources)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_kernel_source_is_lean_on_nested_system(monkeypatch, seed):
+    sources = _kernel_sources(
+        monkeypatch, lambda: nhk.load_system(nested_system(seed, depth=4)))
+    assert len(sources) == 3            # metric, constraints, potential
+    _assert_lean(sources)
+
+
+def test_kernel_source_is_lean_on_corpus(monkeypatch):
+    def build():
+        for text, bindings in CORPUS:
+            names = sorted(bindings)
+            GridEval([[_folded(text, names)]], names)
+
+    sources = _kernel_sources(monkeypatch, build)
+    assert len(sources) == sum(bool(b) for _, b in CORPUS)
+    _assert_lean(sources)
 
 
 # ---------------------------------------------------------------- guards

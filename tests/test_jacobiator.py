@@ -617,8 +617,8 @@ def test_vector_arguments_follow_one_rule(particle):
         for bad in (np.zeros(size + 1), np.zeros(size - 1),
                     np.zeros((1, size)), np.full(size, np.nan),
                     np.full(size, -np.inf), np.full(size, 1j),
-                    ["a"] * size, [True] * size, [[0.0], [0.0, 1.0]],
-                    None, 3.0):
+                    ["a"] * size, [True] * size, [True] + [0.5] * (size - 1),
+                    [[0.0], [0.0, 1.0]], None, 3.0):
             with pytest.raises(ParameterError,
                                match=re.escape(f"of shape ({size},)")):
                 call(bad)

@@ -15,6 +15,7 @@ from nhk import (
     builtin_definition,
     embed,
     load_system,
+    nh_vector_field,
     omega_M,
     pick_default_W,
     sample_points,
@@ -22,7 +23,7 @@ from nhk import (
 )
 from nhk._compile import get_compiled
 from nhk._linalg import pk_from_jets, pk_unpack
-from nhk.errors import DomainError, GeometryError, LoadError
+from nhk.errors import DomainError, GeometryError, LoadError, check_array
 from nhk.expr import eval_expr, parse, resolve
 from nhk.jet import jet_binary, jet_const, jet_unary
 from nhk.manifold import PIVOT_TOL
@@ -171,6 +172,47 @@ def test_point_copies_input_arrays():
     p = PointM(q, [1.0, 2.0])
     q[0] = 9.0
     assert p.q[0] == 0.0
+
+
+# arrays of three entries that are not all real numbers
+NOT_REAL3 = [[1j, 0, 0], ["a", 0, 0], ["0.1", "0.2", "0.3"],
+             [True, 0.1, 0.2], [0.1, np.True_, 0.2], [True, 0, 1],
+             np.array([True, False, True]), [[0.1, 0.2], 0.0, 0.0],
+             [None, 0.0, 0.0], np.array([0.1, 0.2, 0.3], dtype=object)]
+
+
+@pytest.mark.parametrize("bad", NOT_REAL3, ids=range(len(NOT_REAL3)))
+def test_coordinates_and_momenta_follow_the_array_rule(particle, bad):
+    """PointM, check_domain and base_at take finite real numbers only,
+    as check_array does, and refuse the rest with DomainError."""
+    q, pt = [0.1, 0.2, 0.3], [0.5, -0.5]
+    with pytest.raises(DomainError, match="coordinates must be real"):
+        PointM(bad, pt)
+    with pytest.raises(DomainError, match="momenta must be real"):
+        PointM(q, bad[:2] if isinstance(bad, list) else bad)
+    with pytest.raises(DomainError, match="coordinates must be real"):
+        particle.check_domain(bad)
+    for order in (0, 1):
+        with pytest.raises(DomainError, match="coordinates must be real"):
+            base_at(particle, bad, order)
+    with pytest.raises(ValueError, match="finite real array"):
+        check_array("v", bad, (3,))
+
+
+def test_points_take_integers_and_refuse_non_finite_values(particle):
+    p = PointM(np.array([0, 1, 0]), [1, -2])
+    assert p.q.dtype == p.ptilde.dtype == float
+    assert np.array_equal(nh_vector_field(particle, p),
+                          nh_vector_field(particle, PointM([0.0, 1.0, 0.0],
+                                                           [1.0, -2.0])))
+    ref = base_at(particle, [0.0, 1.0, 0.0], 2)
+    got = base_at(particle, [0, 1, 0], 2)
+    for f in ("eps", "X", "mu"):
+        assert np.array_equal(getattr(got, f).d2, getattr(ref, f).d2)
+    with pytest.raises(DomainError, match="non-finite coordinate value"):
+        PointM([0.0, np.nan, 0.0], [0.0, 0.0])
+    with pytest.raises(DomainError, match="non-finite momentum value"):
+        PointM([0.0, 0.0, 0.0], [0.0, -np.inf])
 
 
 # ------------------------------------------------- frames and duality
