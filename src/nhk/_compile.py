@@ -400,9 +400,11 @@ class CompiledSystem:
         self.r_pos = _read_only(np.arange(n - k))
         self.s_idx = _read_only(np.array(system.s_indices, dtype=np.intp))
         self.eye_k = _read_only(np.eye(k))
-        # the declared domain as (coordinate index, name, lo, hi)
-        self.bounds = tuple((names.index(c), c, lo, hi)
-                            for c, (lo, hi) in system.domain.items())
+        # the declared domain as bounds per coordinate, +-inf where none
+        lo, hi = np.full(n, -np.inf), np.full(n, np.inf)
+        for c, bounds in system.domain.items():
+            lo[names.index(c)], hi[names.index(c)] = bounds
+        self.lo, self.hi = _read_only(lo), _read_only(hi)
         # adapted coordinates with the canonical complement Z = d/ds:
         # the coframe dual to [X|Z] is {dr^alpha, eps^a}, with chi as
         # rows dr^alpha, and Z as rows d/ds^a

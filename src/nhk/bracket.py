@@ -101,8 +101,7 @@ def chart_tensors(system: NonholonomicSystem, p: PointM,
     """Assemble Omega_M, the sharp matrix Pi, and (order >= 1) their
     chart-direction derivatives from the packed base pipeline."""
     order = check_integer("order", order, 0, 2)
-    system.check_point(p)
-    return _chart_tensors(system, p, base_at(system, p.q, order + 1), order)
+    return _chart_tensors(system, p, base_at(system, p, order + 1), order)
 
 
 def _chart_tensors(system: NonholonomicSystem, p: PointM, bd: BaseData,
@@ -173,8 +172,7 @@ def nh_bivector(system: NonholonomicSystem, p: PointM,
     arithmetic carrying derivatives along the chart variables at the
     requested order."""
     order = check_integer("order", order, 0, 2)
-    system.check_point(p)
-    Pi = _bivector_packed(system, p, base_at(system, p.q, order + 1), order)
+    Pi = _bivector_packed(system, p, base_at(system, p, order + 1), order)
     return BivectorAtPoint(mat=Pi.val, d1=Pi.d1, order=order,
                            chart_names=system.chart_names)
 
@@ -186,8 +184,7 @@ def hamiltonian_M(system: NonholonomicSystem, p: PointM):
     matrix of the kinetic metric.  The value is cross-checked against
     the ambient route (1/2) p . kappa^{-1} p with p the embedded
     momenta.  Returns (value, dH) with dH a chart covector."""
-    system.check_point(p)
-    return _hamiltonian(system, p, base_at(system, p.q, order=1))
+    return _hamiltonian(system, p, base_at(system, p, order=1))
 
 
 def _energy(system: NonholonomicSystem, q, pt, bd: BaseData):
@@ -230,8 +227,7 @@ def _hamiltonian(system: NonholonomicSystem, p: PointM, bd: BaseData):
 def nh_vector_field(system: NonholonomicSystem, p: PointM) -> np.ndarray:
     """Evolution vector field X_nh = -pi#(dH) in chart components (see
     ``_field``), from one base evaluation shared with the Hamiltonian."""
-    system.check_point(p)
-    bd = base_at(system, p.q, order=1)
+    bd = base_at(system, p, order=1)
     _, dH = _hamiltonian(system, p, bd)
     n = system.n
     return np.concatenate(_field(bd, p.ptilde, dH[:n], dH[n:]))

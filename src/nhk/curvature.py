@@ -126,8 +126,7 @@ def curvature_coeffs(system: NonholonomicSystem, p: PointM,
     """Coefficient tensor of K_W at p against the lifted complement
     frame, from the commutator of projected constant-coefficient chart
     extensions (tensoriality makes the extension choice immaterial)."""
-    system.check_point(p)
-    return _curvature_coeffs(system, base_at(system, p.q, order=1), lift)
+    return _curvature_coeffs(system, base_at(system, p, order=1), lift)
 
 
 def _curvature_coeffs(system: NonholonomicSystem, bd: BaseData,
@@ -170,11 +169,10 @@ def _curvature_pair_assembled(system: NonholonomicSystem, p: PointM, u, v,
     combinations of the assembled frame fields (X-lifts, momentum
     verticals, lifted complement legs) instead of constant chart
     extensions, and evaluate -P_W([P_C U, P_C V]) directly."""
-    system.check_point(p)
     n, k = system.n, system.k
     nk = n - k
     dim = system.dimM
-    bd = base_at(system, p.q, order=1)
+    bd = base_at(system, p, order=1)
     Zl, dZl, _, P_W, P_C, dP_C = _projector_arrays(system, bd, lift)
 
     # assembled frame B(q) and its q-derivatives

@@ -82,17 +82,16 @@ def jacobiator_bruteforce(system: NonholonomicSystem, p: PointM,
                           triple) -> float:
     """Jacobiator on three chart basis covectors by direct
     differentiation of the bracket coefficients (reference route)."""
-    t = _check_triple(system, triple)
+    t = _check_triple(system.dimM, triple)
     return float(jacobiator_tensor(system, p, "bruteforce")[t])
 
 
-def _check_triple(system, triple):
+def _check_triple(dim: int, triple):
     t = tuple(triple) if np.iterable(triple) else ()
     if len(t) != 3:
         raise ParameterError(
             f"triple {triple!r} is not an iterable of three covector indices")
-    return tuple(check_integer("covector index", i, 0, system.dimM)
-                 for i in t)
+    return tuple(check_integer("covector index", i, 0, dim) for i in t)
 
 
 # ----------------------------------------------------------- global route
@@ -213,7 +212,7 @@ def _km_value(data: dict) -> np.ndarray:
 def jacobiator_km(system: NonholonomicSystem, p: PointM, triple) -> float:
     """Jacobiator on three chart basis covectors from the closed
     adapted-coordinate expressions (adapted systems only)."""
-    t = _check_triple(system, triple)
+    t = _check_triple(system.dimM, triple)
     return float(jacobiator_tensor(system, p, "km")[t])
 
 
@@ -229,8 +228,7 @@ def jacobiator_tensor(system: NonholonomicSystem, p: PointM,
         raise UnsupportedOperationError(
             f"coordinate Jacobiator needs an adapted declaration; "
             f"system {system.name!r} has none")
-    system.check_point(p)
-    bd = base_at(system, p.q, order=2 if method == "bruteforce" else 1)
+    bd = base_at(system, p, order=2 if method == "bruteforce" else 1)
     return _route_tensor(system, p, bd, method, lift)
 
 
@@ -297,12 +295,11 @@ def _stack_values(system: NonholonomicSystem, pts: list, methods: tuple,
     methods[m], from one stack: one base evaluation and one pass per
     route (a lone point runs without a stack axis).  ``tri`` indexes a
     stack of tensors at the triples.  Raises the first NhkError of any
-    point; ``base_at`` checks every q, and the momenta of
-    ``sample_points`` are valid by construction."""
+    point, as ``base_at`` checks the stacked point first."""
     b, d = len(pts), system.dimM
     ps = pts[0] if b == 1 else PointM(np.stack([p.q for p in pts]),
                                       np.stack([p.ptilde for p in pts]))
-    bd = base_at(system, ps.q, order=2)
+    bd = base_at(system, ps, order=2)
     tensors = [_route_tensor(system, ps, bd, m) for m in methods]
     return np.stack([T.reshape(b, d, d, d)[tri] for T in tensors], axis=-1)
 

@@ -91,21 +91,22 @@ def _real(value, what: str) -> np.ndarray:
 # ------------------------------------------------------------------ types
 @dataclass(frozen=True)
 class PointM:
-    """A point of the constraint phase space: base coordinates q plus
-    momenta ptilde in the D-frame, as new float arrays of finite real
-    numbers (else DomainError)."""
+    """A point of the constraint phase space (or a stack of points):
+    base coordinates q plus momenta ptilde in the D-frame, as new
+    read-only float arrays of finite real numbers (else DomainError)."""
     q: np.ndarray
     ptilde: np.ndarray
 
     def __init__(self, q, ptilde):
-        q = _real(q, "coordinates")
+        q = _real(q, "coordinates").astype(float)
         if not np.isfinite(q).all():
             raise DomainError("non-finite coordinate value")
-        ptilde = _real(ptilde, "momenta")
+        ptilde = _real(ptilde, "momenta").astype(float)
         if not np.isfinite(ptilde).all():
             raise DomainError("non-finite momentum value")
-        object.__setattr__(self, "q", q.astype(float))
-        object.__setattr__(self, "ptilde", ptilde.astype(float))
+        q.flags.writeable = ptilde.flags.writeable = False
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "ptilde", ptilde)
 
 
 @dataclass(frozen=True)
@@ -190,26 +191,37 @@ class NonholonomicSystem:
     def coord_map(self, q) -> dict:
         return {name: float(v) for name, v in zip(self.coord_names, q)}
 
-    def check_domain(self, q) -> None:
+    def check_domain(self, q) -> np.ndarray:
+        """q, one point (n,) or a stack (B, n), as a float array (q itself
+        if it is one).  Else DomainError on the first failing point, whose
+        checks run in order: real numbers, shape, finite, declared bounds."""
         q = _real(q, "coordinates")
-        if q.shape != (self.n,):
+        shape = q.shape[1:] if q.ndim == 2 else q.shape
+        if shape != (self.n,):
             raise DomainError(
-                f"expected {self.n} coordinates, got shape {q.shape}")
-        if not np.isfinite(q).all():
-            raise DomainError("non-finite coordinate value")
-        for i, name, lo, hi in get_compiled(self).bounds:
-            v = float(q[i])
-            if not lo < v < hi:
-                raise DomainError(
-                    f"coordinate {name} = {v!r} outside open domain ({lo}, {hi})")
+                f"expected {self.n} coordinates, got shape {shape}")
+        q = q.astype(float, copy=False)
+        comp = get_compiled(self)
+        inside = (comp.lo < q) & (q < comp.hi)     # False at NaN and inf
+        if np.count_nonzero(inside) < q.size:
+            bad = q if q.ndim == 1 else q[np.argmin(inside.all(axis=1))]
+            if not np.isfinite(bad).all():
+                raise DomainError("non-finite coordinate value")
+            for name, (lo, hi) in self.domain.items():
+                v = float(bad[self.coord_names.index(name)])
+                if not lo < v < hi:
+                    raise DomainError(f"coordinate {name} = {v!r} outside "
+                                      f"open domain ({lo}, {hi})")
+        return q
 
-    def check_point(self, p: PointM) -> None:
-        self.check_domain(p.q)
-        if p.ptilde.shape != (self.n - self.k,):
+    def check_point(self, p: PointM) -> np.ndarray:
+        """check_domain(p.q), then the momenta's shape (they are finite
+        by construction); returns the coordinates."""
+        q = self.check_domain(p.q)
+        if p.ptilde.shape != q.shape[:-1] + (self.n - self.k,):
             raise DomainError(
                 f"expected {self.n - self.k} momenta, got shape {p.ptilde.shape}")
-        if not np.all(np.isfinite(p.ptilde)):
-            raise DomainError("non-finite momentum value")
+        return q
 
 
 # --------------------------------------------------------------- loading
@@ -430,19 +442,19 @@ def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
     enforces the pointwise invariants (metric symmetry and positive
     definiteness, constraint rank, adapted identity block, frame duality).
 
-    q is one point, shape (n,), or a stack of B points, shape (B, n).  A
-    stack is evaluated as one pass whose arrays lead with the stack axis;
-    each point's slice equals base_at at that point alone, bit for bit.
-    Every check runs on every point with the same thresholds and in the
-    same order; the first failing check raises, naming the first point
-    that fails it.  The exception: the checks on a grid constant in q
-    (the metric, or the constraint forms) run until they have passed
-    once for the system.
+    q is one point, shape (n,), a stack of B points, shape (B, n), or a
+    PointM (stacked or not), checked once, first, by ``check_domain`` or
+    ``check_point``.  A stack is evaluated as one pass whose arrays lead
+    with the stack axis; each point's slice equals base_at at that point
+    alone, bit for bit.  Every check runs on every point with the same
+    thresholds and in the same order; the first failing check raises,
+    naming the first point that fails it.  The exception: the checks on
+    a grid constant in q (the metric, or the constraint forms) run until
+    they have passed once for the system.
     """
     order = check_integer("order", order, 0, 3)
-    q = _real(q, "coordinates").astype(float, copy=False)
-    for qi in (q if q.ndim == 2 else (q,)):
-        system.check_domain(qi)
+    q = (system.check_point if isinstance(q, PointM)
+         else system.check_domain)(q)
     n, k = system.n, system.k
     qs = q.reshape(-1, n)                       # one row per point
     comp = get_compiled(system)
@@ -636,8 +648,7 @@ def embed(system: NonholonomicSystem, p: PointM) -> np.ndarray:
     p = ptilde_alpha mu^alpha.  Internally cross-checked against the
     metric image kappa-flat(v) of the velocity v in D with
     X-momenta ptilde."""
-    system.check_point(p)
-    bd = base_at(system, p.q, order=0)
+    bd = base_at(system, p, order=0)
     pi = bd.mu.val.T @ p.ptilde
     v = bd.X.val @ (bd.kD_inv.val @ p.ptilde)
     p2 = bd.kappa.val @ v
@@ -722,8 +733,7 @@ def omega_M(system: NonholonomicSystem, p: PointM, order: int = 0) -> TwoFormAtP
     the chart variables (one more derivative level, for bracket use).
     """
     order = check_integer("order", order, 0, 2)
-    system.check_point(p)
-    bd = base_at(system, p.q, order + 1)
+    bd = base_at(system, p, order + 1)
     om, det = _omega_packed(system, p, bd, order)
     return TwoFormAtPoint(mat=om.val, d1=om.d1, order=order,
                           restricted_abs_det=float(det))
@@ -736,9 +746,8 @@ def splitting_at(system: NonholonomicSystem, p: PointM) -> SplittingAtPoint:
     all d/dptilde; the W-lift takes Z_a with zero momentum components.
     Projections come from the dual coframe of the assembled basis, which
     here collapses to P_W = Z-lift (x) pulled-back eps."""
-    system.check_point(p)
     n, k = system.n, system.k
-    bd = base_at(system, p.q, order=0)
+    bd = base_at(system, p, order=0)
     dim = system.dimM
     C = _c_basis(system, bd)
     W = np.zeros((dim, k))

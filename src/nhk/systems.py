@@ -31,6 +31,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError, ParameterError, check_array, check_real
+from .jacobiator import _check_triple
 from .manifold import NonholonomicSystem, PointM, load_system
 
 __all__ = [
@@ -224,7 +225,8 @@ def snakeboard_expected(name: str, p, params=None) -> float:
     """Closed-form reference values for the snakeboard at a point.
 
     ``p`` may be a PointM or a bare coordinate array (x, y, theta, psi,
-    phi); only the steering angle phi enters.  Available names:
+    phi), held to PointM's rule; only the steering angle phi enters.
+    Available names:
 
     * ``J1``, ``J2`` -- momentum coupling functions of phi;
     * ``jac_ppsi``   -- Jacobiator (dptilde_phi, dptilde_S, dpsi);
@@ -238,7 +240,9 @@ def snakeboard_expected(name: str, p, params=None) -> float:
     Jac(a, b, c) = sum_cyc pi(a, d(pi(b, c))).
     """
     pr = _sb_params(params)
-    q = p.q if isinstance(p, PointM) else np.asarray(p, dtype=float)
+    q = (p if isinstance(p, PointM) else PointM(p, ())).q
+    if q.shape != (5,):
+        raise DomainError(f"expected 5 coordinates, got shape {q.shape}")
     phi = float(q[4])
     if not -math.pi / 2.0 < phi < math.pi / 2.0:
         raise DomainError(
@@ -304,17 +308,15 @@ def snakeboard_reduced_jacobiator(p_red, triple, params=None) -> float:
     """
     pr = _sb_params(params)
     p_red = check_array(_REDUCED_POINT, p_red, (5,))
-    i, j, l = triple
-    if len({i, j, l}) < 3:
-        return 0.0
+    triple = _check_triple(5, triple)
     base = (3, 4, 0)   # (dptilde_phi, dptilde_S, dpsi)
-    if set(triple) != set(base):
+    if set(triple) != set(base):    # a repeated index too
         return 0.0
     phi = p_red[1]
     r = pr["r"]
     J1, J2 = _sb_J(phi, pr)
     value = 4.0 * r * math.cos(phi) * J2
-    return value * _perm_sign(tuple(triple), base)
+    return value * _perm_sign(triple, base)
 
 
 def _perm_sign(triple, base) -> float:

@@ -485,12 +485,12 @@ def test_cross_validate_values_are_the_public_tensors(system):
 @pytest.fixture
 def base_at_calls(monkeypatch):
     """Record (order, q) of every base_at call made through any nhk
-    module that binds the name."""
+    module that binds the name (q of a PointM argument)."""
     calls = []
     orig = nhk.manifold.base_at
 
     def counting(system, q, order=1):
-        calls.append((order, np.array(q)))
+        calls.append((order, np.array(q.q if isinstance(q, PointM) else q)))
         return orig(system, q, order)
 
     for mod in (nhk.manifold, nhk.bracket, nhk.curvature, nhk.jacobiator,

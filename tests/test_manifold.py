@@ -9,12 +9,20 @@ import numpy as np
 import pytest
 
 from nhk import (
+    NonholonomicSystem,
     PointM,
     adapted_coframe,
     base_at,
     builtin_definition,
+    chart_tensors,
+    cross_validate,
+    curvature_coeffs,
     embed,
+    hamiltonian_M,
+    integrate,
+    jacobiator_tensor,
     load_system,
+    nh_bivector,
     nh_vector_field,
     omega_M,
     pick_default_W,
@@ -22,6 +30,8 @@ from nhk import (
     splitting_at,
 )
 from nhk._compile import get_compiled
+from nhk.curvature import _curvature_pair_assembled
+from nhk.jacobiator import _applicable_methods
 from nhk._linalg import pk_from_jets, pk_unpack
 from nhk.errors import DomainError, GeometryError, LoadError, check_array
 from nhk.expr import eval_expr, parse, resolve
@@ -620,3 +630,146 @@ def test_sample_points_momentum_bounds(particle):
                         momentum_hi=0.5)
     for pt in pts:
         assert np.all(np.abs(pt.ptilde) <= 0.5)
+
+
+# ------------------------------------------------- one check per point
+# The public single-point operations that evaluate the base once; each
+# takes (system, p).  jacobiator_tensor is counted per route below.
+ONE_POINT_OPS = {
+    "chart_tensors": chart_tensors,
+    "nh_bivector": nh_bivector,
+    "hamiltonian_M": hamiltonian_M,
+    "nh_vector_field": nh_vector_field,
+    "curvature_coeffs": curvature_coeffs,
+    "_curvature_pair_assembled": lambda s, p: _curvature_pair_assembled(
+        s, p, *np.eye(s.dimM)[:2]),
+    "embed": embed,
+    "omega_M": omega_M,
+    "splitting_at": splitting_at,
+}
+
+
+@pytest.fixture
+def domain_checks(monkeypatch):
+    """The shape of q at every check_domain call, in order."""
+    calls = []
+    orig = NonholonomicSystem.check_domain
+
+    def counting(self, q):
+        calls.append(np.shape(q))
+        return orig(self, q)
+
+    monkeypatch.setattr(NonholonomicSystem, "check_domain", counting)
+    return calls
+
+
+@pytest.mark.parametrize("op", list(ONE_POINT_OPS))
+def test_a_single_point_operation_checks_the_point_once(system, op,
+                                                        domain_checks):
+    ONE_POINT_OPS[op](system, sample_points(system, 1, seed=9)[0])
+    assert domain_checks == [(system.n,)]
+
+
+def test_every_jacobiator_route_checks_the_point_once(system, domain_checks):
+    p = sample_points(system, 1, seed=9)[0]
+    for method in _applicable_methods(system):
+        domain_checks.clear()
+        jacobiator_tensor(system, p, method)
+        assert domain_checks == [(system.n,)], method
+
+
+def test_cross_validate_checks_each_stack_once(snakeboard, domain_checks):
+    cross_validate(snakeboard, samples=100, seed=4)
+    assert domain_checks == [(64, 5), (36, 5)]
+
+
+def test_integrate_checks_the_start_and_each_stage(particle, domain_checks):
+    # the start once, then the first stage and four stages per step
+    integrate(particle, sample_points(particle, 1, seed=2)[0], 0.01, 10)
+    assert len(domain_checks) == 2 + 4 * 10
+
+
+@pytest.mark.parametrize("fault", ["non-finite", "out of bounds", "width"])
+def test_a_stack_reports_its_first_failing_member(snakeboard, fault):
+    # member 2 fails first (by the fault) and member 3 is out of bounds
+    # too; a wrong width fails every member alike
+    pts = sample_points(snakeboard, 4, seed=5)
+    qs = np.array([p.q for p in pts])
+    pt = np.array([p.ptilde for p in pts])
+    qs[3, 4] = -2.0
+    if fault == "non-finite":
+        qs[2, 4], qs[2, 1] = 2.0, np.nan
+    elif fault == "out of bounds":
+        qs[2, 4] = 2.0
+    else:
+        qs = np.hstack([qs, np.zeros((4, 1))])
+    with pytest.raises(DomainError) as alone:
+        base_at(snakeboard, qs[2], order=0)
+    checks = [lambda: snakeboard.check_domain(qs),
+              lambda: base_at(snakeboard, qs, order=0)]
+    if fault != "non-finite":   # a PointM refuses that when it is made
+        checks.append(lambda: base_at(snakeboard, PointM(qs, pt), order=0))
+    for check in checks:
+        with pytest.raises(DomainError) as stacked:
+            check()
+        assert str(stacked.value) == str(alone.value)
+
+
+def _first_fault(system, qs):
+    """The coordinate rule as a loop over the points and coordinates:
+    the message for the first failing point of qs, or None."""
+    for q in qs:
+        if not all(np.isfinite(q)):
+            return "non-finite coordinate value"
+        for name, (lo, hi) in system.domain.items():
+            v = float(q[system.coord_names.index(name)])
+            if not lo < v < hi:
+                return (f"coordinate {name} = {v!r} outside open domain "
+                        f"({lo}, {hi})")
+    return None
+
+
+def test_a_stack_check_matches_the_rule_as_a_loop(snakeboard):
+    rng = np.random.default_rng(11)
+    faults = 0
+    for _ in range(300):
+        qs = rng.uniform(-2.0, 2.0, (rng.integers(1, 6), 5))
+        qs[rng.random(qs.shape) < 0.05] = rng.choice([np.nan, np.inf,
+                                                      -np.inf])
+        expected = _first_fault(snakeboard, qs)
+        if expected is None:
+            assert np.array_equal(snakeboard.check_domain(qs), qs)
+            continue
+        faults += 1
+        with pytest.raises(DomainError) as err:
+            snakeboard.check_domain(qs)
+        assert str(err.value) == expected
+    assert 100 < faults < 300
+
+
+@pytest.mark.parametrize("op", list(ONE_POINT_OPS))
+def test_a_point_reports_its_coordinates_before_its_momenta(particle, op):
+    with pytest.raises(DomainError, match="expected 3 coordinates"):
+        ONE_POINT_OPS[op](particle, PointM([0.1, 0.2], [1.0]))
+
+
+@pytest.mark.parametrize("op", list(ONE_POINT_OPS))
+def test_a_point_reports_its_momenta_before_its_geometry(op):
+    # the metric is degenerate at x = -1.9 (see test_hoisting)
+    definition = builtin_definition("nh_particle")
+    definition["metric"][0][0] = "1 - 3*exp(-50*(x-(-1.9))^2)"
+    system = load_system(definition)
+    with pytest.raises(GeometryError):
+        ONE_POINT_OPS[op](system, PointM([-1.9, 0.3, 0.1], [1.0, 0.0]))
+    with pytest.raises(DomainError, match="expected 2 momenta"):
+        ONE_POINT_OPS[op](system, PointM([-1.9, 0.3, 0.1], [1.0]))
+
+
+def test_a_point_is_read_only():
+    for p in (PointM([0.1, 0.2, 0.3], [1.0, 2.0]),
+              PointM(np.zeros((2, 3)), np.ones((2, 2)))):
+        for a in (p.q, p.ptilde):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = np.nan
+            with pytest.raises(ValueError, match="read-only"):
+                a += 1.0

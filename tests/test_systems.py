@@ -150,6 +150,20 @@ def test_expected_accepts_point_or_coordinates():
     assert snakeboard_expected("J1", q) == snakeboard_expected("J1", p)
 
 
+@pytest.mark.parametrize("q, message", [
+    ([1j, 0, 0, 0, 0.1], "coordinates must be real numbers"),
+    (["a", 0, 0, 0, 0.1], "coordinates must be real numbers"),
+    ([True, 0, 0, 0, 0.1], "coordinates must be real numbers"),
+    (np.zeros(4), r"expected 5 coordinates, got shape \(4,\)"),
+    (np.zeros((2, 5)), r"expected 5 coordinates, got shape \(2, 5\)"),
+    ([0, np.nan, 0, 0, 0.1], "non-finite coordinate value"),
+    ([0, 0, 0, 0, np.inf], "non-finite coordinate value"),
+], ids=["complex", "string", "bool", "short", "stack", "nan", "inf"])
+def test_expected_follows_the_coordinate_rule(q, message):
+    with pytest.raises(DomainError, match=message):
+        snakeboard_expected("J1", q)
+
+
 def test_expected_rejects_pole_angles():
     for phi in (math.pi / 2, -math.pi / 2, 2.0):
         with pytest.raises(DomainError):
@@ -261,6 +275,14 @@ def test_reduced_jacobiator_parameter_validation():
     with pytest.raises(ParameterError):
         snakeboard_reduced_jacobiator([0, 0.1, 0, 0, 0], (3, 4, 0),
                                       params={"r": -2.0})
+    # the triple rule of the full model's Jacobiator entry points
+    p_red = [0, 0.1, 0, 0, 0]
+    for triple in [(3.5, 4, 0), (3, 4, 9), (3, 4, -5), ("a", "b", "c"),
+                   (3, 4, False), (3, 4), 3]:
+        with pytest.raises(ParameterError):
+            snakeboard_reduced_jacobiator(p_red, triple)
+    assert snakeboard_reduced_jacobiator(p_red, (np.int64(3), 4, 0)) \
+        == snakeboard_reduced_jacobiator(p_red, (3, 4, 0)) != 0.0
 
 
 # ------------------------------------------------------ systems as loaded
