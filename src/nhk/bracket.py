@@ -42,7 +42,7 @@ import numpy as np
 
 from ._compile import get_compiled
 from ._linalg import Packed, pk_inv, pk_matmul, pk_transpose
-from .errors import GeometryError, check_array, check_integer
+from .errors import GeometryError, check_array, check_integer, check_one_point
 from .manifold import (BaseData, NonholonomicSystem, PointM, _c_basis,
                        _omega_arrays, _omega_packed, base_at)
 
@@ -70,12 +70,13 @@ class BivectorAtPoint:
 
     def pairing(self, alpha, beta) -> float:
         """pi(alpha, beta) = beta(pi#(alpha))."""
+        check_one_point(self.mat, 2)
         return float(check_array("beta", beta, self.mat.shape[-1:])
                      @ self.sharp(alpha))
 
     def bracket_matrix(self) -> np.ndarray:
         """B[I, J] = {u^I, u^J} of the chart functions."""
-        return self.mat.T
+        return self.mat.swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -214,6 +215,7 @@ def _field(bd: BaseData, pt, dHq, vel):
 
 def _hamiltonian(system: NonholonomicSystem, p: PointM, bd: BaseData):
     """hamiltonian_M from base data ``bd`` at p.q of order at least 1."""
+    check_one_point(bd.q)
     value, uval, dHq, vel = _energy(system, p.q, p.ptilde, bd)
     p_amb = bd.mu.val.T @ p.ptilde
     value_amb = 0.5 * float(p_amb @ np.linalg.solve(bd.kappa.val, p_amb)) \

@@ -28,7 +28,7 @@ import numpy as np
 from ._compile import get_compiled
 from ._linalg import Packed
 from .errors import (ParameterError, UnsupportedOperationError,
-                     check_array)
+                     check_array, check_one_point)
 from .manifold import BaseData, NonholonomicSystem, PointM, base_at
 
 __all__ = ["CurvatureAtPoint", "AdaptedData", "curvature_coeffs",
@@ -51,6 +51,7 @@ class CurvatureAtPoint:
 
     def pair(self, u, v) -> np.ndarray:
         """Vector K_W(u, v) in chart components."""
+        check_one_point(self.P_C, 2)
         u = check_array("u", u, self.P_C.shape[-1:])
         v = check_array("v", v, self.P_C.shape[-1:])
         return self.W_lift @ np.einsum("aij,i,j->a", self.coeffs, u, v)
@@ -152,6 +153,7 @@ def curvature_KW_Q(system: NonholonomicSystem, q, v, w) -> np.ndarray:
     K(v, w) = dps^a(P_D v, P_D w) Z_a with P_D = id - Z eps the
     projection onto D along the complement."""
     bd = base_at(system, q, order=1)
+    check_one_point(bd.q)
     v = check_array("v", v, (system.n,))
     w = check_array("w", w, (system.n,))
     P_D = np.eye(system.n) - bd.Z.val @ bd.eps.val
@@ -204,6 +206,7 @@ def adapted_data(system: NonholonomicSystem, q) -> AdaptedData:
         raise UnsupportedOperationError(
             f"system {system.name!r} has no adapted declaration")
     bd = base_at(system, q, order=2)
+    check_one_point(bd.q)
     A, dA, C, Kcoef = _nonholonomy(system, bd)
     r_idx = list(system.r_indices)
     return AdaptedData(r_indices=tuple(r_idx), s_indices=system.s_indices,

@@ -2,10 +2,10 @@
 
 Every error raised deliberately by the library derives from NhkError so
 callers (and the CLI) can distinguish usage problems from runtime/domain
-failures.  Numeric arguments are checked by check_integer,
-check_real and check_array, which raise ParameterError (also a
-ValueError); real_array is the entry rule check_array shares with the
-coordinate and momentum checks of ``manifold``.
+failures.  check_integer, check_real, check_array and check_one_point
+(a stack where one point is taken) check arguments and raise
+ParameterError (also a ValueError); real_array is the entry rule
+check_array shares with the coordinate and momentum checks of ``manifold``.
 """
 
 from __future__ import annotations
@@ -146,3 +146,9 @@ def check_array(name: str, value, shape: tuple) -> np.ndarray:
         raise ParameterError(f"{name} must be a finite real array of shape "
                              f"{shape}, got {value!r}")
     return a.astype(float)
+
+
+def check_one_point(a: np.ndarray, ndim: int = 1) -> None:
+    """ParameterError if ``a``, with ``ndim`` axes per point, is a stack."""
+    if a.ndim > ndim:
+        raise ParameterError(f"expected one point, got a stack of {len(a)}")

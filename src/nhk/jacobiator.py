@@ -50,7 +50,7 @@ from .bracket import _bivector_packed, _chart_tensors
 from .curvature import _curvature_coeffs, _nonholonomy
 from ._linalg import pk_matmul, Packed
 from .errors import (NhkError, ParameterError, UnsupportedOperationError,
-                     check_array, check_integer, check_real)
+                     check_array, check_integer, check_one_point, check_real)
 from .manifold import (BaseData, NonholonomicSystem, PointM, base_at,
                        sample_points)
 
@@ -83,6 +83,7 @@ def jacobiator_bruteforce(system: NonholonomicSystem, p: PointM,
     """Jacobiator on three chart basis covectors by direct
     differentiation of the bracket coefficients (reference route)."""
     t = _check_triple(system.dimM, triple)
+    check_one_point(p.q)
     return float(jacobiator_tensor(system, p, "bruteforce")[t])
 
 
@@ -100,6 +101,7 @@ def jacobiator_global(system: NonholonomicSystem, p: PointM,
     """Jacobiator of three chart covectors via the curvature formula."""
     covectors = [check_array(name, c, (system.dimM,)) for name, c in
                  (("alpha", alpha), ("beta", beta), ("gamma", gamma))]
+    check_one_point(p.q)
     T = jacobiator_tensor(system, p, "global", lift=lift)
     return float(np.einsum("ijk,i,j,k->", T, *covectors))
 
@@ -213,6 +215,7 @@ def jacobiator_km(system: NonholonomicSystem, p: PointM, triple) -> float:
     """Jacobiator on three chart basis covectors from the closed
     adapted-coordinate expressions (adapted systems only)."""
     t = _check_triple(system.dimM, triple)
+    check_one_point(p.q)
     return float(jacobiator_tensor(system, p, "km")[t])
 
 
@@ -289,19 +292,17 @@ class JacobiatorReport:
 _CHUNK = 64
 
 
-def _stack_values(system: NonholonomicSystem, pts: list, methods: tuple,
+def _stack_values(system: NonholonomicSystem, pts: PointM, methods: tuple,
                   tri: tuple) -> np.ndarray:
-    """Route values out[b, t, m] at the points pts, on chart triple t by
-    methods[m], from one stack: one base evaluation and one pass per
-    route (a lone point runs without a stack axis).  ``tri`` indexes a
-    stack of tensors at the triples.  Raises the first NhkError of any
-    point, as ``base_at`` checks the stacked point first."""
-    b, d = len(pts), system.dimM
-    ps = pts[0] if b == 1 else PointM(np.stack([p.q for p in pts]),
-                                      np.stack([p.ptilde for p in pts]))
-    bd = base_at(system, ps, order=2)
-    tensors = [_route_tensor(system, ps, bd, m) for m in methods]
-    return np.stack([T.reshape(b, d, d, d)[tri] for T in tensors], axis=-1)
+    """Route values out[b, t, m] at point b of pts, on chart triple t by
+    methods[m]: one base evaluation and one pass per route.  pts is a
+    stacked PointM, or one point (no stack axis; out then has one row).
+    ``tri`` indexes a stack of tensors at the triples.  Raises the first
+    NhkError of any point, as ``base_at`` checks pts first."""
+    d = system.dimM
+    bd = base_at(system, pts, order=2)
+    tensors = [_route_tensor(system, pts, bd, m) for m in methods]
+    return np.stack([T.reshape(-1, d, d, d)[tri] for T in tensors], axis=-1)
 
 
 def cross_validate(system: NonholonomicSystem, samples: int = 100,
@@ -309,15 +310,16 @@ def cross_validate(system: NonholonomicSystem, samples: int = 100,
     """Compare every applicable Jacobiator route on all chart covector
     triples at deterministically sampled points.
 
-    The points are evaluated in stacks of up to 64: one order-2 base
-    evaluation per stack, which every route reads, then one brute-force,
-    one global and (on adapted systems) one coordinate-route pass over
-    the stack.  The routes' formulas stay independent, and a point's
-    values do not depend on the stack it is in.  Points where
-    the geometry cannot be evaluated (domain exit, frame or metric
-    degeneracy, an expression guard) are skipped and reported, not
-    failed: when a stack raises, its points are evaluated again one at a
-    time, so each skip names that point's own first error."""
+    The stacked sample of ``sample_points`` is evaluated in slices of up
+    to 64 points: one order-2 base evaluation per slice, which every
+    route reads, then one brute-force, one global and (on adapted
+    systems) one coordinate-route pass over the slice.  The routes'
+    formulas stay independent, and a point's values do not depend on the
+    slice it is in.  Points where the geometry cannot be evaluated
+    (domain exit, frame or metric degeneracy, an expression guard) are
+    skipped and reported, not failed: when a slice raises, its points
+    are evaluated again one at a time, so each skip names that point's
+    own first error."""
     samples = check_integer("samples", samples, 1)
     seed = check_integer("seed", seed)
     tol = check_real("tol", tol, 0.0)
@@ -329,16 +331,17 @@ def cross_validate(system: NonholonomicSystem, samples: int = 100,
     values = np.full((samples, len(triples), len(methods)), np.nan)
     skipped = []
     for lo in range(0, samples, _CHUNK):
-        chunk = pts[lo:lo + _CHUNK]
+        hi = min(lo + _CHUNK, samples)
+        # a lone point runs without a stack axis, which is faster
+        chunk = pts[lo] if hi - lo == 1 else pts[lo:hi]
         try:
-            values[lo:lo + len(chunk)] = _stack_values(system, chunk, methods,
-                                                       tri)
+            values[lo:hi] = _stack_values(system, chunk, methods, tri)
             continue
         except NhkError:
             pass
-        for i, p in enumerate(chunk, lo):
+        for i in range(lo, hi):
             try:
-                values[i] = _stack_values(system, [p], methods, tri)[0]
+                values[i] = _stack_values(system, pts[i], methods, tri)[0]
             except NhkError as err:
                 skipped.append({"point": i,
                                 "reason": f"{type(err).__name__}: {err}"})

@@ -59,7 +59,8 @@ from ._linalg import (Packed, _first, check_nonsingular, pk_add, pk_at,
                       pk_hstack, pk_inv, pk_matmul, pk_rows, pk_transpose)
 from ._rng import Lcg64
 from .errors import (DomainError, EvalError, GeometryError, LoadError,
-                     ParseError, check_integer, check_real, real_array)
+                     ParseError, check_integer, check_one_point, check_real,
+                     real_array)
 
 __all__ = [
     "NonholonomicSystem", "PointM", "SplittingAtPoint", "TwoFormAtPoint",
@@ -93,7 +94,8 @@ def _real(value, what: str) -> np.ndarray:
 class PointM:
     """A point of the constraint phase space (or a stack of points):
     base coordinates q plus momenta ptilde in the D-frame, as new
-    read-only float arrays of finite real numbers (else DomainError)."""
+    read-only float arrays of finite real numbers (else DomainError).
+    A stack is a sequence of new PointM: len, index, slice, iterate."""
     q: np.ndarray
     ptilde: np.ndarray
 
@@ -107,6 +109,15 @@ class PointM:
         q.flags.writeable = ptilde.flags.writeable = False
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "ptilde", ptilde)
+
+    def __len__(self) -> int:
+        if self.q.ndim < 2:
+            raise TypeError("a single PointM has no length")
+        return len(self.q)
+
+    def __getitem__(self, i) -> PointM:
+        len(self)                       # a single point is no sequence
+        return PointM(self.q[i], self.ptilde[i])
 
 
 @dataclass(frozen=True)
@@ -648,6 +659,7 @@ def embed(system: NonholonomicSystem, p: PointM) -> np.ndarray:
     p = ptilde_alpha mu^alpha.  Internally cross-checked against the
     metric image kappa-flat(v) of the velocity v in D with
     X-momenta ptilde."""
+    check_one_point(p.q)
     bd = base_at(system, p, order=0)
     pi = bd.mu.val.T @ p.ptilde
     v = bd.X.val @ (bd.kD_inv.val @ p.ptilde)
@@ -733,6 +745,7 @@ def omega_M(system: NonholonomicSystem, p: PointM, order: int = 0) -> TwoFormAtP
     the chart variables (one more derivative level, for bracket use).
     """
     order = check_integer("order", order, 0, 2)
+    check_one_point(p.q)
     bd = base_at(system, p, order + 1)
     om, det = _omega_packed(system, p, bd, order)
     return TwoFormAtPoint(mat=om.val, d1=om.d1, order=order,
@@ -747,6 +760,7 @@ def splitting_at(system: NonholonomicSystem, p: PointM) -> SplittingAtPoint:
     Projections come from the dual coframe of the assembled basis, which
     here collapses to P_W = Z-lift (x) pulled-back eps."""
     n, k = system.n, system.k
+    check_one_point(p.q)
     bd = base_at(system, p, order=0)
     dim = system.dimM
     C = _c_basis(system, bd)
@@ -768,6 +782,7 @@ def adapted_coframe(system: NonholonomicSystem, q):
     differential named like its frame label keeps the bare label (for
     the snakeboard, chi^psi = dpsi); otherwise it is alpha_<label>."""
     bd = base_at(system, q, order=0)
+    check_one_point(bd.q)
     n, k = system.n, system.k
     nk = n - k
     dim = system.dimM
@@ -803,16 +818,17 @@ def _sample_q(system: NonholonomicSystem, rng: Lcg64) -> np.ndarray:
 
 
 def sample_points(system: NonholonomicSystem, count: int, seed: int,
-                  momentum_lo: float = -2.0, momentum_hi: float = 2.0) -> list:
-    """Deterministic sample points: base coordinates uniform in the
-    declared domain boxes ([-2, 2] when unbounded), momenta uniform in
-    [momentum_lo, momentum_hi].  Draw order per point: coordinates in
-    declaration order, then momenta.  Any integer seed, taken mod 2^64."""
+                  momentum_lo: float = -2.0, momentum_hi: float = 2.0) -> PointM:
+    """Deterministic sample points as one stacked PointM: coordinates
+    uniform in the declared domain boxes ([-2, 2] when unbounded), then
+    momenta uniform in [momentum_lo, momentum_hi], point by point, each
+    in declaration order.  Any integer seed, taken mod 2^64."""
     count = check_integer("count", count, 0)
     rng = Lcg64(check_integer("seed", seed))
     lo = check_real("momentum_lo", momentum_lo)
     hi = check_real("momentum_hi", momentum_hi, lo)
-    nk = system.n - system.k
-    return [PointM(_sample_q(system, rng),
-                   [rng.uniform(lo, hi) for _ in range(nk)])
-            for _ in range(count)]
+    q, pt = np.empty((count, system.n)), np.empty((count, system.n - system.k))
+    for i in range(count):
+        q[i] = _sample_q(system, rng)
+        pt[i] = [rng.uniform(lo, hi) for _ in range(pt.shape[1])]
+    return PointM(q, pt)

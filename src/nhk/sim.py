@@ -14,13 +14,13 @@ recorded values measure integrator and floating-point error only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from .bracket import _energy, _field
 from .errors import (DomainError, EvalError, GeometryError, check_integer,
-                     check_real)
+                     check_one_point, check_real)
 from .manifold import NonholonomicSystem, PointM, base_at
 
 __all__ = ["Trajectory", "integrate", "trajectory_csv"]
@@ -30,18 +30,18 @@ __all__ = ["Trajectory", "integrate", "trajectory_csv"]
 class Trajectory:
     """Uniformly sampled integral curve of the nonholonomic vector field.
 
-    ``states[i]`` is the point reached at ``times[i] = i * dt``;
-    ``energy[i]`` is the Hamiltonian there and ``constraint_residual[i]``
-    is max_a |eps^a(qdot)| at that state.  When the flow leaves the
-    declared coordinate domain (or an expression guard trips) the
-    trajectory is truncated at the last valid state, ``completed`` is
-    False and ``exit_reason`` says why.
+    ``states`` is one stacked PointM; ``states[i]`` is the point reached
+    at ``times[i] = i * dt``, ``energy[i]`` is the Hamiltonian there and
+    ``constraint_residual[i]`` is max_a |eps^a(qdot)| at that state.
+    When the flow leaves the declared coordinate domain (or an expression
+    guard trips) the trajectory is truncated at the last valid state,
+    ``completed`` is False and ``exit_reason`` says why.
     """
 
     system: NonholonomicSystem
     dt: float
     times: np.ndarray
-    states: Tuple[PointM, ...]
+    states: PointM
     energy: np.ndarray
     constraint_residual: np.ndarray
     completed: bool
@@ -62,7 +62,7 @@ class Trajectory:
 
     def states_array(self) -> np.ndarray:
         """All recorded chart states stacked as a (len(times), dimM) array."""
-        return np.array([np.concatenate([p.q, p.ptilde]) for p in self.states])
+        return np.concatenate([self.states.q, self.states.ptilde], axis=-1)
 
 
 def _rhs(system: NonholonomicSystem, u: np.ndarray):
@@ -93,6 +93,7 @@ def integrate(system: NonholonomicSystem, init: PointM, dt: float,
     """
     dt = check_real("dt", dt, 0.0, strict=True)
     steps = check_integer("steps", steps, 1)
+    check_one_point(init.q)
     system.check_point(init)
 
     n = system.n
@@ -103,8 +104,7 @@ def integrate(system: NonholonomicSystem, init: PointM, dt: float,
     except GeometryError as exc:
         raise GeometryError(f"frame singularity at step 0: {exc}") from exc
 
-    times = [0.0]
-    states = [PointM(u[:n], u[n:])]
+    rows = [u]
     energy = [h]
     residual = [_residual(eps, k1)]
     completed = True
@@ -116,12 +116,13 @@ def integrate(system: NonholonomicSystem, init: PointM, dt: float,
             k3, _, _ = _rhs(system, u + (0.5 * dt) * k2)
             k4, _, _ = _rhs(system, u + dt * k3)
             u_new = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            # Evaluating at the accepted state both validates it and
-            # supplies the next step's k1 stage; only accepted states
-            # record a residual.  PointM refuses a non-finite momentum,
-            # which so ends the trajectory like a domain exit.
+            # Evaluating at the accepted state both validates its
+            # coordinates and supplies the next step's k1 stage; only
+            # accepted states record a residual.  A non-finite momentum
+            # ends the trajectory like a domain exit.
             k1_new, h, eps = _rhs(system, u_new)
-            state = PointM(u_new[:n], u_new[n:])
+            if not np.isfinite(u_new[n:]).all():
+                raise DomainError("non-finite momentum value")
         except (DomainError, EvalError) as exc:
             completed = False
             exit_reason = f"left the valid domain at step {step}: {exc}"
@@ -130,16 +131,15 @@ def integrate(system: NonholonomicSystem, init: PointM, dt: float,
             raise GeometryError(
                 f"frame singularity at step {step}: {exc}") from exc
         u, k1 = u_new, k1_new
-        times.append(step * dt)
-        states.append(state)
+        rows.append(u)
         energy.append(h)
         residual.append(_residual(eps, k1))
 
     return Trajectory(
         system=system,
         dt=dt,
-        times=np.array(times),
-        states=tuple(states),
+        times=np.arange(len(rows)) * dt,
+        states=PointM(*np.hsplit(np.array(rows), [n])),
         energy=np.array(energy),
         constraint_residual=np.array(residual),
         completed=completed,
@@ -155,9 +155,9 @@ def trajectory_csv(trajectory: Trajectory) -> str:
     header = ["t", *system.coord_names,
               *system.chart_names[system.n:], "energy", "residual"]
     lines = [",".join(header)]
-    rows = zip(trajectory.times, trajectory.states,
+    rows = zip(trajectory.times, trajectory.states_array(),
                trajectory.energy, trajectory.constraint_residual)
-    for t, p, h, r in rows:
-        vals = [t, *p.q, *p.ptilde, h, r]
+    for t, u, h, r in rows:
+        vals = [t, *u, h, r]
         lines.append(",".join("%.17g" % v for v in vals))
     return "\n".join(lines) + "\n"

@@ -199,6 +199,15 @@ def _sb_params(params) -> dict:
     return _merged_params("snakeboard", params)
 
 
+def _sb_phi(phi) -> float:
+    """phi as a float in the closed forms' domain, else DomainError."""
+    phi = float(phi)
+    if not -math.pi / 2.0 < phi < math.pi / 2.0:
+        raise DomainError(f"steering angle phi = {phi!r} outside (-pi/2, "
+                          "pi/2); the closed forms diverge at the poles")
+    return phi
+
+
 def _sb_J(phi: float, pr: dict) -> tuple:
     """Momentum coupling functions (J1, J2) of the steering angle:
     p(X_a) = J_a^alpha ptilde_alpha has row structure
@@ -243,11 +252,7 @@ def snakeboard_expected(name: str, p, params=None) -> float:
     q = (p if isinstance(p, PointM) else PointM(p, ())).q
     if q.shape != (5,):
         raise DomainError(f"expected 5 coordinates, got shape {q.shape}")
-    phi = float(q[4])
-    if not -math.pi / 2.0 < phi < math.pi / 2.0:
-        raise DomainError(
-            f"steering angle phi = {phi!r} outside (-pi/2, pi/2); the "
-            "closed forms diverge at the poles")
+    phi = _sb_phi(q[4])
     r = pr["r"]
     c = math.cos(phi)
     J1, J2 = _sb_J(phi, pr)
@@ -286,7 +291,7 @@ def snakeboard_reduced_sharp(p_red, alpha, params=None) -> np.ndarray:
     pr = _sb_params(params)
     p_red = check_array(_REDUCED_POINT, p_red, (5,))
     alpha = check_array("alpha", alpha, (5,))
-    phi, pt_psi, pt_S = p_red[1], p_red[2], p_red[4]
+    phi, pt_psi, pt_S = _sb_phi(p_red[1]), p_red[2], p_red[4]
     G = _sb_G(phi, pt_psi, pt_S, pr)
     mat = np.array([
         [0.0, 0.0, -1.0, 0.0, 0.0],
@@ -309,10 +314,10 @@ def snakeboard_reduced_jacobiator(p_red, triple, params=None) -> float:
     pr = _sb_params(params)
     p_red = check_array(_REDUCED_POINT, p_red, (5,))
     triple = _check_triple(5, triple)
+    phi = _sb_phi(p_red[1])
     base = (3, 4, 0)   # (dptilde_phi, dptilde_S, dpsi)
     if set(triple) != set(base):    # a repeated index too
         return 0.0
-    phi = p_red[1]
     r = pr["r"]
     J1, J2 = _sb_J(phi, pr)
     value = 4.0 * r * math.cos(phi) * J2

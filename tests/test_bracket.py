@@ -186,6 +186,15 @@ def test_chart_tensors_omega_matches_two_form(system):
 # --------------------------------------------------- bracket semantics
 
 
+def test_bracket_matrix_of_a_stack_is_one_matrix_per_point(snakeboard):
+    stack = sample_points(snakeboard, 3, seed=191)
+    B = nh_bivector(snakeboard, stack, order=0).bracket_matrix()
+    assert B.shape == (3, snakeboard.dimM, snakeboard.dimM)
+    for i in range(3):
+        alone = nh_bivector(snakeboard, stack[i], order=0).bracket_matrix()
+        assert np.array_equal(B[i], alone)
+
+
 def test_bracket_matrix_antisymmetric_and_coordinates_commute(system):
     p = sample_points(system, 1, seed=139)[0]
     b = nh_bivector(system, p, order=0).bracket_matrix()

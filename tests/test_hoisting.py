@@ -151,7 +151,7 @@ def test_hoisted_arrays_are_read_only(particle, snakeboard):
 
 
 def test_stacked_constants_are_private_contiguous_copies(particle):
-    qs = np.array([p.q for p in sample_points(particle, 3, seed=9)])
+    qs = sample_points(particle, 3, seed=9).q
     bd = base_at(particle, qs, order=1)
     for pk in (bd.kappa, bd.chi):
         for a in (pk.val, pk.d1):

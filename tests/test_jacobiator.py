@@ -510,7 +510,7 @@ def test_cross_validate_evaluates_the_base_once_per_point(
     assert [(o, np.shape(q)) for o, q in base_at_calls] == [(2, (3, system.n))]
     covered = np.concatenate([np.reshape(q, (-1, system.n))
                               for _, q in base_at_calls])
-    expected = np.array([p.q for p in sample_points(system, 3, seed=42)])
+    expected = sample_points(system, 3, seed=42).q
     assert np.array_equal(covered, expected)
 
 

@@ -387,7 +387,7 @@ def test_kernel_frame_accepts_small_pivots():
         "constraint_forms": [["h", "0", "1", "0.2*b"],
                              ["0", "h", "0.3*a", "1"]],
     })
-    qs = np.array([p.q for p in sample_points(system, 5, seed=3)])
+    qs = sample_points(system, 5, seed=3).q
     for order in (0, 1, 2):
         bd = base_at(system, qs, order)
         np.testing.assert_allclose(bd.eps.val @ bd.X.val, 0.0, atol=1e-9)
@@ -694,8 +694,7 @@ def test_a_stack_reports_its_first_failing_member(snakeboard, fault):
     # member 2 fails first (by the fault) and member 3 is out of bounds
     # too; a wrong width fails every member alike
     pts = sample_points(snakeboard, 4, seed=5)
-    qs = np.array([p.q for p in pts])
-    pt = np.array([p.ptilde for p in pts])
+    qs, pt = pts.q.copy(), pts.ptilde
     qs[3, 4] = -2.0
     if fault == "non-finite":
         qs[2, 4], qs[2, 1] = 2.0, np.nan

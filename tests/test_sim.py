@@ -104,6 +104,31 @@ def test_domain_exit_truncates(snakeboard):
     assert traj.times[-1] == pytest.approx((len(traj.times) - 1) * 0.01)
 
 
+def test_non_finite_momentum_ends_the_trajectory(particle, monkeypatch):
+    # from the k2 stage of step 3 on, the field drives the momenta to
+    # infinity and leaves the coordinates still, so only the momentum
+    # check can stop the run
+    calls = {"n": 0}
+    real = nhk.sim._field
+
+    def blowing_up(*args):
+        calls["n"] += 1
+        qdot, ptdot = real(*args)
+        if calls["n"] < 10:     # the start, then 4 stages per step
+            return qdot, ptdot
+        return np.zeros_like(qdot), np.full_like(ptdot, np.inf)
+
+    monkeypatch.setattr(nhk.sim, "_field", blowing_up)
+    with np.errstate(all="ignore"):
+        traj = integrate(particle, PointM([0.0, 0.3, 0.0], [1.0, -0.5]),
+                         dt=0.01, steps=10)
+    assert not traj.completed
+    assert traj.exit_reason == ("left the valid domain at step 3: "
+                                "non-finite momentum value")
+    assert len(traj.states) == len(traj.times) == 3
+    assert np.isfinite(traj.states_array()).all()
+
+
 def test_initial_point_must_be_valid(snakeboard):
     with pytest.raises(DomainError):
         integrate(snakeboard, PointM([0, 0, 0, 0, 2.0], [0, 0, 0]),

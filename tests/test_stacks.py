@@ -1,16 +1,20 @@
 """Stacked evaluation: a stack of points gives, at every point, exactly
 the arrays that evaluating that point alone gives (np.array_equal, not a
 tolerance), for the packed linear algebra, the base pipeline, the
-Jacobiator routes and the cross-validation sweep."""
+Jacobiator routes and the cross-validation sweep.  A stacked PointM is
+the one container of many points, and the operations on one point
+refuse it."""
 
 import numpy as np
 import pytest
 
+import nhk
 from nhk import (
     PointM,
     base_at,
     builtin_definition,
     cross_validate,
+    integrate,
     jacobiator_bruteforce,
     jacobiator_tensor,
     load_system,
@@ -30,7 +34,7 @@ from nhk._linalg import (
     pk_transpose,
 )
 from nhk._rng import Lcg64
-from nhk.errors import LoadError, NhkError
+from nhk.errors import LoadError, NhkError, ParameterError
 from nhk.jacobiator import (_global_tensor, _km_point_data, _km_value,
                             _trivector_brute)
 from nhk.manifold import _sample_q
@@ -117,7 +121,7 @@ def test_pk_inv_rejects_a_stack_with_one_singular_matrix():
 @pytest.mark.parametrize("order", [0, 1, 2])
 @pytest.mark.parametrize("size", [1, 2, 7, 70])
 def test_base_at_on_a_stack_equals_base_at_per_point(system, order, size):
-    qs = np.array([p.q for p in sample_points(system, size, seed=71)])
+    qs = sample_points(system, size, seed=71).q
     stacked = base_at(system, qs, order)
     assert stacked.q.shape == (size, system.n)
     assert stacked.order == order
@@ -154,7 +158,7 @@ def test_base_at_on_a_stack_names_the_first_failing_point():
     definition["metric"][0][0] = "1 - 3*exp(-50*(x-(-1.9))^2)"
     system = load_system(definition)
     pts = sample_points(system, 40, seed=42)
-    qs = np.array([p.q for p in pts])
+    qs = pts.q
     with pytest.raises(NhkError) as stacked:
         base_at(system, qs, order=2)
     # points 1 and 20 fail (see the cross_validate skip test); point 1's
@@ -165,7 +169,7 @@ def test_base_at_on_a_stack_names_the_first_failing_point():
 
 
 def test_base_at_rejects_a_stack_with_a_point_outside_the_domain(snakeboard):
-    qs = np.array([p.q for p in sample_points(snakeboard, 3, seed=1)])
+    qs = sample_points(snakeboard, 3, seed=1).q.copy()
     qs[2, 0] = np.nan
     with pytest.raises(NhkError, match="non-finite"):
         base_at(snakeboard, qs, order=0)
@@ -173,9 +177,7 @@ def test_base_at_rejects_a_stack_with_a_point_outside_the_domain(snakeboard):
 
 # ---------------------------------------------------------------- routes
 def test_stacked_routes_equal_the_public_tensors(system):
-    pts = sample_points(system, 4, seed=13)
-    ps = PointM(np.array([p.q for p in pts]),
-                np.array([p.ptilde for p in pts]))
+    pts = ps = sample_points(system, 4, seed=13)
     bd = base_at(system, ps.q, order=2)
     brute = _trivector_brute(system, ps, bd)
     glob = _global_tensor(system, ps, bd)
@@ -203,9 +205,7 @@ def test_stacked_routes_equal_the_public_tensors(system):
 
 
 def test_km_route_on_a_large_stack_equals_the_public_tensor(adapted_system):
-    pts = sample_points(adapted_system, 70, seed=31)
-    ps = PointM(np.array([p.q for p in pts]),
-                np.array([p.ptilde for p in pts]))
+    pts = ps = sample_points(adapted_system, 70, seed=31)
     km = _km_value(_km_point_data(adapted_system, ps,
                                   base_at(adapted_system, ps.q, order=2)))
     for i, p in enumerate(pts):
@@ -293,3 +293,152 @@ def test_load_error_names_the_first_failing_probe_point():
     assert violation.startswith(
         f"at sampled point q={np.round(qs[1], 6).tolist()}: "
         "constraint forms rank-deficient")
+
+
+# ------------------------------------------------------------- container
+def test_a_stacked_point_is_a_sequence_of_points(snakeboard):
+    stack = sample_points(snakeboard, 5, seed=29)
+    assert isinstance(stack, PointM)
+    assert stack.q.shape == (5, 5) and stack.ptilde.shape == (5, 3)
+    assert len(stack) == 5
+    for i in range(-5, 5):
+        p = stack[i]
+        assert p.q.shape == (5,) and p.ptilde.shape == (3,)
+        assert np.array_equal(p.q, stack.q[i])
+        assert np.array_equal(p.ptilde, stack.ptilde[i])
+    part = stack[1:4]
+    assert isinstance(part, PointM) and len(part) == 3
+    assert np.array_equal(part.q, stack.q[1:4])
+    assert np.array_equal(part.ptilde, stack.ptilde[1:4])
+    points = list(stack)
+    assert len(points) == 5
+    for p, q, pt in zip(points, stack.q, stack.ptilde):
+        assert np.array_equal(p.q, q) and np.array_equal(p.ptilde, pt)
+    with pytest.raises(IndexError):
+        stack[5]
+    # a single point is no sequence
+    p = stack[0]
+    with pytest.raises(TypeError):
+        len(p)
+    with pytest.raises(TypeError):
+        p[0]
+    with pytest.raises(TypeError):
+        list(p)
+
+
+def test_sample_points_draws_point_by_point(system):
+    # each point's coordinates, then its momenta, from one generator
+    stack = sample_points(system, 6, seed=17, momentum_lo=-1.0,
+                          momentum_hi=3.0)
+    rng = Lcg64(17)
+    for i in range(6):
+        q = _sample_q(system, rng)
+        pt = [rng.uniform(-1.0, 3.0) for _ in range(system.n - system.k)]
+        assert np.array_equal(stack[i].q, q)
+        assert np.array_equal(stack[i].ptilde, pt)
+    empty = sample_points(system, 0, seed=17)
+    assert len(empty) == 0
+    assert empty.q.shape == (0, system.n)
+
+
+def test_trajectory_states_are_one_stacked_point(particle):
+    traj = integrate(particle, PointM([0.0, 0.3, 0.0], [1.0, -0.5]),
+                     dt=0.01, steps=12)
+    assert isinstance(traj.states, PointM)
+    assert len(traj.states) == len(traj.times) == 13
+    rows = traj.states_array()
+    assert np.array_equal(traj.states[-1].q, rows[-1, :particle.n])
+    assert np.array_equal(traj.states[-1].ptilde, rows[-1, particle.n:])
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """The number of PointM constructions so far."""
+    count = [0]
+    init = PointM.__init__
+
+    def counting(self, q, ptilde):
+        count[0] += 1
+        init(self, q, ptilde)
+
+    monkeypatch.setattr(PointM, "__init__", counting)
+    return count
+
+
+def test_point_constructions_per_call(particle, snakeboard, constructions):
+    init = PointM([0.0, 0.3, 0.0], [1.0, -0.5])
+    constructions[0] = 0
+    integrate(particle, init, 0.01, 10)
+    assert constructions[0] == 1
+    constructions[0] = 0
+    sample_points(snakeboard, 100, seed=3)
+    assert constructions[0] == 1
+    constructions[0] = 0
+    cross_validate(snakeboard, samples=100, seed=3)
+    assert constructions[0] <= 3
+
+
+# ------------------------------------------- one point, refused as a stack
+def _three(s):
+    return sample_points(s, 3, seed=61)
+
+
+# the public operations on one point, each applied to a 3-point stack
+ONE_POINT_ONLY = {
+    "hamiltonian_M": lambda s, p: nhk.hamiltonian_M(s, p),
+    "nh_vector_field": lambda s, p: nhk.nh_vector_field(s, p),
+    "omega_M": lambda s, p: nhk.omega_M(s, p),
+    "embed": lambda s, p: nhk.embed(s, p),
+    "splitting_at": lambda s, p: nhk.splitting_at(s, p),
+    "jacobiator_bruteforce": lambda s, p: nhk.jacobiator_bruteforce(
+        s, p, (0, 1, 2)),
+    "jacobiator_km": lambda s, p: nhk.jacobiator_km(s, p, (0, 1, 2)),
+    "jacobiator_global": lambda s, p: nhk.jacobiator_global(
+        s, p, *np.eye(s.dimM)[:3]),
+    "BivectorAtPoint.pairing": lambda s, p: nhk.nh_bivector(s, p).pairing(
+        *np.eye(s.dimM)[:2]),
+    "CurvatureAtPoint.pair": lambda s, p: nhk.curvature_coeffs(s, p).pair(
+        *np.eye(s.dimM)[:2]),
+    "curvature_KW_M": lambda s, p: nhk.curvature_KW_M(
+        s, p, *np.eye(s.dimM)[:2]),
+    "curvature_KW_Q": lambda s, p: nhk.curvature_KW_Q(
+        s, p.q, *np.eye(s.n)[:2]),
+    "adapted_coframe": lambda s, p: nhk.adapted_coframe(s, p.q),
+    "adapted_data": lambda s, p: nhk.adapted_data(s, p.q),
+    "integrate": lambda s, p: integrate(s, p, 0.01, 2),
+}
+
+
+@pytest.mark.parametrize("name", ["snakeboard", "particle"])
+@pytest.mark.parametrize("op", list(ONE_POINT_ONLY))
+def test_a_one_point_operation_refuses_a_stack(request, name, op):
+    s = request.getfixturevalue(name)
+    if op == "adapted_data" and s.adapted is None:
+        pytest.skip("adapted_data needs an adapted declaration")
+    with pytest.raises(ParameterError,
+                       match="^expected one point, got a stack of 3$"):
+        ONE_POINT_ONLY[op](s, _three(s))
+
+
+# the public operations that take a stack: their arrays lead with it
+STACK_OPS = {
+    "base_at": lambda s, p: base_at(s, p, 1).X.val,
+    "check_domain": lambda s, p: s.check_domain(p.q),
+    "chart_tensors": lambda s, p: nhk.chart_tensors(s, p).Pi,
+    "nh_bivector": lambda s, p: nhk.nh_bivector(s, p).mat,
+    "BivectorAtPoint.sharp": lambda s, p: nhk.nh_bivector(s, p).sharp(
+        np.eye(s.dimM)[0]),
+    "curvature_coeffs": lambda s, p: nhk.curvature_coeffs(s, p).coeffs,
+    "jacobiator_tensor": lambda s, p: jacobiator_tensor(s, p),
+    "pick_default_W": lambda s, p: nhk.pick_default_W(s, p.q),
+}
+
+
+@pytest.mark.parametrize("name", ["snakeboard", "particle"])
+@pytest.mark.parametrize("op", list(STACK_OPS))
+def test_a_stack_operation_takes_a_stack(request, name, op):
+    s = request.getfixturevalue(name)
+    stack = _three(s)
+    out = STACK_OPS[op](s, stack)
+    assert len(out) == 3
+    assert np.array_equal(out[1], STACK_OPS[op](s, stack[1]))

@@ -170,6 +170,24 @@ def test_expected_rejects_pole_angles():
             snakeboard_expected("J2", q_phi(phi))
 
 
+POLE_ANGLES = [math.pi / 2, -math.pi / 2, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("phi", POLE_ANGLES)
+def test_reduced_closed_forms_reject_pole_angles(phi):
+    # the steering-angle rule of snakeboard_expected, with its message
+    with pytest.raises(DomainError) as expected:
+        snakeboard_expected("J2", q_phi(phi))
+    p_red = [0.3, phi, 0.5, -0.2, 0.7]
+    calls = [lambda: snakeboard_reduced_sharp(p_red, np.eye(5)[3]),
+             lambda: snakeboard_reduced_jacobiator(p_red, (3, 4, 0)),
+             lambda: snakeboard_reduced_jacobiator(p_red, (0, 1, 2))]
+    for call in calls:
+        with pytest.raises(DomainError) as reduced:
+            call()
+        assert str(reduced.value) == str(expected.value)
+
+
 def test_expected_unknown_name():
     with pytest.raises(ValueError):
         snakeboard_expected("J3", q_phi(0.1))
