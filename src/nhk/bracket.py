@@ -43,8 +43,8 @@ import numpy as np
 from ._compile import get_compiled
 from ._linalg import Packed, pk_inv, pk_matmul, pk_transpose
 from .errors import GeometryError, check_array, check_integer, check_one_point
-from .manifold import (BaseData, NonholonomicSystem, PointM, _c_basis,
-                       _omega_arrays, _omega_packed, base_at)
+from .manifold import (BaseData, NonholonomicSystem, PointM, _omega_arrays,
+                       _omega_packed, base_at)
 
 __all__ = ["BivectorAtPoint", "ChartTensors", "chart_tensors", "nh_bivector",
            "hamiltonian_M", "nh_vector_field"]
@@ -146,19 +146,11 @@ def _bivector_packed(system: NonholonomicSystem, p: PointM, bd: BaseData,
     """The sharp matrix Pi = C G^{-1} C^T as a Packed matrix whose d1
     (order 1) runs along the chart directions, from base data ``bd`` at
     p.q of order at least order + 1 (p and bd may be stacked alike).
-    ``_omega_packed`` has already checked |det G| against NONDEG_TOL on
-    these same values."""
-    n, nk = system.n, system.n - system.k
-    dim = system.dimM
-    Om, _ = _omega_packed(system, p, bd, order)
-    C_d1 = None
-    if order >= 1:
-        C_d1 = np.zeros(bd.q.shape[:-1] + (dim, dim, 2 * nk))
-        C_d1[..., :n, :n, :nk] = bd.X.d1
-    C = Packed(_c_basis(system, bd), C_d1)
-    Ct = pk_transpose(C)
-    G = pk_matmul(pk_matmul(Ct, Om), C)
-    return pk_matmul(pk_matmul(C, pk_inv(G)), Ct)
+    The C basis and the restricted Gram matrix G = C^T Omega C come from
+    ``_omega_packed``, which has already checked |det G| against
+    NONDEG_TOL."""
+    _, C, G = _omega_packed(system, p, bd, order)
+    return pk_matmul(pk_matmul(C, pk_inv(G)), pk_transpose(C))
 
 
 def nh_bivector(system: NonholonomicSystem, p: PointM,

@@ -5,12 +5,14 @@ curvature of C measures the failure of C to be involutive:
 
     K_W(u, v) = -P_W([P_C U, P_C V])   at the point,
 
-for any extensions U, V of u, v -- the value is tensorial.  This module
-computes the coefficient tensor of K_W against the lifted complement
-frame, the corresponding object downstairs on Q, and the
-adapted-coordinate data (the coefficient matrix A of the constraints
-and its nonholonomy antisymmetrization) used by the coordinate route to
-the Jacobiator.
+for any extensions U, V of u, v -- the value is tensorial.  The
+splitting, its derivatives and the lift correction are built in
+``manifold._splitting``; from them this module computes the coefficient
+tensor of K_W against the lifted complement frame.  It also computes
+the corresponding object downstairs on Q, with its own projection onto
+D (an independent cross-check), and the adapted-coordinate data (the
+coefficient matrix A of the constraints and its nonholonomy
+antisymmetrization) used by the coordinate route to the Jacobiator.
 
 K_W is semi-basic: it vanishes whenever either argument is vertical, so
 it is really a 2-form in the base directions with values in W.  The
@@ -27,9 +29,9 @@ import numpy as np
 
 from ._compile import get_compiled
 from ._linalg import Packed
-from .errors import (ParameterError, UnsupportedOperationError,
-                     check_array, check_one_point)
-from .manifold import BaseData, NonholonomicSystem, PointM, base_at
+from .errors import UnsupportedOperationError, check_array, check_one_point
+from .manifold import (BaseData, NonholonomicSystem, PointM, _c_basis,
+                       _splitting, base_at)
 
 __all__ = ["CurvatureAtPoint", "AdaptedData", "curvature_coeffs",
            "curvature_KW_M", "curvature_KW_Q", "adapted_data"]
@@ -74,54 +76,6 @@ class AdaptedData:
     Kcoef: np.ndarray          # (k, n-k, n-k)
 
 
-def _projector_arrays(system, bd, lift):
-    """Lifted complement frame Zl (dim x k), its q-direction derivatives
-    dZl (n x dim x k), the constraint rows padded to chart covectors
-    epse (k x dim), the projections P_W = Zl epse and P_C = 1 - P_W, and
-    the chart-direction derivatives dP_C (dim x dim x dim), from base
-    data ``bd`` of order at least 1.  Each array leads with bd's stack
-    axis, if it has one.
-
-    lift is None (plain zero-momentum lift) or a pair (c, d) of constant
-    coefficient arrays, adding c[a, be] X-lift_be + d[a, al] d/dptilde_al
-    to the a-th complement leg (an admissible, C-valued correction)."""
-    n, k = system.n, system.k
-    nk = n - k
-    dim = 2 * n - k
-    lead = bd.q.shape[:-1]
-    Zl = np.zeros(lead + (dim, k))
-    Zl[..., :n, :] = bd.Z.val
-    dZl = np.zeros(lead + (n, dim, k))
-    dZl[..., :n, :] = bd.Z.d1
-    if lift is not None:
-        c, d = _check_lift(lift, (k, nk))
-        Zl[..., :n, :] += bd.X.val @ c.T
-        Zl[..., n:, :] += d.T
-        dZl[..., :n, :] += np.einsum("...lib,ab->...lia", bd.X.d1, c)
-    epse = np.zeros(lead + (k, dim))
-    epse[..., :n] = bd.eps.val
-    depse = np.zeros(lead + (n, k, dim))
-    depse[..., :n] = bd.eps.d1
-    P_W = Zl @ epse
-    P_C = np.eye(dim) - P_W
-    dP_C = np.zeros(lead + (dim, dim, dim))
-    dP_C[..., :n, :, :] = -(np.einsum("...lia,...aj->...lij", dZl, epse)
-                            + np.einsum("...ia,...laj->...lij", Zl, depse))
-    return Zl, dZl, epse, P_W, P_C, dP_C
-
-
-def _check_lift(lift, shape: tuple):
-    """The lift's coefficient arrays (c, d) as floats: a pair of arrays of
-    the given shape with finite real entries, else ParameterError."""
-    try:
-        c, d = lift
-    except (TypeError, ValueError):     # not a pair
-        raise ParameterError(f"lift coefficient arrays must be a pair "
-                             f"(c, d), got {lift!r}") from None
-    return [check_array(f"lift coefficient arrays (c, d): {name}", m, shape)
-            for name, m in (("c", c), ("d", d))]
-
-
 def curvature_coeffs(system: NonholonomicSystem, p: PointM,
                      lift=None) -> CurvatureAtPoint:
     """Coefficient tensor of K_W at p against the lifted complement
@@ -134,7 +88,7 @@ def _curvature_coeffs(system: NonholonomicSystem, bd: BaseData,
                       lift=None) -> CurvatureAtPoint:
     """curvature_coeffs from base data ``bd`` of order at least 1; for a
     stacked bd, every array of the result leads with its stack axis."""
-    Zl, _, epse, P_W, P_C, dP_C = _projector_arrays(system, bd, lift)
+    Zl, _, epse, P_W, P_C, dP_C = _splitting(system, bd, lift)
     br = (np.einsum("...li,...lkj->...kij", P_C, dP_C)
           - np.einsum("...lj,...lki->...kij", P_C, dP_C))
     coeffs = -np.einsum("...ak,...kij->...aij", epse, br)
@@ -171,27 +125,19 @@ def _curvature_pair_assembled(system: NonholonomicSystem, p: PointM, u, v,
     combinations of the assembled frame fields (X-lifts, momentum
     verticals, lifted complement legs) instead of constant chart
     extensions, and evaluate -P_W([P_C U, P_C V]) directly."""
-    n, k = system.n, system.k
-    nk = n - k
-    dim = system.dimM
+    n = system.n
     bd = base_at(system, p, order=1)
-    Zl, dZl, _, P_W, P_C, dP_C = _projector_arrays(system, bd, lift)
-
-    # assembled frame B(q) and its q-derivatives
-    B = np.zeros((dim, dim))
-    B[:n, :nk] = bd.X.val
-    B[n:, nk:2 * nk] = np.eye(nk)
-    B[:, 2 * nk:] = Zl
-    dB = np.zeros((n, dim, dim))
-    dB[:, :n, :nk] = bd.X.d1
-    dB[:, :, 2 * nk:] = dZl
-
+    Zl, dZl, _, P_W, P_C, dP_C = _splitting(system, bd, lift)
+    # assembled frame B = [C | Zl] and its q-derivatives
+    C = _c_basis(system, bd, 1)
+    B = np.concatenate([C.val, Zl], axis=-1)
+    dB = np.concatenate([C.d1[:n], dZl], axis=-1)
     cu = np.linalg.solve(B, np.asarray(u, dtype=float))
     cv = np.linalg.solve(B, np.asarray(v, dtype=float))
     # fields U = B c, projected: PU = P_C B c; commutator at the point
     PU = P_C @ B @ cu
     PV = P_C @ B @ cv
-    dPB = np.zeros((dim, dim, dim))   # chart-dir, comp, column
+    dPB = np.zeros((system.dimM,) * 3)   # chart-dir, comp, column
     dPB[:n] = (np.einsum("lij,jc->lic", dP_C[:n], B)
                + np.einsum("ij,ljc->lic", P_C, dB))
     dPU = dPB @ cu                    # (chart-dir, comp)

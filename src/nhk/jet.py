@@ -210,13 +210,18 @@ def _div_inverse(b: float) -> float:
 
 
 def _ipow_derivatives(x: float, e: int):
-    """x^e and its first and second derivatives in x, for an integer e."""
+    """x^e and its first and second derivatives in x, for an integer e;
+    EvalError when one is beyond the float range."""
     if e < 0 and abs(x) <= DIV_EPS:
         raise EvalError(f"negative power of near-zero value {x!r}")
-    v = x ** e
-    # d(x^e) = e x^(e-1); guard x = 0 with e >= 1 (derivative is 0 or 1*...).
-    d1 = e * (x ** (e - 1)) if (x != 0.0 or e >= 1) else 0.0
-    d2 = e * (e - 1) * (x ** (e - 2)) if (x != 0.0 or e >= 2) else 0.0
+    try:
+        v = x ** e
+        # d(x^e) = e x^(e-1); guard x = 0 with e >= 1 (0 or 1*...).
+        d1 = e * (x ** (e - 1)) if (x != 0.0 or e >= 1) else 0.0
+        d2 = e * (e - 1) * (x ** (e - 2)) if (x != 0.0 or e >= 2) else 0.0
+    except OverflowError:
+        raise EvalError(f"power {e} has no finite value or derivative at "
+                        f"{x!r}") from None
     return v, d1, d2
 
 
@@ -228,36 +233,44 @@ def _ipow(a: Jet2, e: int) -> Jet2:
 
 # first and second derivatives of the supported elementary functions
 def _fn_derivatives(fn: str, x: float):
-    if fn == "sin":
-        return math.sin(x), math.cos(x), -math.sin(x)
-    if fn == "cos":
-        return math.cos(x), -math.sin(x), -math.cos(x)
-    if fn == "tan":
-        c = math.cos(x)
-        if abs(c) <= POLE_EPS:
-            raise EvalError(f"tan evaluated at a pole (cos = {c!r})")
-        t = math.tan(x)
-        s2 = 1.0 / (c * c)
-        return t, s2, 2.0 * s2 * t
-    if fn == "sec":
-        c = math.cos(x)
-        if abs(c) <= POLE_EPS:
-            raise EvalError(f"sec evaluated at a pole (cos = {c!r})")
-        s = 1.0 / c
-        t = math.tan(x)
-        return s, s * t, s * (t * t + s * s)
-    if fn == "sqrt":
-        if x <= 0.0:
-            raise EvalError(f"sqrt of non-positive value {x!r}")
-        r = math.sqrt(x)
-        return r, 0.5 / r, -0.25 / (x * r)
-    if fn == "exp":
-        e = math.exp(x)
-        return e, e, e
-    if fn == "ln":
-        if x <= 0.0:
-            raise EvalError(f"ln of non-positive value {x!r}")
-        return math.log(x), 1.0 / x, -1.0 / (x * x)
+    """f(x), f'(x) and f''(x) for the elementary function ``fn``.  Like a
+    pole or a non-positive argument, a value or derivative that is no
+    finite float (exp overflow, sin of inf, an underflow to a zero
+    divisor) raises EvalError."""
+    try:
+        if fn == "sin":
+            return math.sin(x), math.cos(x), -math.sin(x)
+        if fn == "cos":
+            return math.cos(x), -math.sin(x), -math.cos(x)
+        if fn == "tan":
+            c = math.cos(x)
+            if abs(c) <= POLE_EPS:
+                raise EvalError(f"tan evaluated at a pole (cos = {c!r})")
+            t = math.tan(x)
+            s2 = 1.0 / (c * c)
+            return t, s2, 2.0 * s2 * t
+        if fn == "sec":
+            c = math.cos(x)
+            if abs(c) <= POLE_EPS:
+                raise EvalError(f"sec evaluated at a pole (cos = {c!r})")
+            s = 1.0 / c
+            t = math.tan(x)
+            return s, s * t, s * (t * t + s * s)
+        if fn == "sqrt":
+            if x <= 0.0:
+                raise EvalError(f"sqrt of non-positive value {x!r}")
+            r = math.sqrt(x)
+            return r, 0.5 / r, -0.25 / (x * r)
+        if fn == "exp":
+            e = math.exp(x)
+            return e, e, e
+        if fn == "ln":
+            if x <= 0.0:
+                raise EvalError(f"ln of non-positive value {x!r}")
+            return math.log(x), 1.0 / x, -1.0 / (x * x)
+    except (ArithmeticError, ValueError):
+        raise EvalError(f"{fn} has no finite value or derivative at {x!r}") \
+            from None
     raise EvalError(f"unknown function {fn!r}")
 
 

@@ -14,8 +14,12 @@ where X_alpha is the working frame of D.  This module builds, pointwise:
   momentum-elimination coefficients J with p(Z_a) = J_a^beta ptilde_beta;
 * the embedding M -> T*Q,  p_i = ptilde_alpha mu^alpha_i,
   mu^alpha = chi^alpha + J_a^alpha eps^a;
-* the pullback 2-form Omega_M of the canonical symplectic form;
-* the splitting TM = C (+) W-lift, with projections.
+* the pullback 2-form Omega_M of the canonical symplectic form and its
+  restricted Gram matrix G = C^T Omega_M C on the C basis;
+* the splitting TM = C (+) W-lift: the C basis (``_c_basis``), the
+  lifted complement frame with its optional admissible lift correction,
+  and the projections P_C, P_W with their derivatives (``_splitting``).
+  The bracket and the curvature read the splitting from here only.
 
 All per-point data is carried to the requested derivative order as
 Packed arrays, and all linear algebra runs on them.  Frames are chosen
@@ -59,8 +63,8 @@ from ._linalg import (Packed, _first, check_nonsingular, pk_add, pk_at,
                       pk_hstack, pk_inv, pk_matmul, pk_rows, pk_transpose)
 from ._rng import Lcg64
 from .errors import (DomainError, EvalError, GeometryError, LoadError,
-                     ParseError, check_integer, check_one_point, check_real,
-                     real_array)
+                     ParameterError, ParseError, check_array, check_integer,
+                     check_one_point, check_real, real_array)
 
 __all__ = [
     "NonholonomicSystem", "PointM", "SplittingAtPoint", "TwoFormAtPoint",
@@ -90,12 +94,13 @@ def _real(value, what: str) -> np.ndarray:
 
 
 # ------------------------------------------------------------------ types
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointM:
     """A point of the constraint phase space (or a stack of points):
     base coordinates q plus momenta ptilde in the D-frame, as new
     read-only float arrays of finite real numbers (else DomainError).
-    A stack is a sequence of new PointM: len, index, slice, iterate."""
+    A stack is a sequence of new PointM: len, index, slice, iterate.
+    Equality and hashing are by identity, as for NonholonomicSystem."""
     q: np.ndarray
     ptilde: np.ndarray
 
@@ -705,34 +710,94 @@ def _omega_arrays(system: NonholonomicSystem, pt, bd: BaseData,
     return E, dE_q, dE_p, Omega, dOmega
 
 
-def _c_basis(system: NonholonomicSystem, bd: BaseData) -> np.ndarray:
+def _c_basis(system: NonholonomicSystem, bd: BaseData, order: int) -> Packed:
     """The basis of C in the chart basis: the zero-momentum lifts of the
-    D-frame, then the momentum directions (dimM x 2(n-k), stacked like
-    bd)."""
-    n, nk = system.n, system.n - system.k
-    C = np.zeros(bd.q.shape[:-1] + (system.dimM, 2 * nk))
+    D-frame, then the momentum directions, as a Packed matrix
+    (dimM x 2(n-k), stacked like bd).  At order 1, d1 holds its
+    derivatives along the chart directions (only the X block varies)."""
+    n, nk, dim = system.n, system.n - system.k, system.dimM
+    lead = bd.q.shape[:-1]
+    C = np.zeros(lead + (dim, 2 * nk))
     C[..., :n, :nk] = bd.X.val
     C[..., n:, nk:] = np.eye(nk)
-    return C
+    d1 = None
+    if order >= 1:
+        d1 = np.zeros(lead + (dim, dim, 2 * nk))
+        d1[..., :n, :n, :nk] = bd.X.d1
+    return Packed(C, d1)
+
+
+def _check_lift(lift, shape: tuple):
+    """The lift's coefficient arrays (c, d) as floats: a pair of arrays of
+    the given shape with finite real entries, else ParameterError."""
+    try:
+        c, d = lift
+    except (TypeError, ValueError):     # not a pair
+        raise ParameterError(f"lift coefficient arrays must be a pair "
+                             f"(c, d), got {lift!r}") from None
+    return [check_array(f"lift coefficient arrays (c, d): {name}", m, shape)
+            for name, m in (("c", c), ("d", d))]
+
+
+def _splitting(system: NonholonomicSystem, bd: BaseData, lift=None):
+    """The splitting T M = C (+) W-lift from base data ``bd``: returns
+    (Zl, dZl, epse, P_W, P_C, dP_C) with Zl the lifted complement frame
+    (dimM x k), epse the constraint rows padded to chart covectors
+    (k x dimM), the projections P_W = Zl epse and P_C = 1 - P_W, and,
+    when bd has order at least 1, the q-direction derivatives dZl
+    (n x dimM x k) and the chart-direction derivatives dP_C
+    (dimM x dimM x dimM); at order 0 those two are None.  Each array
+    leads with bd's stack axis, if it has one.
+
+    lift is None (plain zero-momentum lift) or a pair (c, d) of constant
+    coefficient arrays, adding c[a, be] X-lift_be + d[a, al] d/dptilde_al
+    to the a-th complement leg (an admissible, C-valued correction)."""
+    n, k, dim = system.n, system.k, system.dimM
+    lead = bd.q.shape[:-1]
+    Zl = np.zeros(lead + (dim, k))
+    Zl[..., :n, :] = bd.Z.val
+    if lift is not None:
+        c, d = _check_lift(lift, (k, n - k))
+        Zl[..., :n, :] += bd.X.val @ c.T
+        Zl[..., n:, :] += d.T
+    epse = np.zeros(lead + (k, dim))
+    epse[..., :n] = bd.eps.val
+    P_W = Zl @ epse
+    P_C = np.eye(dim) - P_W
+    if bd.order == 0:
+        return Zl, None, epse, P_W, P_C, None
+    dZl = np.zeros(lead + (n, dim, k))
+    dZl[..., :n, :] = bd.Z.d1
+    if lift is not None:
+        dZl[..., :n, :] += np.einsum("...lib,ab->...lia", bd.X.d1, c)
+    depse = np.zeros(lead + (n, k, dim))
+    depse[..., :n] = bd.eps.d1
+    dP_C = np.zeros(lead + (dim, dim, dim))
+    dP_C[..., :n, :, :] = -(np.einsum("...lia,...aj->...lij", dZl, epse)
+                            + np.einsum("...ia,...laj->...lij", Zl, depse))
+    return Zl, dZl, epse, P_W, P_C, dP_C
 
 
 def _omega_packed(system: NonholonomicSystem, p: PointM, bd: BaseData,
-                  order: int) -> tuple[Packed, np.ndarray]:
+                  order: int) -> tuple[Packed, Packed, Packed]:
     """Omega_M at p as a Packed matrix whose d1 (order 1) runs along the
     chart directions, q first, then the momenta, from base data ``bd``
     at p.q of order at least order + 1 (p and bd may be stacked alike).
-    Returns the matrix and |det| of its restriction to C, which must
-    exceed NONDEG_TOL at every point."""
+    Returns (Omega, C, G): the matrix, the C basis (``_c_basis``) and
+    the restricted Gram matrix G = C^T Omega C, each to that order.
+    |det G| must exceed NONDEG_TOL at every point."""
     _, _, _, val, d1 = _omega_arrays(system, p.ptilde, bd, order)
+    Om = Packed(val, d1)
+    C = _c_basis(system, bd, order)
+    G = pk_matmul(pk_matmul(pk_transpose(C), Om), C)
     # nondegeneracy of the restriction to C
-    C = _c_basis(system, bd)
-    det = np.abs(np.linalg.det(C.swapaxes(-1, -2) @ val @ C))
+    det = np.abs(np.linalg.det(G.val))
     i = _first(det <= NONDEG_TOL)
     if i is not None:
         raise GeometryError(
             "restriction of the 2-form to C is degenerate "
             f"(|det| = {det.reshape(-1)[i]:.3e})")
-    return Packed(val, d1), det
+    return Om, C, G
 
 
 def omega_M(system: NonholonomicSystem, p: PointM, order: int = 0) -> TwoFormAtPoint:
@@ -746,10 +811,11 @@ def omega_M(system: NonholonomicSystem, p: PointM, order: int = 0) -> TwoFormAtP
     """
     order = check_integer("order", order, 0, 2)
     check_one_point(p.q)
-    bd = base_at(system, p, order + 1)
-    om, det = _omega_packed(system, p, bd, order)
+    om, _, G = _omega_packed(system, p, base_at(system, p, order + 1),
+                             order)
+    det = float(abs(np.linalg.det(G.val)))
     return TwoFormAtPoint(mat=om.val, d1=om.d1, order=order,
-                          restricted_abs_det=float(det))
+                          restricted_abs_det=det)
 
 
 def splitting_at(system: NonholonomicSystem, p: PointM) -> SplittingAtPoint:
@@ -758,18 +824,13 @@ def splitting_at(system: NonholonomicSystem, p: PointM) -> SplittingAtPoint:
     C is spanned by the zero-momentum lifts of the D-frame together with
     all d/dptilde; the W-lift takes Z_a with zero momentum components.
     Projections come from the dual coframe of the assembled basis, which
-    here collapses to P_W = Z-lift (x) pulled-back eps."""
-    n, k = system.n, system.k
+    here collapses to P_W = Z-lift (x) pulled-back eps (``_splitting``)."""
     check_one_point(p.q)
     bd = base_at(system, p, order=0)
-    dim = system.dimM
-    C = _c_basis(system, bd)
-    W = np.zeros((dim, k))
-    W[:n, :] = bd.Z.val
-    P_W = np.zeros((dim, dim))
-    P_W[:n, :n] = bd.Z.val @ bd.eps.val
-    P_C = np.eye(dim) - P_W
-    return SplittingAtPoint(dimM=dim, C_basis=C, W_basis=W, P_C=P_C, P_W=P_W)
+    Zl, _, _, P_W, P_C, _ = _splitting(system, bd)
+    return SplittingAtPoint(dimM=system.dimM,
+                            C_basis=_c_basis(system, bd, 0).val,
+                            W_basis=Zl, P_C=P_C, P_W=P_W)
 
 
 def adapted_coframe(system: NonholonomicSystem, q):

@@ -30,7 +30,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, check_array, check_real
+from .errors import (DomainError, ParameterError, check_array,
+                     check_one_point, check_real)
 from .jacobiator import _check_triple
 from .manifold import NonholonomicSystem, PointM, load_system
 
@@ -234,7 +235,9 @@ def snakeboard_expected(name: str, p, params=None) -> float:
     """Closed-form reference values for the snakeboard at a point.
 
     ``p`` may be a PointM or a bare coordinate array (x, y, theta, psi,
-    phi), held to PointM's rule; only the steering angle phi enters.
+    phi), held to PointM's rule, and is one point (a stack raises
+    ParameterError); only the steering angle phi enters.  An unknown
+    name raises ParameterError.
     Available names:
 
     * ``J1``, ``J2`` -- momentum coupling functions of phi;
@@ -250,6 +253,7 @@ def snakeboard_expected(name: str, p, params=None) -> float:
     """
     pr = _sb_params(params)
     q = (p if isinstance(p, PointM) else PointM(p, ())).q
+    check_one_point(q)
     if q.shape != (5,):
         raise DomainError(f"expected 5 coordinates, got shape {q.shape}")
     phi = _sb_phi(q[4])
@@ -266,7 +270,7 @@ def snakeboard_expected(name: str, p, params=None) -> float:
         "KW_coeff": -2.0 * r * c,
     }
     if name not in table:
-        raise ValueError(
+        raise ParameterError(
             f"unknown expected-value name {name!r}; available: {sorted(table)}")
     return table[name]
 

@@ -370,6 +370,19 @@ def test_eval_domain_failure():
     assert doc["error"]["type"] == "EvalError"
 
 
+@pytest.mark.parametrize("expr, at, message", [
+    ("exp(x)", "x=1000", "exp has no finite value or derivative at 1000.0"),
+    ("sin(x)", "x=inf", "sin has no finite value or derivative at inf"),
+    ("x^6", "x=1e60", "power 6 has no finite value or derivative at 1e+60"),
+], ids=["exp", "sin", "pow"])
+def test_eval_beyond_the_float_range_is_an_eval_error(expr, at, message):
+    # a runtime error (exit 3), not a traceback with exit 1
+    doc, out = run_json(["eval", "--expr", expr, "--at", at], expect_code=3)
+    assert doc["error"]["type"] == "EvalError"
+    assert doc["error"]["message"].startswith(message)
+    assert out.summary.startswith(f"error: {message}")
+
+
 # ------------------------------------------------------------ shell plumbing
 
 

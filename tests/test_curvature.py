@@ -323,3 +323,14 @@ def test_adapted_curvature_matches_frame_curvature(adapted_system):
                 got = bd.eps.val @ kq
                 np.testing.assert_allclose(got, ad.Kcoef[:, al, be],
                                            rtol=1e-8, atol=1e-9)
+
+
+def test_the_splitting_is_the_curvature_s_splitting(system):
+    # the public splitting and the curvature read one construction
+    for p in sample_points(system, 3, seed=263):
+        sp = splitting_at(system, p)
+        cv = curvature_coeffs(system, p)
+        for a, b in ((sp.P_C, cv.P_C), (sp.P_W, cv.P_W),
+                     (sp.W_basis, cv.W_lift)):
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))

@@ -263,6 +263,28 @@ def test_domain_guards_raise():
         jet_unary("sec", jet_const(math.pi / 2, 1))
 
 
+@pytest.mark.parametrize("fn, x", [
+    ("exp", 1000.0), ("sin", math.inf), ("cos", -math.inf),
+    ("tan", math.inf), ("sec", math.inf), ("sqrt", 1e-300),
+    ("ln", 1e-200)])
+def test_a_result_beyond_the_float_range_is_an_eval_error(fn, x):
+    # exp overflows, the trigonometric functions are undefined at inf,
+    # and the derivatives of sqrt and ln divide by an underflowed zero
+    message = f"{fn} has no finite value or derivative at {x!r}"
+    for order in (0, 2):
+        with pytest.raises(EvalError) as err:
+            jet_unary(fn, jet_const(x, 1, order))
+        assert str(err.value) == message
+
+
+def test_a_power_beyond_the_float_range_is_an_eval_error():
+    for x, e in ((1e60, 6), (-1e100, 5)):
+        with pytest.raises(EvalError) as err:
+            jet_binary("pow", jet_const(x, 1), jet_const(e, 1))
+        assert str(err.value) == (f"power {e} has no finite value or "
+                                  f"derivative at {x!r}")
+
+
 def test_unknown_unary_fn_raises():
     with pytest.raises(EvalError):
         jet_unary("sinh", jet_const(1.0, 1))

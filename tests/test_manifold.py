@@ -33,7 +33,8 @@ from nhk._compile import get_compiled
 from nhk.curvature import _curvature_pair_assembled
 from nhk.jacobiator import _applicable_methods
 from nhk._linalg import pk_from_jets, pk_unpack
-from nhk.errors import DomainError, GeometryError, LoadError, check_array
+from nhk.errors import (DomainError, EvalError, GeometryError, LoadError,
+                        check_array)
 from nhk.expr import eval_expr, parse, resolve
 from nhk.jet import jet_binary, jet_const, jet_unary
 from nhk.manifold import PIVOT_TOL
@@ -129,6 +130,32 @@ def test_load_probes_indefinite_metric():
     with pytest.raises(LoadError) as err:
         load_system(doc)
     assert any("positive definite" in v for v in err.value.violations)
+
+
+@pytest.mark.parametrize("potential, message", [
+    ("exp(1000)", "exp has no finite value or derivative at 1000.0"),
+    ("cos(1e308*1e308)", "cos has no finite value or derivative at inf"),
+], ids=["exp", "cos"])
+def test_load_reports_a_constant_beyond_the_float_range(potential, message):
+    doc = builtin_definition("nh_particle")
+    doc["potential"] = potential
+    with pytest.raises(LoadError) as err:
+        load_system(doc)
+    assert err.value.violations == [f"potential: {message} (at offset 0)"]
+
+
+@pytest.mark.parametrize("entry, x, message", [
+    ("1 + exp(x)", 800.0, "exp has no finite value or derivative at 800.0"),
+    ("1 + x^6", 1e60, "power 6 has no finite value or derivative at 1e+60"),
+], ids=["exp", "pow"])
+def test_base_at_reports_a_metric_beyond_the_float_range(entry, x, message):
+    doc = builtin_definition("nh_particle")
+    doc["metric"][0][0] = entry
+    s = load_system(doc)
+    for order in (0, 1, 2):
+        with pytest.raises(EvalError) as err:
+            base_at(s, [x, 0.0, 0.0], order)
+        assert str(err.value) == message
 
 
 def test_load_accepts_an_empty_complement_frame(free):

@@ -8,9 +8,11 @@ import pytest
 import nhk.sim
 from nhk import (
     PointM,
+    builtin_definition,
     chart_tensors,
     hamiltonian_M,
     integrate,
+    load_system,
     nh_vector_field,
     sample_points,
     trajectory_csv,
@@ -126,6 +128,23 @@ def test_non_finite_momentum_ends_the_trajectory(particle, monkeypatch):
     assert traj.exit_reason == ("left the valid domain at step 3: "
                                 "non-finite momentum value")
     assert len(traj.states) == len(traj.times) == 3
+    assert np.isfinite(traj.states_array()).all()
+
+
+def test_an_overflowing_potential_ends_the_trajectory():
+    # the force grows like exp(x); an RK4 stage of step 2 evaluates the
+    # potential beyond the float range, which ends the run like a domain
+    # exit instead of raising
+    doc = builtin_definition("nh_particle")
+    doc["potential"] = "-exp(x)"
+    s = load_system(doc)
+    traj = integrate(s, PointM([5.0, 0.0, 0.0], [10.0, 0.0]), dt=0.1,
+                     steps=50)
+    assert not traj.completed
+    assert traj.exit_reason.startswith(
+        "left the valid domain at step 2: exp has no finite value or "
+        "derivative at ")
+    assert len(traj.states) == len(traj.times) == 2
     assert np.isfinite(traj.states_array()).all()
 
 

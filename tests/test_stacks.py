@@ -37,7 +37,7 @@ from nhk._rng import Lcg64
 from nhk.errors import LoadError, NhkError, ParameterError
 from nhk.jacobiator import (_global_tensor, _km_point_data, _km_value,
                             _trivector_brute)
-from nhk.manifold import _sample_q
+from nhk.manifold import _c_basis, _sample_q, _splitting
 
 FIELDS = ("kappa", "eps", "X", "Z", "chi", "J", "mu", "kD", "kD_inv")
 
@@ -173,6 +173,33 @@ def test_base_at_rejects_a_stack_with_a_point_outside_the_domain(snakeboard):
     qs[2, 0] = np.nan
     with pytest.raises(NhkError, match="non-finite"):
         base_at(snakeboard, qs, order=0)
+
+
+# ------------------------------------------------------------ splitting
+@pytest.mark.parametrize("order", [0, 1])
+@pytest.mark.parametrize("size", [1, 2, 7])
+def test_splitting_on_a_stack_equals_the_splitting_per_point(system, order,
+                                                             size):
+    rng = np.random.default_rng(23)
+    k, nk = system.k, system.n - system.k
+    lift = (rng.normal(size=(k, nk)), rng.normal(size=(k, nk)))
+    qs = sample_points(system, size, seed=37).q
+    bd = base_at(system, qs, order)
+    C = _c_basis(system, bd, order)
+    for i, q in enumerate(qs):
+        assert_packed_equal(pk_at(C, i),
+                            _c_basis(system, base_at(system, q, order), order))
+    for lf in (None, lift):
+        stacked = _splitting(system, bd, lf)
+        alone = [_splitting(system, base_at(system, q, order), lf)
+                 for q in qs]
+        for part, got in enumerate(stacked):
+            if got is None:             # a derivative at order 0
+                assert order == 0 and all(a[part] is None for a in alone)
+                continue
+            assert got.shape[0] == size
+            for i, a in enumerate(alone):
+                assert np.array_equal(got[i], a[part]), (part, i)
 
 
 # ---------------------------------------------------------------- routes
@@ -324,6 +351,15 @@ def test_a_stacked_point_is_a_sequence_of_points(snakeboard):
         p[0]
     with pytest.raises(TypeError):
         list(p)
+
+
+def test_points_compare_and_hash_by_identity(snakeboard):
+    stack = sample_points(snakeboard, 2, seed=1)
+    p = stack[0]
+    assert p == p and hash(p) == hash(p) and p in [p]
+    assert stack[0] != stack[0]         # two new points
+    assert p not in stack               # each member is a new point
+    assert {p: 1}[p] == 1 and len({p, stack[0], stack}) == 3
 
 
 def test_sample_points_draws_point_by_point(system):

@@ -150,17 +150,23 @@ def test_expected_accepts_point_or_coordinates():
     assert snakeboard_expected("J1", q) == snakeboard_expected("J1", p)
 
 
-@pytest.mark.parametrize("q, message", [
-    ([1j, 0, 0, 0, 0.1], "coordinates must be real numbers"),
-    (["a", 0, 0, 0, 0.1], "coordinates must be real numbers"),
-    ([True, 0, 0, 0, 0.1], "coordinates must be real numbers"),
-    (np.zeros(4), r"expected 5 coordinates, got shape \(4,\)"),
-    (np.zeros((2, 5)), r"expected 5 coordinates, got shape \(2, 5\)"),
-    ([0, np.nan, 0, 0, 0.1], "non-finite coordinate value"),
-    ([0, 0, 0, 0, np.inf], "non-finite coordinate value"),
-], ids=["complex", "string", "bool", "short", "stack", "nan", "inf"])
-def test_expected_follows_the_coordinate_rule(q, message):
-    with pytest.raises(DomainError, match=message):
+@pytest.mark.parametrize("q, error, message", [
+    ([1j, 0, 0, 0, 0.1], DomainError, "coordinates must be real numbers"),
+    (["a", 0, 0, 0, 0.1], DomainError, "coordinates must be real numbers"),
+    ([True, 0, 0, 0, 0.1], DomainError, "coordinates must be real numbers"),
+    (np.zeros(4), DomainError, r"expected 5 coordinates, got shape \(4,\)"),
+    (np.zeros((2, 5)), ParameterError,
+     r"^expected one point, got a stack of 2$"),
+    (PointM(np.zeros((2, 5)), np.zeros((2, 3))), ParameterError,
+     r"^expected one point, got a stack of 2$"),
+    ([0, np.nan, 0, 0, 0.1], DomainError, "non-finite coordinate value"),
+    ([0, 0, 0, 0, np.inf], DomainError, "non-finite coordinate value"),
+], ids=["complex", "string", "bool", "short", "stack", "stacked_point", "nan",
+        "inf"])
+def test_expected_follows_the_coordinate_rule(q, error, message):
+    # a stack, as an array or a PointM, meets the one-point rule of every
+    # single-point operation
+    with pytest.raises(error, match=message):
         snakeboard_expected("J1", q)
 
 
@@ -189,8 +195,10 @@ def test_reduced_closed_forms_reject_pole_angles(phi):
 
 
 def test_expected_unknown_name():
-    with pytest.raises(ValueError):
+    # a ParameterError, which is still a ValueError
+    with pytest.raises(ParameterError, match="unknown expected-value name"):
         snakeboard_expected("J3", q_phi(0.1))
+    assert issubclass(ParameterError, ValueError)
 
 
 def test_expected_respects_parameter_overrides():
