@@ -29,8 +29,11 @@ left operand of ``*``/``/`` when it is a sum, the right operand of
 negation when it is a sum or a product.  The code so parses to the
 same expression trees as fully parenthesized code would, so the
 arithmetic, its order and its errors are those described above.  The
-code stores each Hessian entry [l, m] with l <= m once; ``packed``
-copies the entries with l < m onto [m, l].
+code stores each Hessian entry [l, m] with l <= m once, at its offset in
+a flat view of the Hessian block (one index compiles faster than four);
+``packed`` copies the entries with l < m onto [m, l].  The code returns
+the sum of the locals it stored, so that one float test finds a
+non-finite entry, which ``packed`` refuses with ``EvalError``.
 
 A grid with no q-dependent code has no kernel: its arrays are filled at
 compile time and shared, read-only.  ``CompiledSystem`` also keeps the
@@ -49,7 +52,8 @@ import numpy as np
 
 from ._linalg import Packed
 from .expr import Binary, Num, Unary, Var
-from .jet import _div_inverse, _fn_derivatives, _ipow_derivatives
+from .errors import EvalError
+from .jet import NONFINITE, _div_inverse, _fn_derivatives, _ipow_derivatives
 
 __all__ = ["get_compiled", "CompiledSystem", "GridEval"]
 
@@ -267,6 +271,7 @@ class GridEval:
         self._d20 = np.zeros((n, n, rows, cols))
         em = _Emitter(coord_names)
         s0, s1, s2 = em.s0, em.s1, em.s2
+        stored = ([], [], [])      # the locals stored, per order
         upper = []                 # (l, m, i, j), l < m, of stored entries
         for i in range(rows):
             for j in range(cols):
@@ -275,23 +280,35 @@ class GridEval:
                     self._val0[i, j] = nd.val
                 else:
                     s0.append(f"val[{i},{j}] = {nd.val}")
+                    stored[0].append(nd.val)
                 for l in nd.deps:
                     t = nd.grad.get(l)
                     if isinstance(t, float):
                         self._d10[l, i, j] = t
                     elif t is not None:
                         s1.append(f"d1[{l},{i},{j}] = {t}")
+                        stored[1].append(t)
                 for l, m in em.pairs(nd.deps):
                     t = nd.hess.get((l, m))
                     if isinstance(t, float):
                         self._d20[l, m, i, j] = self._d20[m, l, i, j] = t
                     elif t is not None:
-                        s2.append(f"d2[{l},{m},{i},{j}] = {t}")
+                        at = ((l * n + m) * rows + i) * cols + j
+                        s2.append(f"d2[{at}] = {t}")
+                        stored[2].append(t)
                         if l != m:
                             upper.append((l, m, i, j))
+        # the sum of the stored locals is non-finite if one of them is,
+        # or if it overflows, which packed tells apart; the constants
+        # are checked once, here
+        for lines, names in zip((s0, s1, s2), stored):
+            for c in range(0, len(names), 64):
+                lines.append(f"z += {' + '.join(names[c:c + 64])}")
+        self._finite = all(np.isfinite(a).all() for a in
+                           (self._val0, self._d10, self._d20))
         for a in (self._val0, self._d10, self._d20):
             _read_only(a)
-        # flat offsets, in one point's Hessian block, of the stored
+        # offsets, in one point's flat Hessian block, of the stored
         # entries [l, m] with l < m and of their mirror images [m, l]
         self._upper = self._lower = None
         if upper:
@@ -301,12 +318,13 @@ class GridEval:
         if not (s0 or s1 or s2):
             self._fill = None
         else:
-            src = ["def _fill(q, val, d1, d2, order):"]
-            src += [" " + s for s in s0] or [" pass"]
+            src = ["def _fill(q, val, d1, d2, order):", " z = 0.0"]
+            src += [" " + s for s in s0]
             src.append(" if order >= 1:")
             src += ["  " + s for s in s1] or ["  pass"]
             src.append("  if order >= 2:")
             src += ["   " + s for s in s2] or ["   pass"]
+            src.append(" return z")
             ns = dict(_GLOBALS)
             exec(compile("\n".join(src), "<nhk-grid>", "exec"), ns)
             self._fill = ns["_fill"]
@@ -319,7 +337,8 @@ class GridEval:
         """The grid at q of shape (n,), or at every row of a stack of
         shape (B, n); the arrays then lead with the stack axis.  The
         generated code fills one point at a time.  A stack gets its own
-        contiguous copies, laid out per point as a single point's.
+        contiguous copies, laid out per point as a single point's.  A
+        non-finite entry raises EvalError (``jet.NONFINITE``).
 
         The code writes each q-dependent Hessian entry [l, m] with
         l <= m only; at order 2 one indexed copy, made with index
@@ -327,6 +346,8 @@ class GridEval:
         the entries with l < m: once for a single point, and once for
         a whole stack."""
         q = np.asarray(q, dtype=float)
+        if not self._finite:
+            raise EvalError(NONFINITE)
         if q.ndim == 1:
             if self._fill is None:
                 return Packed(self._val0, self._d10 if order >= 1 else None,
@@ -334,22 +355,27 @@ class GridEval:
             val = self._val0.copy()
             d1 = self._d10.copy() if order >= 1 else None
             d2 = self._d20.copy() if order >= 2 else None
-            self._fill(q, val, d1, d2, order)
-            if d2 is not None and self._upper is not None:
-                f = d2.reshape(-1)         # a view: d2 is a new copy
+            f = None if d2 is None else d2.reshape(-1)  # a view of the copy
+            z = self._fill(q, val, d1, f, order)
+            if f is not None and self._upper is not None:
                 f[self._lower] = f[self._upper]
-            return Packed(val, d1, d2)
-        b = len(q)
-        val = self._val0[None].repeat(b, 0)
-        d1 = self._d10[None].repeat(b, 0) if order >= 1 else None
-        d2 = self._d20[None].repeat(b, 0) if order >= 2 else None
-        if self._fill is not None:
-            for i in range(b):
-                self._fill(q[i], val[i], None if d1 is None else d1[i],
-                           None if d2 is None else d2[i], order)
-            if d2 is not None and self._upper is not None:
-                f = d2.reshape(b, -1)      # a view, one row per point
-                f[:, self._lower] = f.take(self._upper, axis=1)
+        else:
+            b = len(q)
+            val = self._val0[None].repeat(b, 0)
+            d1 = self._d10[None].repeat(b, 0) if order >= 1 else None
+            d2 = self._d20[None].repeat(b, 0) if order >= 2 else None
+            f = None if d2 is None else d2.reshape(b, -1)   # a row per point
+            z = 0.0
+            if self._fill is not None:
+                for i in range(b):
+                    z += self._fill(q[i], val[i],
+                                    None if d1 is None else d1[i],
+                                    None if f is None else f[i], order)
+                if f is not None and self._upper is not None:
+                    f[:, self._lower] = f.take(self._upper, axis=1)
+        if not math.isfinite(z) and not all(
+                np.isfinite(a).all() for a in (val, d1, d2) if a is not None):
+            raise EvalError(NONFINITE)
         return Packed(val, d1, d2)
 
 

@@ -36,13 +36,15 @@ integrator (``sim``) evaluates the same H, dH and field.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._compile import get_compiled
 from ._linalg import Packed, pk_inv, pk_matmul, pk_transpose
-from .errors import GeometryError, check_array, check_integer, check_one_point
+from .errors import (EvalError, GeometryError, check_array, check_integer,
+                     check_one_point)
 from .manifold import (BaseData, NonholonomicSystem, PointM, _omega_arrays,
                        _omega_packed, base_at)
 
@@ -149,7 +151,7 @@ def _bivector_packed(system: NonholonomicSystem, p: PointM, bd: BaseData,
     The C basis and the restricted Gram matrix G = C^T Omega C come from
     ``_omega_packed``, which has already checked |det G| against
     NONDEG_TOL."""
-    _, C, G = _omega_packed(system, p, bd, order)
+    _, C, G, _ = _omega_packed(system, p, bd, order)
     return pk_matmul(pk_matmul(C, pk_inv(G)), pk_transpose(C))
 
 
@@ -183,11 +185,17 @@ def hamiltonian_M(system: NonholonomicSystem, p: PointM):
 def _energy(system: NonholonomicSystem, q, pt, bd: BaseData):
     """H and its differential at (q, ptilde), from base data ``bd`` at q
     of order at least 1: returns (H, U, dH_q, v), where v = kD^{-1}
-    ptilde is both dH_ptilde and the D-frame velocity."""
+    ptilde is both dH_ptilde and the D-frame velocity.  A non-finite H
+    or dH raises EvalError."""
     uval, ugrad, _ = get_compiled(system).potential.evaluate(q, 1)
     vel = bd.kD_inv.val @ pt
     value = 0.5 * float(pt @ vel) + uval
     dHq = 0.5 * np.einsum("a,lab,b->l", pt, bd.kD_inv.d1, pt) + ugrad
+    # v needs no check: a non-finite entry makes pt . v non-finite
+    if not math.isfinite(value) or \
+            np.count_nonzero(np.isfinite(dHq)) < len(dHq):
+        raise EvalError("the Hamiltonian or its differential has no "
+                        "finite value")
     return value, uval, dHq, vel
 
 

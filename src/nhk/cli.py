@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .errors import LoadError, NhkError, ParseError
+from .errors import EvalError, LoadError, NhkError, ParseError
 from .jacobiator import _applicable_methods, cross_validate, jacobiator_tensor
 from .manifold import (NonholonomicSystem, PointM, adapted_coframe,
                        load_system)
@@ -64,7 +64,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _dumps(doc: dict) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """doc as strict JSON (RFC 8259): a non-finite number in it raises
+    EvalError, which ``run`` reports as an error payload."""
+    try:
+        return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise EvalError("the payload holds a non-finite number, which "
+                        "JSON cannot represent") from None
 
 
 def _error_payload(err: NhkError) -> dict:

@@ -26,8 +26,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import EvalError, ParseError
-from .jet import Jet2, jet_binary, jet_const, jet_lift, jet_unary
+from .jet import (NONFINITE, Jet2, jet_binary, jet_const, jet_lift,
+                  jet_unary)
 
 __all__ = [
     "Expr", "Num", "Name", "Var", "Param", "Unary", "Binary",
@@ -322,7 +325,9 @@ def resolve(e: Expr, coord_names, param_names) -> Expr:
 # ------------------------------------------------------------ evaluation
 def eval_expr(e: Expr, coords: dict, params: dict, active, order: int = 2) -> Jet2:
     """Evaluate to a Jet2 differentiated w.r.t. the ordered `active`
-    coordinate names.  Internal entry point with selectable order."""
+    coordinate names.  Internal entry point with selectable order.  A
+    non-finite value or derivative raises EvalError (``jet.NONFINITE``),
+    as in the compiled kernels."""
     active = list(active)
     for a in active:
         if a not in coords:
@@ -360,7 +365,11 @@ def eval_expr(e: Expr, coords: dict, params: dict, active, order: int = 2) -> Je
             raise
         raise TypeError(f"not an Expr node: {node!r}")
 
-    return ev(e)
+    jet = ev(e)
+    if not all(np.isfinite(m).all() for m in (jet.value, jet.grad, jet.hess)
+               if m is not None):
+        raise EvalError(NONFINITE)
+    return jet
 
 
 def eval_jet(e: Expr, coords: dict, params: dict, active) -> Jet2:

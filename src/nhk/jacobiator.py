@@ -49,8 +49,9 @@ import numpy as np
 from .bracket import _bivector_packed, _chart_tensors
 from .curvature import _curvature_coeffs, _nonholonomy
 from ._linalg import pk_matmul, Packed
-from .errors import (NhkError, ParameterError, UnsupportedOperationError,
-                     check_array, check_integer, check_one_point, check_real)
+from .errors import (EvalError, NhkError, ParameterError,
+                     UnsupportedOperationError, check_array, check_integer,
+                     check_one_point, check_real)
 from .manifold import (BaseData, NonholonomicSystem, PointM, base_at,
                        sample_points)
 
@@ -298,11 +299,17 @@ def _stack_values(system: NonholonomicSystem, pts: PointM, methods: tuple,
     methods[m]: one base evaluation and one pass per route.  pts is a
     stacked PointM, or one point (no stack axis; out then has one row).
     ``tri`` indexes a stack of tensors at the triples.  Raises the first
-    NhkError of any point, as ``base_at`` checks pts first."""
+    NhkError of any point, as ``base_at`` checks pts first, and
+    EvalError naming the first route with a non-finite value."""
     d = system.dimM
     bd = base_at(system, pts, order=2)
-    tensors = [_route_tensor(system, pts, bd, m) for m in methods]
-    return np.stack([T.reshape(-1, d, d, d)[tri] for T in tensors], axis=-1)
+    out = []
+    for m in methods:
+        v = _route_tensor(system, pts, bd, m).reshape(-1, d, d, d)[tri]
+        if np.count_nonzero(np.isfinite(v)) < v.size:
+            raise EvalError(f"the {m} route has a non-finite value")
+        out.append(v)
+    return np.stack(out, axis=-1)
 
 
 def cross_validate(system: NonholonomicSystem, samples: int = 100,
@@ -316,10 +323,10 @@ def cross_validate(system: NonholonomicSystem, samples: int = 100,
     systems) one coordinate-route pass over the slice.  The routes'
     formulas stay independent, and a point's values do not depend on the
     slice it is in.  Points where the geometry cannot be evaluated
-    (domain exit, frame or metric degeneracy, an expression guard) are
-    skipped and reported, not failed: when a slice raises, its points
-    are evaluated again one at a time, so each skip names that point's
-    own first error."""
+    (domain exit, frame or metric degeneracy, an expression guard, a
+    route with a non-finite value) are skipped and reported, not failed:
+    when a slice raises, its points are evaluated again one at a time,
+    so each skip names that point's own first error."""
     samples = check_integer("samples", samples, 1)
     seed = check_integer("seed", seed)
     tol = check_real("tol", tol, 0.0)

@@ -43,6 +43,10 @@ UNARY_FNS = ("neg", "sin", "cos", "tan", "sec", "sqrt", "exp", "ln")
 # Integer exponent range accepted by pow.
 POW_MIN, POW_MAX = -6, 6
 
+# The evaluators' refusal of a non-finite result: arithmetic beyond the
+# float range, where no function rule guards (x*x at x = 1e200).
+NONFINITE = "arithmetic has no finite value or derivative in the float range"
+
 
 @dataclass(frozen=True, slots=True)
 class Jet2:

@@ -59,8 +59,8 @@ import numpy as np
 
 from . import expr as ex
 from ._compile import CompiledSystem, get_compiled
-from ._linalg import (Packed, _first, check_nonsingular, pk_add, pk_at,
-                      pk_hstack, pk_inv, pk_matmul, pk_rows, pk_transpose)
+from ._linalg import (Packed, _first, pk_add, pk_at, pk_hstack, pk_inv,
+                      pk_matmul, pk_rows, pk_transpose)
 from ._rng import Lcg64
 from .errors import (DomainError, EvalError, GeometryError, LoadError,
                      ParameterError, ParseError, check_array, check_integer,
@@ -456,7 +456,9 @@ def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
     (0, 1 or 2) as ``BaseData``: metric, constraint forms, the frames X
     and Z, the coframe chi, J, mu and the D-frame Gram matrix.  It
     enforces the pointwise invariants (metric symmetry and positive
-    definiteness, constraint rank, adapted identity block, frame duality).
+    definiteness, constraint rank, adapted identity block, frame duality);
+    on an adapted system the identity block certifies the rank, and with
+    Z = d/ds the duality, [X|Z] and its coframe, which it then skips.
 
     q is one point, shape (n,), a stack of B points, shape (B, n), or a
     PointM (stacked or not), checked once, first, by ``check_domain`` or
@@ -490,29 +492,32 @@ def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
 
     eps = comp.eps.packed(q, order)
     if not comp.eps_checked:
-        smin = np.linalg.svd(eps.val, compute_uv=False).min(-1, initial=np.inf)
-        i = _first(smin <= RANK_TOL)
-        if i is not None:
-            raise GeometryError(
-                f"constraint forms rank-deficient at q={qs[i].tolist()} "
-                f"(min singular value {smin.reshape(-1)[i]:.3e})")
-        if system.adapted is not None:
-            blk = eps.val[..., comp.s_idx]
-            i = _first(_max_dev(blk, comp.eye_k) > ADAPTED_TOL)
+        # the SVD runs (on the whole stack) only where the s-block S fails:
+        # sigma_min(eps)^2 = lambda_min(S S^T + A A^T) >= (1 - k ADAPTED_TOL)^2
+        off = None if system.adapted is None else \
+            _max_dev(eps.val[..., comp.s_idx], comp.eye_k) > ADAPTED_TOL
+        if off is None or off.any():
+            smin = np.linalg.svd(eps.val, compute_uv=False).min(-1, initial=np.inf)
+            i = _first(smin <= RANK_TOL)
             if i is not None:
+                raise GeometryError(
+                    f"constraint forms rank-deficient at q={qs[i].tolist()} "
+                    f"(min singular value {smin.reshape(-1)[i]:.3e})")
+            if off is not None:
                 raise GeometryError(
                     "adapted-declaration mismatch: constraint forms do not "
                     "have an identity block over s-columns "
-                    f"{list(system.s_indices)} at q={qs[i].tolist()}")
+                    f"{list(system.s_indices)} at q={qs[_first(off)].tolist()}")
         comp.eps_checked = comp.eps.constant
 
     X = _d_frame_at(system, comp, q, eps, order)
     Z = _w_frame_at(comp, q, kappa, eps, order)
 
-    i = _first(_max_dev(eps.val @ Z.val, comp.eye_k) > DUALITY_TOL)
-    if i is not None:
-        raise GeometryError(
-            f"complement frame not dual to constraints at q={qs[i].tolist()}")
+    if comp.adapted_Z is None:          # else eps(Z) is the s-block
+        i = _first(_max_dev(eps.val @ Z.val, comp.eye_k) > DUALITY_TOL)
+        if i is not None:
+            raise GeometryError(
+                f"complement frame not dual to constraints at q={qs[i].tolist()}")
     i = _first(_max_dev(eps.val @ X.val) > DUALITY_TOL)
     if i is not None:
         raise GeometryError(
@@ -520,21 +525,16 @@ def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
 
     F = pk_hstack(X, Z)
     if comp.adapted_chi is not None:
-        # [X|Z] = [d/dr - A d/ds | d/ds] has the dual coframe chi = dr
-        # (constant) and eps-hat = ds + A dr: the constraint rows with
-        # their s-block, identity to within ADAPTED_TOL, made exact
-        check_nonsingular(F.val, what="frame matrix [X|Z]")
+        # [X|Z] = [d/dr - A d/ds | d/ds] permutes the rows of [[1, 0],
+        # [-A, 1]] (|det| = 1); its coframe: chi = dr, eps-hat = ds + A dr
         chi = comp.adapted_chi.packed(q, order)
-        epshat = eps.val.copy()
-        epshat[..., comp.s_idx] = comp.eye_k
     else:
         Finv = pk_inv(F, what="frame matrix [X|Z]")
         chi = pk_rows(Finv, 0, n - k)
-        epshat = Finv.val[..., n - k:, :]
-    i = _first(_max_dev(epshat, eps.val) > DUALITY_TOL)
-    if i is not None:
-        raise GeometryError(
-            f"coframe rows do not reproduce the constraint forms at q={qs[i].tolist()}")
+        i = _first(_max_dev(Finv.val[..., n - k:, :], eps.val) > DUALITY_TOL)
+        if i is not None:
+            raise GeometryError(
+                f"coframe rows do not reproduce the constraint forms at q={qs[i].tolist()}")
 
     # kD = X^T kappa X and kWD = Z^T kappa X, the row blocks of F^T kappa X
     G = pk_matmul(pk_matmul(pk_transpose(F), kappa), X)
@@ -779,13 +779,13 @@ def _splitting(system: NonholonomicSystem, bd: BaseData, lift=None):
 
 
 def _omega_packed(system: NonholonomicSystem, p: PointM, bd: BaseData,
-                  order: int) -> tuple[Packed, Packed, Packed]:
+                  order: int) -> tuple[Packed, Packed, Packed, np.ndarray]:
     """Omega_M at p as a Packed matrix whose d1 (order 1) runs along the
     chart directions, q first, then the momenta, from base data ``bd``
     at p.q of order at least order + 1 (p and bd may be stacked alike).
-    Returns (Omega, C, G): the matrix, the C basis (``_c_basis``) and
-    the restricted Gram matrix G = C^T Omega C, each to that order.
-    |det G| must exceed NONDEG_TOL at every point."""
+    Returns (Omega, C, G, |det G|): the matrix, the C basis (``_c_basis``)
+    and the restricted Gram matrix G = C^T Omega C, each to that order,
+    and |det G|, which must exceed NONDEG_TOL at every point."""
     _, _, _, val, d1 = _omega_arrays(system, p.ptilde, bd, order)
     Om = Packed(val, d1)
     C = _c_basis(system, bd, order)
@@ -797,7 +797,7 @@ def _omega_packed(system: NonholonomicSystem, p: PointM, bd: BaseData,
         raise GeometryError(
             "restriction of the 2-form to C is degenerate "
             f"(|det| = {det.reshape(-1)[i]:.3e})")
-    return Om, C, G
+    return Om, C, G, det
 
 
 def omega_M(system: NonholonomicSystem, p: PointM, order: int = 0) -> TwoFormAtPoint:
@@ -811,11 +811,10 @@ def omega_M(system: NonholonomicSystem, p: PointM, order: int = 0) -> TwoFormAtP
     """
     order = check_integer("order", order, 0, 2)
     check_one_point(p.q)
-    om, _, G = _omega_packed(system, p, base_at(system, p, order + 1),
-                             order)
-    det = float(abs(np.linalg.det(G.val)))
+    om, _, _, det = _omega_packed(system, p, base_at(system, p, order + 1),
+                                  order)
     return TwoFormAtPoint(mat=om.val, d1=om.d1, order=order,
-                          restricted_abs_det=det)
+                          restricted_abs_det=float(det))
 
 
 def splitting_at(system: NonholonomicSystem, p: PointM) -> SplittingAtPoint:

@@ -34,7 +34,8 @@ class Trajectory:
     at ``times[i] = i * dt``, ``energy[i]`` is the Hamiltonian there and
     ``constraint_residual[i]`` is max_a |eps^a(qdot)| at that state.
     When the flow leaves the declared coordinate domain (or an expression
-    guard trips) the trajectory is truncated at the last valid state,
+    guard trips, or the Hamiltonian has no finite value) the trajectory
+    is truncated at the last valid state,
     ``completed`` is False and ``exit_reason`` says why.
     """
 
@@ -71,7 +72,13 @@ def _rhs(system: NonholonomicSystem, u: np.ndarray):
     n = system.n
     q, pt = u[:n], u[n:]
     bd = base_at(system, q, order=1)
-    energy, _, dHq, vel = _energy(system, q, pt, bd)
+    try:
+        energy, _, dHq, vel = _energy(system, q, pt, bd)
+    except EvalError:
+        # a non-finite momentum makes H non-finite: name that cause
+        if not np.isfinite(pt).all():
+            raise DomainError("non-finite momentum value") from None
+        raise
     qdot, ptdot = _field(bd, pt, dHq, vel)
     return np.concatenate([qdot, ptdot]), energy, bd.eps.val
 
@@ -117,12 +124,11 @@ def integrate(system: NonholonomicSystem, init: PointM, dt: float,
             k4, _, _ = _rhs(system, u + dt * k3)
             u_new = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             # Evaluating at the accepted state both validates its
-            # coordinates and supplies the next step's k1 stage; only
-            # accepted states record a residual.  A non-finite momentum
-            # ends the trajectory like a domain exit.
+            # coordinates and momenta (in _rhs) and supplies the next
+            # step's k1 stage; only accepted states record a residual.
+            # A non-finite momentum ends the trajectory like a domain
+            # exit.
             k1_new, h, eps = _rhs(system, u_new)
-            if not np.isfinite(u_new[n:]).all():
-                raise DomainError("non-finite momentum value")
         except (DomainError, EvalError) as exc:
             completed = False
             exit_reason = f"left the valid domain at step {step}: {exc}"

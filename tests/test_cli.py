@@ -9,15 +9,20 @@ import pytest
 
 from nhk import PointM, adapted_coframe, builtin_definition, jacobiator_tensor
 from nhk.cli import CommandOutcome, main, run
+from nhk.jet import NONFINITE
 from nhk.systems import snakeboard_expected
 
 SCHEMA = "nhk/1"
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
 def run_json(argv, expect_code=0):
     out = run(argv)
     assert out.exit_code == expect_code, out.summary
-    doc = json.loads(out.payload)
+    doc = json.loads(out.payload, parse_constant=_no_constant)
     assert doc["schema"] == SCHEMA
     return doc, out
 
@@ -381,6 +386,36 @@ def test_eval_beyond_the_float_range_is_an_eval_error(expr, at, message):
     assert doc["error"]["type"] == "EvalError"
     assert doc["error"]["message"].startswith(message)
     assert out.summary.startswith(f"error: {message}")
+
+
+def test_eval_of_arithmetic_beyond_the_float_range_is_an_eval_error():
+    # x*x overflows to inf, which no function rule guards
+    doc, out = run_json(["eval", "--expr", "x*x", "--at", "x=1e200"],
+                        expect_code=3)
+    assert doc["error"] == {"type": "EvalError", "message": NONFINITE}
+    assert out.summary == f"error: {NONFINITE}"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--expr", "1", "--at", "x=nan"],
+    ["eval", "--expr", "1", "--at", "x=-inf"],
+], ids=["nan", "inf"])
+def test_a_non_finite_payload_number_is_an_eval_error(argv):
+    doc, _ = run_json(argv, expect_code=3)
+    assert doc["error"] == {
+        "type": "EvalError",
+        "message": "the payload holds a non-finite number, which JSON "
+                   "cannot represent"}
+
+
+def test_simulate_with_an_overflowing_hamiltonian_is_an_eval_error():
+    with np.errstate(all="ignore"):
+        doc, _ = run_json(["simulate", "--system", "nh_particle", "--init",
+                           "ptilde_x=1e200", "--dt", "1", "--steps", "2"],
+                          expect_code=3)
+    assert doc["error"] == {
+        "type": "EvalError",
+        "message": "the Hamiltonian or its differential has no finite value"}
 
 
 # ------------------------------------------------------------ shell plumbing

@@ -137,6 +137,7 @@ def test_kernel_source_is_lean_on_corpus(monkeypatch):
     ("1/(x - 0.5)", 0.5),
     ("x^-2", 0.0),
     ("y + sin(1/(x - 0.5))", 0.5),
+    ("x*x + y", 1e200),             # beyond the float range: no rule
 ])
 def test_compiled_guards_raise_the_jet_message(text, x):
     names = ["x", "y"]

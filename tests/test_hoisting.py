@@ -4,11 +4,15 @@ frames of adapted coordinates, and the index bookkeeping of base_at.
 
 The checks on a constant grid run until they have passed once for the
 system, with the same thresholds, messages and exception types; every
-check whose input depends on q still runs at every point.  Shared
-constant arrays are read-only, the closed-form adapted coframe is the
-inverse of the frame matrix, and the per-system data does not keep a
-system alive.  The work
-counts of an integration are pinned by counting calls, not by timing."""
+check whose input depends on q still runs at every point.  On an
+adapted system the identity s-block of the constraint forms certifies
+their rank, the duality eps(d/ds) = 1, the frame matrix [X|Z] and its
+coframe, so none of these is checked again where the block passes; the
+messages and their precedence are unchanged.  Shared constant arrays
+are read-only, the closed-form adapted coframe is the inverse of the
+frame matrix, and the per-system data does not keep a system alive.
+The work counts of an integration are pinned by counting calls, not by
+timing."""
 
 import gc
 import weakref
@@ -117,18 +121,57 @@ def test_adapted_coframe_is_the_inverse_of_the_frame_matrix(request):
             assert not bd.Z.d1.any() and not bd.Z.d2.any()
 
 
-def test_the_frame_matrix_guard_still_runs_on_adapted_systems(
-        particle, monkeypatch):
-    seen = []
-    original = manifold.check_nonsingular
+def test_the_identity_block_certifies_the_adapted_frames(request):
+    for system in _adapted_systems(request):
+        assert get_compiled(system).adapted_Z is not None, system.name
+        k, s_idx = system.k, list(system.s_indices)
+        for p in sample_points(system, 20, seed=29):
+            bd = base_at(system, p.q, order=0)
+            frame = np.hstack([bd.X.val, bd.Z.val])
+            assert abs(abs(np.linalg.det(frame)) - 1.0) <= 1e-12, system.name
+            assert np.array_equal(bd.eps.val @ bd.Z.val, bd.eps.val[:, s_idx])
+            smin = np.linalg.svd(bd.eps.val, compute_uv=False).min(
+                initial=np.inf)
+            assert smin >= 1.0 - k * manifold.ADAPTED_TOL, system.name
 
-    def counting(m, tol=1e-12, what="matrix"):
-        seen.append(what)
-        return original(m, tol, what)
 
-    monkeypatch.setattr(manifold, "check_nonsingular", counting)
-    base_at(particle, [0.1, 0.2, 0.3], order=1)
-    assert seen == ["frame matrix [X|Z]"]
+# a form whose s-block leaves the identity only on a thin slab around
+# x = -1.9, which the load-time probes miss; at y = 0 it is zero there
+_BUMP_FORMS = [["-y", "0", "1 - exp(-50*(x-(-1.9))^2)"]]
+_BLOCK_ONLY = [-1.9, 0.3, 0.1]            # rank 1, no identity block
+_BLOCK_AND_RANK = [-1.9, 0.0, 0.1]        # the zero form
+_GOOD = [0.5, 0.2, 0.1]
+
+
+@pytest.mark.parametrize("points, reason", [
+    ([_BLOCK_ONLY], "block"),
+    ([_GOOD, _BLOCK_ONLY], "block"),
+    ([_GOOD, _BLOCK_ONLY, _GOOD], "block"),
+    ([_BLOCK_AND_RANK], "rank"),
+    ([_GOOD, _BLOCK_AND_RANK], "rank"),
+    # the rank is checked on the whole stack first, so it wins even
+    # where an earlier point fails only the block
+    ([_GOOD, _BLOCK_ONLY, _BLOCK_AND_RANK], "rank"),
+    ([_GOOD, _BLOCK_AND_RANK, _BLOCK_ONLY], "rank"),
+], ids=["block", "block-second", "block-middle", "rank", "rank-second",
+        "rank-after-block", "rank-before-block"])
+def test_q_dependent_adapted_failures_keep_their_messages(points, reason):
+    definition = builtin_definition("nh_particle")
+    definition["constraint_forms"] = _BUMP_FORMS
+    system = load_system(definition)
+    expected = {
+        "block": f"adapted-declaration mismatch: constraint forms do not "
+                 f"have an identity block over s-columns [2] at "
+                 f"q={_BLOCK_ONLY}",
+        "rank": f"constraint forms rank-deficient at q={_BLOCK_AND_RANK} "
+                f"(min singular value 0.000e+00)",
+    }[reason]
+    q = points[0] if len(points) == 1 else points
+    for order in (0, 1, 2):
+        with pytest.raises(GeometryError) as err:
+            base_at(system, q, order=order)
+        assert str(err.value) == expected
+    base_at(system, [_GOOD, _GOOD], order=2)
 
 
 # ------------------------------------------------------------ read-only
@@ -217,6 +260,43 @@ def _count(monkeypatch, owner, name) -> _Counter:
     counter = _Counter(getattr(owner, name))
     monkeypatch.setattr(owner, name, counter)
     return counter
+
+
+@pytest.mark.parametrize("name, per_stage", [
+    ("nh_particle", (0, 1, 1)),
+    ("rolling_disk", (0, 1, 1)),
+    # no adapted declaration: the rank and the frame matrix [X|Z]
+    ("snakeboard", (1, 2, 2)),
+])
+def test_linear_algebra_per_rk4_stage(name, per_stage, monkeypatch):
+    steps = 3
+    counts = [_count(monkeypatch, np.linalg, f)
+              for f in ("svd", "det", "inv")]
+    system = load_system(builtin_definition(name))
+    if system.adapted is not None:
+        # the probes pass the identity block, which certifies the rank
+        assert counts[0].calls == 0
+    for c in counts:
+        c.calls = 0
+    init = sample_points(system, 1, seed=3)[0]
+    assert nhk.integrate(system, init, 0.01, steps).completed
+    assert tuple(c.calls for c in counts) == tuple(
+        (1 + 4 * steps) * c for c in per_stage)
+
+
+@pytest.mark.parametrize("name", ["snakeboard", "nh_particle"])
+def test_omega_M_takes_one_determinant_of_the_restricted_gram(
+        name, monkeypatch):
+    system = load_system(builtin_definition(name))
+    p = sample_points(system, 1, seed=3)[0]
+    det = _count(monkeypatch, np.linalg, "det")
+    for order in (0, 1):
+        det.calls = 0
+        base_at(system, p, order + 1)
+        in_base = det.calls
+        det.calls = 0
+        nhk.omega_M(system, p, order)
+        assert det.calls == in_base + 1
 
 
 @pytest.mark.parametrize("name", ["snakeboard", "nh_particle",

@@ -43,6 +43,7 @@ from nhk import (
     splitting_at,
 )
 from nhk.errors import NhkError, ParameterError, UnsupportedOperationError
+from nhk.jet import NONFINITE
 from nhk.jacobiator import _km_point_data
 from nhk.systems import _perm_sign, snakeboard_expected
 
@@ -466,6 +467,26 @@ def test_cross_validate_skip_reasons_match_the_public_route():
     assert np.flatnonzero(nan_rows).tolist() == [s["point"] for s in expected]
     assert np.isfinite(report.values[~nan_rows]).all()
     assert report.passed
+
+
+@pytest.mark.parametrize("form, domain, reason", [
+    # the kernel's second derivative of sin(exp(x)) overflows
+    ("-y*sin(exp(x))", [699.0, 700.0], f"EvalError: {NONFINITE}"),
+    # the grids are finite (about 1e200), the brute-force route is not
+    ("-y*exp(x)", [460.0, 461.0],
+     "EvalError: the bruteforce route has a non-finite value"),
+], ids=["kernel", "route"])
+def test_cross_validate_skips_a_point_with_a_non_finite_value(
+        form, domain, reason):
+    definition = builtin_definition("nh_particle")
+    definition["constraint_forms"] = [[form, "0", "1"]]
+    definition["domain"] = {"x": domain}
+    with np.errstate(all="ignore"):
+        report = cross_validate(load_system(definition), samples=4, seed=1)
+    assert report.skipped == [{"point": i, "reason": reason}
+                              for i in range(4)]
+    assert np.isnan(report.values).all()
+    assert report.failures == [] and report.max_abs_discrepancy == 0.0
 
 
 def test_cross_validate_values_are_the_public_tensors(system):

@@ -36,7 +36,7 @@ from nhk._linalg import pk_from_jets, pk_unpack
 from nhk.errors import (DomainError, EvalError, GeometryError, LoadError,
                         check_array)
 from nhk.expr import eval_expr, parse, resolve
-from nhk.jet import jet_binary, jet_const, jet_unary
+from nhk.jet import NONFINITE, jet_binary, jet_const, jet_unary
 from nhk.manifold import PIVOT_TOL
 
 # ------------------------------------------------------------- loading
@@ -156,6 +156,30 @@ def test_base_at_reports_a_metric_beyond_the_float_range(entry, x, message):
         with pytest.raises(EvalError) as err:
             base_at(s, [x, 0.0, 0.0], order)
         assert str(err.value) == message
+
+
+def test_base_at_refuses_a_non_finite_metric_before_checking_it():
+    # the product overflows to inf, which no function rule guards; the
+    # symmetry check would compute inf - inf and pass NaN (and numpy
+    # would warn, which pytest makes an error)
+    doc = builtin_definition("nh_particle")
+    doc["metric"][0][0] = "1 + x*x*x*x*x*x*x*x"
+    s = load_system(doc)
+    for q in ([1e40, 0.0, 0.0], [[0.5, 0.0, 0.0], [1e40, 0.0, 0.0]]):
+        for order in (0, 1, 2):
+            with pytest.raises(EvalError) as err:
+                base_at(s, q, order)
+            assert str(err.value) == NONFINITE
+
+
+def test_load_refuses_a_non_finite_constant_grid():
+    doc = builtin_definition("nh_particle")
+    doc["metric"][1][1] = "1e308*1e308"
+    with pytest.raises(LoadError) as err:
+        load_system(doc)
+    assert len(err.value.violations) == 1
+    assert err.value.violations[0].startswith("at sampled point q=")
+    assert err.value.violations[0].endswith(f": {NONFINITE}")
 
 
 def test_load_accepts_an_empty_complement_frame(free):

@@ -17,7 +17,7 @@ from nhk import (
     sample_points,
     trajectory_csv,
 )
-from nhk.errors import DomainError, GeometryError, ParameterError
+from nhk.errors import DomainError, EvalError, GeometryError, ParameterError
 from nhk.sim import _residual, _rhs
 
 # ----------------------------------------------------------- right-hand side
@@ -146,6 +146,33 @@ def test_an_overflowing_potential_ends_the_trajectory():
         "derivative at ")
     assert len(traj.states) == len(traj.times) == 2
     assert np.isfinite(traj.states_array()).all()
+
+
+def test_an_overflowing_hamiltonian_ends_the_trajectory():
+    # a force of 1e300 drives the momentum to about 5e297 in the first
+    # RK4 stage, finite, but its square, in H, is not
+    doc = builtin_definition("nh_particle")
+    doc["potential"] = "-1e300*x"
+    s = load_system(doc)
+    with np.errstate(all="ignore"):
+        traj = integrate(s, PointM([0.0, 0.0, 0.0], [1.0, 0.0]), dt=0.01,
+                         steps=5)
+    assert not traj.completed
+    assert traj.exit_reason == (
+        "left the valid domain at step 1: the Hamiltonian or its "
+        "differential has no finite value")
+    assert len(traj.states) == len(traj.times) == 1
+
+
+def test_a_non_finite_initial_hamiltonian_is_an_eval_error(particle):
+    p = PointM([0.0, 0.0, 0.0], [1e200, 0.0])
+    with np.errstate(all="ignore"):
+        with pytest.raises(EvalError, match="the Hamiltonian or its "
+                                            "differential has no finite"):
+            integrate(particle, p, dt=1.0, steps=2)
+        with pytest.raises(EvalError, match="the Hamiltonian or its "
+                                            "differential has no finite"):
+            hamiltonian_M(particle, p)
 
 
 def test_initial_point_must_be_valid(snakeboard):
