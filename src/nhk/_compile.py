@@ -404,8 +404,10 @@ def _unit_rows(indices, n) -> list:
 class CompiledSystem:
     """The compiled grids of one system, and what of its base geometry
     is constant in q: the index bookkeeping, the domain bounds, the
-    canonical frames of adapted coordinates, and whether the value
-    checks of the constant metric and constraint grids have passed.
+    canonical frames of adapted coordinates, whether the adapted
+    s-block of the constraint forms is the constant identity exactly,
+    and whether the value checks of the constant metric and constraint
+    grids, and of that identity block, have passed.
     ``load_system`` builds it from the system's constant-folded grids
     and stores it on the system; it holds no reference to the system."""
 
@@ -439,9 +441,20 @@ class CompiledSystem:
             self.adapted_Z = GridEval(_unit_rows(system.s_indices, n), names)
             self.adapted_chi = GridEval(_unit_rows(system.r_indices, n),
                                         names)
-        # set once the checks of a constant grid have passed
+        # an adapted s-block of folded constants that is the identity
+        # exactly: every point then passes the block check, and eps(X)
+        # of the frame derived from it is exactly 0 (A*1 - 1*A, the
+        # other terms 0*A); the compiled grid holds these constants as
+        # they are
+        self.identity_block = system.adapted is not None and all(
+            isinstance(e, Num) and e.value == (1.0 if b == a else 0.0)
+            for a, row in enumerate(system.constraints)
+            for b, e in enumerate(row[i] for i in system.s_indices))
+        # set once the checks of a constant grid, or of an identity
+        # block, have passed
         self.metric_checked = False
         self.eps_checked = False
+        self.block_checked = False
 
 
 def get_compiled(system) -> CompiledSystem:

@@ -14,6 +14,13 @@ them.  Each operation computes a point's slice with the same numpy
 calls in the same operand order as for that point alone, so a stacked
 result equals the per-point results bit for bit.
 
+The matrices here are at most a few rows across, so an operation costs
+about as much in Python overhead as in arithmetic.  ``Packed`` is a
+named tuple, which builds in about half the time of a frozen
+dataclass; the operations read the order from which derivative arrays
+are present, and lift matrices against the derivative axes only on a
+stack (a single matrix broadcasts as it is).
+
 The last section is a test reference with no library caller: matrices
 of :class:`~nhk.jet.Jet2` entries (plain nested lists) with a
 hand-rolled partial-pivot Gauss-Jordan elimination whose pivot
@@ -26,7 +33,7 @@ list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,10 +52,10 @@ SINGULAR_TOL = 1e-12
 
 
 # ----------------------------------------------------------------- packed
-@dataclass(frozen=True, slots=True)
-class Packed:
+class Packed(NamedTuple):
     """val: (..., r, c); d1: (..., V, r, c) or None; d2: (..., V, V, r, c)
-    or None.  The leading axes, if any, are stack axes."""
+    or None, and d2 only with d1.  The leading axes, if any, are stack
+    axes."""
     val: np.ndarray
     d1: np.ndarray | None = None
     d2: np.ndarray | None = None
@@ -70,10 +77,6 @@ def pk_at(p: Packed, i) -> Packed:
                   p.d2[i] if p.d2 is not None else None)
 
 
-def _min_order(a: Packed, b: Packed) -> int:
-    return min(a.order, b.order)
-
-
 def _first(bad) -> int | None:
     """Stack index of the first point where a check fails (0 for an
     unstacked failure), or None when it holds everywhere."""
@@ -92,15 +95,19 @@ def _lift(m: np.ndarray, k: int) -> np.ndarray:
 
 
 def pk_matmul(a: Packed, b: Packed) -> Packed:
-    o = _min_order(a, b)
-    val = a.val @ b.val
-    d1 = d2 = None
-    if o >= 1:
-        d1 = a.d1 @ _lift(b.val, 1) + _lift(a.val, 1) @ b.d1
-    if o >= 2:
-        cross = a.d1[..., :, None, :, :] @ b.d1[..., None, :, :, :]
-        d2 = (a.d2 @ _lift(b.val, 2) + cross + cross.swapaxes(-4, -3)
-              + _lift(a.val, 2) @ b.d2)
+    av, bv = a.val, b.val
+    val = av @ bv
+    if a.d1 is None or b.d1 is None:
+        return Packed(val)
+    stacked = val.ndim > 2
+    d1 = (a.d1 @ (_lift(bv, 1) if stacked else bv)
+          + (_lift(av, 1) if stacked else av) @ b.d1)
+    if a.d2 is None or b.d2 is None:
+        return Packed(val, d1)
+    if stacked:
+        av, bv = _lift(av, 2), _lift(bv, 2)
+    cross = a.d1[..., :, None, :, :] @ b.d1[..., None, :, :, :]
+    d2 = a.d2 @ bv + cross + cross.swapaxes(-4, -3) + av @ b.d2
     return Packed(val, d1, d2)
 
 
@@ -114,28 +121,32 @@ def check_nonsingular(m: np.ndarray, tol: float = SINGULAR_TOL,
 def pk_inv(a: Packed, tol: float = SINGULAR_TOL, what: str = "matrix") -> Packed:
     check_nonsingular(a.val, tol, what)
     B = np.linalg.inv(a.val)
-    d1 = d2 = None
-    if a.order >= 1:
-        B1 = _lift(B, 1)
-        d1 = -(B1 @ a.d1 @ B1)
-    if a.order >= 2:
-        # d_l d_m (A^-1) = -B A_lm B + (B A_m B) A_l B + (B A_l B) A_m B
-        B2 = _lift(B, 2)
-        BdAB = -d1                                    # B dA B
-        half = (BdAB[..., None, :, :, :] @ a.d1[..., :, None, :, :]) @ B2
-        d2 = -(B2 @ a.d2 @ B2) + half + half.swapaxes(-4, -3)
+    if a.d1 is None:
+        return Packed(B)
+    stacked = B.ndim > 2
+    B1 = _lift(B, 1) if stacked else B
+    d1 = -(B1 @ a.d1 @ B1)
+    if a.d2 is None:
+        return Packed(B, d1)
+    # d_l d_m (A^-1) = -B A_lm B + (B A_m B) A_l B + (B A_l B) A_m B
+    B2 = _lift(B, 2) if stacked else B
+    BdAB = -d1                                        # B dA B
+    half = (BdAB[..., None, :, :, :] @ a.d1[..., :, None, :, :]) @ B2
+    d2 = -(B2 @ a.d2 @ B2) + half + half.swapaxes(-4, -3)
     return Packed(B, d1, d2)
 
 
 def pk_add(a: Packed, b: Packed) -> Packed:
-    o = _min_order(a, b)
-    return Packed(a.val + b.val,
-                  a.d1 + b.d1 if o >= 1 else None,
-                  a.d2 + b.d2 if o >= 2 else None)
+    val = a.val + b.val
+    if a.d1 is None or b.d1 is None:
+        return Packed(val)
+    if a.d2 is None or b.d2 is None:
+        return Packed(val, a.d1 + b.d1)
+    return Packed(val, a.d1 + b.d1, a.d2 + b.d2)
 
 
 def pk_sub(a: Packed, b: Packed) -> Packed:
-    o = _min_order(a, b)
+    o = min(a.order, b.order)
     return Packed(a.val - b.val,
                   a.d1 - b.d1 if o >= 1 else None,
                   a.d2 - b.d2 if o >= 2 else None)
@@ -154,7 +165,7 @@ def pk_transpose(a: Packed) -> Packed:
 
 
 def pk_hstack(a: Packed, b: Packed) -> Packed:
-    o = _min_order(a, b)
+    o = min(a.order, b.order)
     return Packed(np.concatenate([a.val, b.val], axis=-1),
                   np.concatenate([a.d1, b.d1], axis=-1) if o >= 1 else None,
                   np.concatenate([a.d2, b.d2], axis=-1) if o >= 2 else None)

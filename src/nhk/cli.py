@@ -209,6 +209,8 @@ def _cmd_verify(args) -> CommandOutcome:
         summary += f"; {len(report.failures)} discrepant value(s)"
     if report.skipped:
         summary += f"; {len(report.skipped)} skipped point(s)"
+    if not report.compared:
+        summary += "; no point was compared, so nothing was verified"
     return CommandOutcome(0 if report.passed else 1, _dumps(payload), summary)
 
 

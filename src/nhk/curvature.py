@@ -30,8 +30,8 @@ import numpy as np
 from ._compile import get_compiled
 from ._linalg import Packed
 from .errors import UnsupportedOperationError, check_array, check_one_point
-from .manifold import (BaseData, NonholonomicSystem, PointM, _c_basis,
-                       _splitting, base_at)
+from .manifold import (BaseData, NonholonomicSystem, PointM, _splitting,
+                       base_at)
 
 __all__ = ["CurvatureAtPoint", "AdaptedData", "curvature_coeffs",
            "curvature_KW_M", "curvature_KW_Q", "adapted_data"]
@@ -117,33 +117,6 @@ def curvature_KW_Q(system: NonholonomicSystem, q, v, w) -> np.ndarray:
     vals = (np.einsum("iaj,i,j->a", deps, pv, pw)
             - np.einsum("jai,i,j->a", deps, pv, pw))
     return bd.Z.val @ vals
-
-
-def _curvature_pair_assembled(system: NonholonomicSystem, p: PointM, u, v,
-                              lift=None) -> np.ndarray:
-    """Tensoriality cross-route: extend u, v as constant-coefficient
-    combinations of the assembled frame fields (X-lifts, momentum
-    verticals, lifted complement legs) instead of constant chart
-    extensions, and evaluate -P_W([P_C U, P_C V]) directly."""
-    n = system.n
-    bd = base_at(system, p, order=1)
-    Zl, dZl, _, P_W, P_C, dP_C = _splitting(system, bd, lift)
-    # assembled frame B = [C | Zl] and its q-derivatives
-    C = _c_basis(system, bd, 1)
-    B = np.concatenate([C.val, Zl], axis=-1)
-    dB = np.concatenate([C.d1[:n], dZl], axis=-1)
-    cu = np.linalg.solve(B, np.asarray(u, dtype=float))
-    cv = np.linalg.solve(B, np.asarray(v, dtype=float))
-    # fields U = B c, projected: PU = P_C B c; commutator at the point
-    PU = P_C @ B @ cu
-    PV = P_C @ B @ cv
-    dPB = np.zeros((system.dimM,) * 3)   # chart-dir, comp, column
-    dPB[:n] = (np.einsum("lij,jc->lic", dP_C[:n], B)
-               + np.einsum("ij,ljc->lic", P_C, dB))
-    dPU = dPB @ cu                    # (chart-dir, comp)
-    dPV = dPB @ cv
-    brkt = np.einsum("l,lk->k", PU, dPV) - np.einsum("l,lk->k", PV, dPU)
-    return -(P_W @ brkt)
 
 
 def adapted_data(system: NonholonomicSystem, q) -> AdaptedData:

@@ -34,7 +34,7 @@ from .jet import (NONFINITE, Jet2, jet_binary, jet_const, jet_lift,
 
 __all__ = [
     "Expr", "Num", "Name", "Var", "Param", "Unary", "Binary",
-    "parse", "format_expr", "eval_jet", "eval_expr", "resolve",
+    "parse", "format_expr", "eval_expr", "resolve",
     "collect_names", "fold_constants", "FUNCTIONS",
 ]
 
@@ -370,12 +370,6 @@ def eval_expr(e: Expr, coords: dict, params: dict, active, order: int = 2) -> Je
                if m is not None):
         raise EvalError(NONFINITE)
     return jet
-
-
-def eval_jet(e: Expr, coords: dict, params: dict, active) -> Jet2:
-    """Second-order evaluation: the full Jet2 of `e` at the point,
-    differentiated w.r.t. the active list in order."""
-    return eval_expr(e, coords, params, active, order=2)
 
 
 def fold_constants(e: Expr, params: dict) -> Expr:

@@ -262,10 +262,13 @@ class JacobiatorReport:
     """Outcome of a cross-validation run.
 
     values[i, t, m] is the Jacobiator at sample point i, chart triple
-    triples[t], by methods[m]; NaN rows mark skipped points."""
+    triples[t], by methods[m]; NaN rows mark skipped points.  compared
+    counts the points whose route values were compared (the samples
+    less the skipped ones); a run that compared none does not pass."""
     system: str
     seed: int
     samples: int
+    compared: int
     tol: float
     methods: tuple
     triples: tuple
@@ -280,6 +283,7 @@ class JacobiatorReport:
             "system": self.system,
             "seed": self.seed,
             "samples": self.samples,
+            "compared": self.compared,
             "tol": self.tol,
             "methods": list(self.methods),
             "max_abs_discrepancy": self.max_abs_discrepancy,
@@ -326,7 +330,8 @@ def cross_validate(system: NonholonomicSystem, samples: int = 100,
     (domain exit, frame or metric degeneracy, an expression guard, a
     route with a non-finite value) are skipped and reported, not failed:
     when a slice raises, its points are evaluated again one at a time,
-    so each skip names that point's own first error."""
+    so each skip names that point's own first error.  A run that
+    skipped every point compared nothing, and it does not pass."""
     samples = check_integer("samples", samples, 1)
     seed = check_integer("seed", seed)
     tol = check_real("tol", tol, 0.0)
@@ -361,8 +366,10 @@ def cross_validate(system: NonholonomicSystem, samples: int = 100,
                  "method_b": methods[pair_b[c]],
                  "delta": deltas[i, t, c]}
                 for i, t, c in zip(*np.nonzero(deltas > tol))]
+    compared = samples - len(skipped)
     return JacobiatorReport(
-        system=system.name, seed=seed, samples=samples, tol=tol,
-        methods=methods, triples=triples, values=values,
-        max_abs_discrepancy=float(max_disc), passed=not failures,
+        system=system.name, seed=seed, samples=samples, compared=compared,
+        tol=tol, methods=methods, triples=triples, values=values,
+        max_abs_discrepancy=float(max_disc),
+        passed=compared > 0 and not failures,
         failures=failures, skipped=skipped)

@@ -44,7 +44,8 @@ constant metric, d/ds and dr (their derivatives exactly zero), the
 index arrays and the domain bounds.  A single point reads these
 constants as shared read-only arrays; a stack gets contiguous copies.
 The checks on a constant metric or constant constraint forms run until
-they have passed once for the system.
+they have passed once for the system, and so does the block check of an
+adapted s-block that is the constant identity exactly.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ import keyword
 import math
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +67,7 @@ from ._rng import Lcg64
 from .errors import (DomainError, EvalError, GeometryError, LoadError,
                      ParameterError, ParseError, check_array, check_integer,
                      check_one_point, check_real, real_array)
+from .jet import NONFINITE
 
 __all__ = [
     "NonholonomicSystem", "PointM", "SplittingAtPoint", "TwoFormAtPoint",
@@ -427,12 +430,12 @@ def load_system(definition) -> NonholonomicSystem:
 
 
 # ----------------------------------------------------- pointwise pipeline
-@dataclass(frozen=True)
-class BaseData:
+class BaseData(NamedTuple):
     """Packed per-point base data: each field's val is the matrix, d1[l]
     (order >= 1) its derivative along q^l and d2[l, m] (order 2) the
     second derivative.  For a stack of points, q is (B, n) and every
-    Packed leads with the same stack axis."""
+    Packed leads with the same stack axis.  A named tuple, like Packed:
+    base_at builds one per call."""
     q: np.ndarray
     order: int
     kappa: Packed            # n x n
@@ -451,6 +454,25 @@ def _max_dev(m, ref=0.0):
     return np.abs(m - ref).max(axis=(-2, -1), initial=0.0)
 
 
+def _finite(make) -> Packed:
+    """The block make() derives from finite data, once each of its
+    arrays is found finite (one test per array); else EvalError
+    (NONFINITE).  A product can overflow where its factors do not, and
+    an infinite or NaN determinant would pass pk_inv's guard.  Where
+    warnings are errors, numpy's overflow warning in make() stands for
+    the failed test; elsewhere numpy prints it, and the test raises.
+    (Suppressing it with np.errstate would add the cost of that context
+    to every call.)"""
+    try:
+        p = make()
+    except RuntimeWarning:
+        raise EvalError(NONFINITE) from None
+    for m in p:
+        if m is not None and np.count_nonzero(np.isfinite(m)) < m.size:
+            raise EvalError(NONFINITE)
+    return p
+
+
 def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
     """Evaluate all base-level geometry at q to the requested jet order
     (0, 1 or 2) as ``BaseData``: metric, constraint forms, the frames X
@@ -459,6 +481,10 @@ def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
     definiteness, constraint rank, adapted identity block, frame duality);
     on an adapted system the identity block certifies the rank, and with
     Z = d/ds the duality, [X|Z] and its coframe, which it then skips.
+    A Gram matrix built from the grids (the D-frame Gram matrix
+    F^T kappa X, and the constraint Gram matrix of the kappa-orthogonal
+    complement) is tested for finiteness before it is inverted: a
+    non-finite one raises EvalError (``jet.NONFINITE``), see _finite.
 
     q is one point, shape (n,), a stack of B points, shape (B, n), or a
     PointM (stacked or not), checked once, first, by ``check_domain`` or
@@ -466,9 +492,13 @@ def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
     with the stack axis; each point's slice equals base_at at that point
     alone, bit for bit.  Every check runs on every point with the same
     thresholds and in the same order; the first failing check raises,
-    naming the first point that fails it.  The exception: the checks on
-    a grid constant in q (the metric, or the constraint forms) run until
-    they have passed once for the system.
+    naming the first point that fails it.  The exceptions are decided
+    once per system, when it is compiled.  The checks on a grid
+    constant in q (the metric, or the constraint forms) run until they
+    have passed once for the system.  So does the block check where the
+    adapted s-block is the constant identity exactly
+    (``CompiledSystem.identity_block``); then eps(X) of the adapted
+    frame is exactly 0, and it is not checked.
     """
     order = check_integer("order", order, 0, 3)
     q = (system.check_point if isinstance(q, PointM)
@@ -491,7 +521,7 @@ def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
         comp.metric_checked = comp.metric.constant
 
     eps = comp.eps.packed(q, order)
-    if not comp.eps_checked:
+    if not (comp.eps_checked or comp.block_checked):
         # the SVD runs (on the whole stack) only where the s-block S fails:
         # sigma_min(eps)^2 = lambda_min(S S^T + A A^T) >= (1 - k ADAPTED_TOL)^2
         off = None if system.adapted is None else \
@@ -509,6 +539,7 @@ def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
                     "have an identity block over s-columns "
                     f"{list(system.s_indices)} at q={qs[_first(off)].tolist()}")
         comp.eps_checked = comp.eps.constant
+        comp.block_checked = comp.identity_block
 
     X = _d_frame_at(system, comp, q, eps, order)
     Z = _w_frame_at(comp, q, kappa, eps, order)
@@ -518,10 +549,11 @@ def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
         if i is not None:
             raise GeometryError(
                 f"complement frame not dual to constraints at q={qs[i].tolist()}")
-    i = _first(_max_dev(eps.val @ X.val) > DUALITY_TOL)
-    if i is not None:
-        raise GeometryError(
-            f"D-frame does not lie in the constraint kernel at q={qs[i].tolist()}")
+    if not comp.identity_block:         # else eps(X) is exactly 0
+        i = _first(_max_dev(eps.val @ X.val) > DUALITY_TOL)
+        if i is not None:
+            raise GeometryError(
+                f"D-frame does not lie in the constraint kernel at q={qs[i].tolist()}")
 
     F = pk_hstack(X, Z)
     if comp.adapted_chi is not None:
@@ -537,7 +569,7 @@ def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
                 f"coframe rows do not reproduce the constraint forms at q={qs[i].tolist()}")
 
     # kD = X^T kappa X and kWD = Z^T kappa X, the row blocks of F^T kappa X
-    G = pk_matmul(pk_matmul(pk_transpose(F), kappa), X)
+    G = _finite(lambda: pk_matmul(pk_matmul(pk_transpose(F), kappa), X))
     kD = pk_rows(G, 0, n - k)
     kD_inv = pk_inv(kD, what="D-frame Gram matrix")
     J = pk_matmul(pk_rows(G, n - k, n), kD_inv)
@@ -646,7 +678,7 @@ def _w_frame_at(comp, q, kappa, eps, order) -> Packed:
         return pk_transpose(comp.adapted_Z.packed(q, order))
     # kappa-orthogonal complement, normalized so eps(Z) = identity
     Z0 = pk_matmul(pk_inv(kappa, what="metric"), pk_transpose(eps))
-    G = pk_matmul(eps, Z0)
+    G = _finite(lambda: pk_matmul(eps, Z0))
     return pk_matmul(Z0, pk_inv(G, what="constraint Gram matrix"))
 
 

@@ -69,7 +69,7 @@ def test_export_requires_known_system():
 def test_verify_defaults_to_snakeboard():
     doc, out = run_json(["verify", "--samples", "5"])
     assert doc["system"] == "snakeboard"
-    assert doc["pass"] is True
+    assert doc["pass"] is True and doc["compared"] == 5
     assert out.summary.startswith("verify snakeboard: PASS")
 
 
@@ -86,6 +86,23 @@ def test_verify_failure_exits_one():
     assert doc["pass"] is False
     assert doc["failures"]
     assert "FAIL" in out.summary
+
+
+def test_verify_that_compared_nothing_fails(tmp_path):
+    # every point is skipped: the kernel's second derivative of
+    # sin(exp(x)) overflows on this domain
+    doc = builtin_definition("nh_particle")
+    doc["constraint_forms"] = [["-y*sin(exp(x))", "0", "1"]]
+    doc["domain"] = {"x": [699.0, 700.0]}
+    path = tmp_path / "vacuous.json"
+    path.write_text(json.dumps(doc))
+    verdict, out = run_json(["verify", "--file", str(path), "--samples", "4",
+                             "--seed", "1"], expect_code=1)
+    assert verdict["pass"] is False and verdict["failures"] == []
+    assert verdict["compared"] == 0 and len(verdict["skipped"]) == 4
+    assert out.summary.startswith("verify nh_particle: FAIL")
+    assert out.summary.endswith("; 4 skipped point(s); no point was "
+                                "compared, so nothing was verified")
 
 
 @pytest.mark.parametrize("flag, value", [

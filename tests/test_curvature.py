@@ -15,8 +15,8 @@ from nhk import (
     sample_points,
     splitting_at,
 )
-from nhk.curvature import _curvature_pair_assembled
 from nhk.errors import UnsupportedOperationError
+from nhk.manifold import _c_basis, _splitting
 
 # ------------------------------------------------------ tensor structure
 
@@ -67,6 +67,34 @@ def test_values_lie_in_the_complement_lift(system):
 
 
 # ------------------------------------------------------ dual-route check
+
+
+def _curvature_pair_assembled(system, p, u, v, lift=None):
+    """Tensoriality cross-route: extend u, v as constant-coefficient
+    combinations of the assembled frame fields (X-lifts, momentum
+    verticals, lifted complement legs) instead of constant chart
+    extensions, and evaluate -P_W([P_C U, P_C V]) directly."""
+    n = system.n
+    bd = base_at(system, p, order=1)
+    Zl, dZl, _, P_W, P_C, dP_C = _splitting(system, bd, lift)
+    # assembled frame B = [C | Zl] and its q-derivatives
+    C = _c_basis(system, bd, 1)
+    B = np.concatenate([C.val, Zl], axis=-1)
+    dB = np.concatenate([C.d1[:n], dZl], axis=-1)
+    cu = np.linalg.solve(B, np.asarray(u, dtype=float))
+    cv = np.linalg.solve(B, np.asarray(v, dtype=float))
+    # fields U = B c, projected: PU = P_C B c; commutator at the point
+    PU = P_C @ B @ cu
+    PV = P_C @ B @ cv
+    dPB = np.zeros((system.dimM,) * 3)   # chart-dir, comp, column
+    dPB[:n] = (np.einsum("lij,jc->lic", dP_C[:n], B)
+               + np.einsum("ij,ljc->lic", P_C, dB))
+    dPU = dPB @ cu                    # (chart-dir, comp)
+    dPV = dPB @ cv
+    brkt = np.einsum("l,lk->k", PU, dPV) - np.einsum("l,lk->k", PV, dPU)
+    return -(P_W @ brkt)
+
+
 
 
 def test_projected_commutator_route_agrees(system):

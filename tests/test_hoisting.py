@@ -8,7 +8,10 @@ check whose input depends on q still runs at every point.  On an
 adapted system the identity s-block of the constraint forms certifies
 their rank, the duality eps(d/ds) = 1, the frame matrix [X|Z] and its
 coframe, so none of these is checked again where the block passes; the
-messages and their precedence are unchanged.  Shared constant arrays
+messages and their precedence are unchanged.  Where the block is the
+constant identity exactly, its check runs until it has passed once for
+the system, and eps(X) of the adapted frame, exactly 0, is not checked;
+a block only near the identity keeps both checks.  Shared constant arrays
 are read-only, the closed-form adapted coframe is the inverse of the
 frame matrix, and the per-system data does not keep a system alive.
 The work counts of an integration are pinned by counting calls, not by
@@ -167,11 +170,78 @@ def test_q_dependent_adapted_failures_keep_their_messages(points, reason):
                 f"(min singular value 0.000e+00)",
     }[reason]
     q = points[0] if len(points) == 1 else points
+    # a q-dependent s-block carries no certificate: checked at every point
+    assert not get_compiled(system).identity_block
     for order in (0, 1, 2):
         with pytest.raises(GeometryError) as err:
             base_at(system, q, order=order)
         assert str(err.value) == expected
     base_at(system, [_GOOD, _GOOD], order=2)
+
+
+# ---------------------------------------------------- exact identity block
+def _with_s_entry(entry: str) -> dict:
+    """nh_particle with its s-block entry (the form's dz coefficient)
+    replaced by ``entry``."""
+    definition = builtin_definition("nh_particle")
+    definition["constraint_forms"] = [["-y", "0", entry]]
+    return definition
+
+
+def test_the_identity_block_is_recorded_when_exact(request):
+    for system in _adapted_systems(request):
+        assert get_compiled(system).identity_block, system.name
+    for name in ("snakeboard", "kernel_path", "kernel2", "free"):
+        comp = get_compiled(request.getfixturevalue(name))
+        assert not comp.identity_block, name
+    # a folded constant counts; a value off 1, or a q-dependent entry, not
+    for entry, exact in [("1", True), ("2 - 1", True),
+                         ("1.0000000000001", False), ("z/z", False)]:
+        comp = get_compiled(load_system(_with_s_entry(entry)))
+        assert comp.identity_block is exact, entry
+        assert comp.block_checked is exact, entry
+
+
+@pytest.mark.parametrize("entry", ["1", "1.0000000000001"])
+def test_a_near_identity_block_keeps_the_kernel_check(entry):
+    # eps(X) = A - S A = (1 - S) A: within DUALITY_TOL while |A| is small,
+    # beyond it at |A| = 5000 when S = 1 + 1e-13 (the block passes, as
+    # |S - 1| <= ADAPTED_TOL)
+    system = load_system(_with_s_entry(entry))
+    far = [0.1, 5000.0, 0.2]
+    for order in (0, 1, 2):
+        if entry == "1":
+            bd = base_at(system, far, order)
+            assert not (bd.eps.val @ bd.X.val).any()
+            continue
+        for q in (far, [[0.1, 0.2, 0.3], far]):
+            with pytest.raises(GeometryError) as err:
+                base_at(system, q, order)
+            assert str(err.value) == ("D-frame does not lie in the "
+                                      f"constraint kernel at q={far}")
+
+
+@pytest.mark.parametrize("name, entry, per_stage", [
+    ("nh_particle", None, 0),
+    ("rolling_disk", None, 0),
+    # the near-identity block: its check and eps(X) at every stage
+    ("nh_particle", "1.0000000000001", 2),
+    # no adapted declaration: eps(Z) = 1, eps(X) = 0 and the coframe rows
+    ("snakeboard", None, 3),
+])
+def test_value_checks_per_rk4_stage(name, entry, per_stage, monkeypatch):
+    steps = 3
+    checks = _count(monkeypatch, manifold, "_max_dev")
+    definition = builtin_definition(name) if entry is None else \
+        _with_s_entry(entry)
+    system = load_system(definition)
+    comp = get_compiled(system)
+    assert comp.metric_checked and not comp.eps.constant
+    assert comp.block_checked == comp.identity_block == (per_stage == 0)
+    checks.calls = 0
+    init = sample_points(system, 1, seed=3)[0]
+    assert nhk.integrate(system, init, 0.01, steps).completed
+    assert checks.calls == (1 + 4 * steps) * per_stage
 
 
 # ------------------------------------------------------------ read-only

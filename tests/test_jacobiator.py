@@ -440,8 +440,10 @@ def test_cross_validate_skips_out_of_domain_points(snakeboard):
     report = cross_validate(snakeboard, samples=5, seed=42, tol=1e-8)
     assert report.skipped == []
     d = report.to_json_dict()
-    assert set(d) >= {"system", "seed", "samples", "tol", "methods",
-                      "max_abs_discrepancy", "pass", "failures", "skipped"}
+    assert set(d) >= {"system", "seed", "samples", "compared", "tol",
+                      "methods", "max_abs_discrepancy", "pass", "failures",
+                      "skipped"}
+    assert d["compared"] == 5
     assert d["pass"] is True
 
 
@@ -466,27 +468,42 @@ def test_cross_validate_skip_reasons_match_the_public_route():
     nan_rows = np.isnan(report.values).all(axis=(1, 2))
     assert np.flatnonzero(nan_rows).tolist() == [s["point"] for s in expected]
     assert np.isfinite(report.values[~nan_rows]).all()
-    assert report.passed
+    assert report.compared == 40 - len(expected) and report.passed
+
+
+def _non_finite_bruteforce(monkeypatch):
+    """Make the brute-force route's tensor NaN at every point."""
+    real = nhk.jacobiator._trivector_brute
+    monkeypatch.setattr(nhk.jacobiator, "_trivector_brute",
+                        lambda *args: real(*args) * np.nan)
 
 
 @pytest.mark.parametrize("form, domain, reason", [
     # the kernel's second derivative of sin(exp(x)) overflows
     ("-y*sin(exp(x))", [699.0, 700.0], f"EvalError: {NONFINITE}"),
-    # the grids are finite (about 1e200), the brute-force route is not
-    ("-y*exp(x)", [460.0, 461.0],
+    # a route value that is not finite where the base data is, injected:
+    # on the one system found to give one (-y*exp(x), x in [460, 461]),
+    # base_at refuses the D-frame Gram matrix first (see test_manifold)
+    ("-y", [-1.0, 1.0],
      "EvalError: the bruteforce route has a non-finite value"),
 ], ids=["kernel", "route"])
 def test_cross_validate_skips_a_point_with_a_non_finite_value(
-        form, domain, reason):
+        form, domain, reason, monkeypatch):
     definition = builtin_definition("nh_particle")
     definition["constraint_forms"] = [[form, "0", "1"]]
     definition["domain"] = {"x": domain}
-    with np.errstate(all="ignore"):
-        report = cross_validate(load_system(definition), samples=4, seed=1)
+    system = load_system(definition)
+    if "route" in reason:
+        _non_finite_bruteforce(monkeypatch)
+    report = cross_validate(system, samples=4, seed=1)
     assert report.skipped == [{"point": i, "reason": reason}
                               for i in range(4)]
     assert np.isnan(report.values).all()
     assert report.failures == [] and report.max_abs_discrepancy == 0.0
+    # a run that compared nothing does not pass
+    assert report.compared == 0 and not report.passed
+    assert report.to_json_dict()["compared"] == 0
+    assert report.to_json_dict()["pass"] is False
 
 
 def test_cross_validate_values_are_the_public_tensors(system):

@@ -4,6 +4,7 @@ C (+) W-lift splitting."""
 
 import copy
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from nhk import (
     splitting_at,
 )
 from nhk._compile import get_compiled
-from nhk.curvature import _curvature_pair_assembled
 from nhk.jacobiator import _applicable_methods
 from nhk._linalg import pk_from_jets, pk_unpack
 from nhk.errors import (DomainError, EvalError, GeometryError, LoadError,
@@ -38,6 +38,7 @@ from nhk.errors import (DomainError, EvalError, GeometryError, LoadError,
 from nhk.expr import eval_expr, parse, resolve
 from nhk.jet import NONFINITE, jet_binary, jet_const, jet_unary
 from nhk.manifold import PIVOT_TOL
+from test_curvature import _curvature_pair_assembled
 
 # ------------------------------------------------------------- loading
 
@@ -180,6 +181,56 @@ def test_load_refuses_a_non_finite_constant_grid():
     assert len(err.value.violations) == 1
     assert err.value.violations[0].startswith("at sampled point q=")
     assert err.value.violations[0].endswith(f": {NONFINITE}")
+
+
+def _exp_form(doc: dict, **changes) -> dict:
+    """doc with the constraint form -y*exp(x), whose grids are finite at
+    x = 460 (about 1e200) while the Gram matrices built from them, about
+    their square, overflow."""
+    return dict(doc, constraint_forms=[["-y*exp(x)", "0", "1"]], **changes)
+
+
+@pytest.mark.parametrize("warnings_as", ["error", "ignore", "always"])
+def test_load_refuses_a_derived_block_that_overflows(warnings_as):
+    # the same refusal whatever becomes of numpy's overflow warning
+    doc = _exp_form(builtin_definition("nh_particle"),
+                   domain={"x": [460.0, 461.0]})
+    with warnings.catch_warnings(record=True) as shown:
+        warnings.simplefilter(warnings_as)
+        with pytest.raises(LoadError) as err:
+            load_system(doc)
+    assert err.value.violations == [
+        f"at sampled point q=[460.538637, 1.576695, -0.5427]: {NONFINITE}"]
+    if warnings_as == "always":
+        assert shown and all(w.category is RuntimeWarning for w in shown)
+    else:
+        assert not shown
+
+
+def test_base_at_refuses_a_derived_block_before_inverting_it(monkeypatch):
+    # finite on the probes' [-2, 2]
+    s = load_system(_exp_form(builtin_definition("nh_particle")))
+    dets = []
+    det = np.linalg.det
+    monkeypatch.setattr(np.linalg, "det", lambda m: dets.append(m) or det(m))
+    for q in ([460.5, 1.5, 0.0], [[0.5, 0.2, 0.1], [460.5, 1.5, 0.0]]):
+        for order in (0, 1, 2):
+            with pytest.raises(EvalError) as err:
+                base_at(s, q, order)
+            assert str(err.value) == NONFINITE
+    # the D-frame Gram matrix is refused before pk_inv's guard sees it
+    assert dets == []
+    base_at(s, [20.0, 1.5, 0.0], 2)
+
+
+def test_base_at_refuses_an_overflowing_complement_gram(kernel_path):
+    # no adapted declaration: the constraint Gram matrix eps kappa^-1
+    # eps^T of the kappa-orthogonal complement overflows first
+    s = load_system(_exp_form(kernel_path.definition))
+    for order in (0, 1, 2):
+        with pytest.raises(EvalError) as err:
+            base_at(s, [460.5, 1.5, 0.0], order)
+        assert str(err.value) == NONFINITE
 
 
 def test_load_accepts_an_empty_complement_frame(free):
