@@ -364,7 +364,8 @@ class GridEval:
             val = self._val0[None].repeat(b, 0)
             d1 = self._d10[None].repeat(b, 0) if order >= 1 else None
             d2 = self._d20[None].repeat(b, 0) if order >= 2 else None
-            f = None if d2 is None else d2.reshape(b, -1)   # a row per point
+            # a row per point (sized explicitly: b may be 0)
+            f = None if d2 is None else d2.reshape(b, self._d20.size)
             z = 0.0
             if self._fill is not None:
                 for i in range(b):
@@ -404,20 +405,17 @@ def _unit_rows(indices, n) -> list:
 class CompiledSystem:
     """The compiled grids of one system, and what of its base geometry
     is constant in q: the index bookkeeping, the domain bounds, the
-    canonical frames of adapted coordinates, whether the adapted
-    s-block of the constraint forms is the constant identity exactly,
-    and whether the value checks of the constant metric and constraint
-    grids, and of that identity block, have passed.
+    canonical frames of adapted coordinates, and whether the adapted
+    s-block of the constraint forms is the constant identity exactly.
     ``load_system`` builds it from the system's constant-folded grids
-    and stores it on the system; it holds no reference to the system."""
+    and stores it on the system; it holds no reference to the system.
+    Its one run-time fact, ``loaded``, is written by ``load_system``."""
 
     def __init__(self, system):
         names = system.coord_names
         n, k = system.n, system.k
         self.metric = GridEval(system.metric, names)
         self.eps = GridEval(system.constraints, names)
-        self.w = GridEval(system.w_frame, names) \
-            if system.w_frame is not None else None
         self.d = GridEval(system.d_frame, names) \
             if system.d_frame is not None else None
         self.potential = ScalarEval(system.potential, names)
@@ -433,28 +431,26 @@ class CompiledSystem:
         for c, bounds in system.domain.items():
             lo[names.index(c)], hi[names.index(c)] = bounds
         self.lo, self.hi = _read_only(lo), _read_only(hi)
-        # adapted coordinates with the canonical complement Z = d/ds:
-        # the coframe dual to [X|Z] is {dr^alpha, eps^a}, with chi as
-        # rows dr^alpha, and Z as rows d/ds^a
-        self.adapted_Z = self.adapted_chi = None
-        if system.adapted is not None and system.w_frame is None:
-            self.adapted_Z = GridEval(_unit_rows(system.s_indices, n), names)
+        # the complement grid, rows Z_a: the declared w_frame, else in
+        # adapted coordinates the canonical Z = d/ds, whose coframe dual
+        # to [X|Z] is {dr^alpha, eps^a}, with chi as rows dr^alpha
+        w_frame, self.adapted_chi = system.w_frame, None
+        if system.adapted is not None and w_frame is None:
+            w_frame = _unit_rows(system.s_indices, n)
             self.adapted_chi = GridEval(_unit_rows(system.r_indices, n),
                                         names)
+        self.w = GridEval(w_frame, names) if w_frame is not None else None
         # an adapted s-block of folded constants that is the identity
-        # exactly: every point then passes the block check, and eps(X)
-        # of the frame derived from it is exactly 0 (A*1 - 1*A, the
-        # other terms 0*A); the compiled grid holds these constants as
-        # they are
+        # exactly: the compiled grid copies these constants unchanged
+        # into every evaluation, so every point passes the block check
+        # (and the rank check it certifies), and eps(X) of the frame
+        # derived from it is exactly 0 (A*1 - 1*A, the other terms 0*A)
         self.identity_block = system.adapted is not None and all(
             isinstance(e, Num) and e.value == (1.0 if b == a else 0.0)
             for a, row in enumerate(system.constraints)
             for b, e in enumerate(row[i] for i in system.s_indices))
-        # set once the checks of a constant grid, or of an identity
-        # block, have passed
-        self.metric_checked = False
-        self.eps_checked = False
-        self.block_checked = False
+        # set once load_system's probes have checked the constant grids
+        self.loaded = False
 
 
 def get_compiled(system) -> CompiledSystem:

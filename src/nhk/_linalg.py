@@ -6,7 +6,8 @@ first and optionally second derivatives along a set of base directions
 (..., V, r, c) and ``d2`` (..., V, V, r, c)).  Products and inverses
 propagate derivatives analytically (d(A^-1) = -A^-1 dA A^-1 and its
 second-order extension).  Pivoting inside ``np.linalg`` sees values
-only, never derivative data.  Every library path uses this form.
+only, never derivative data.  Every library path uses this form.  It
+is arithmetic only: ``pk_inv`` guards nothing, ``manifold`` does.
 
 Any leading axes before those are stack axes: a stacked Packed holds
 one matrix per point, and every ``pk_*`` operation broadcasts over
@@ -43,7 +44,7 @@ from .jet import Jet2, jet_binary, jet_const
 __all__ = [
     "Packed", "pk_from_jets", "pk_const", "pk_matmul", "pk_inv", "pk_add",
     "pk_sub", "pk_neg", "pk_transpose", "pk_hstack", "pk_rows", "pk_unpack",
-    "pk_at", "check_nonsingular",
+    "pk_at",
     "jm_matmul", "jm_inv", "jm_identity", "jm_values",
     "SINGULAR_TOL",
 ]
@@ -77,14 +78,6 @@ def pk_at(p: Packed, i) -> Packed:
                   p.d2[i] if p.d2 is not None else None)
 
 
-def _first(bad) -> int | None:
-    """Stack index of the first point where a check fails (0 for an
-    unstacked failure), or None when it holds everywhere."""
-    if bad.ndim == 0:
-        return 0 if bad else None
-    return int(bad.argmax()) if bad.any() else None
-
-
 def _lift(m: np.ndarray, k: int) -> np.ndarray:
     """Matrices m (..., r, c) made to broadcast against arrays with k
     derivative axes before the matrix axes: unit axes are inserted after
@@ -111,15 +104,7 @@ def pk_matmul(a: Packed, b: Packed) -> Packed:
     return Packed(val, d1, d2)
 
 
-def check_nonsingular(m: np.ndarray, tol: float = SINGULAR_TOL,
-                      what: str = "matrix") -> None:
-    """The guard of pk_inv: |det| of every matrix of m exceeds tol."""
-    if _first(abs(np.linalg.det(m)) <= tol) is not None:
-        raise GeometryError(f"singular {what} (|det| <= {tol})")
-
-
-def pk_inv(a: Packed, tol: float = SINGULAR_TOL, what: str = "matrix") -> Packed:
-    check_nonsingular(a.val, tol, what)
+def pk_inv(a: Packed) -> Packed:
     B = np.linalg.inv(a.val)
     if a.d1 is None:
         return Packed(B)

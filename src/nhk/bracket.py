@@ -149,8 +149,8 @@ def _bivector_packed(system: NonholonomicSystem, p: PointM, bd: BaseData,
     (order 1) runs along the chart directions, from base data ``bd`` at
     p.q of order at least order + 1 (p and bd may be stacked alike).
     The C basis and the restricted Gram matrix G = C^T Omega C come from
-    ``_omega_packed``, which has already checked |det G| against
-    NONDEG_TOL."""
+    ``_omega_packed``, which has just refused |det G| <= NONDEG_TOL on
+    the same array, so G is inverted unguarded."""
     _, C, G, _ = _omega_packed(system, p, bd, order)
     return pk_matmul(pk_matmul(C, pk_inv(G)), pk_transpose(C))
 

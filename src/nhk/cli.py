@@ -84,7 +84,8 @@ def _error_payload(err: NhkError) -> dict:
 
 # ------------------------------------------------------------- arguments
 def _parse_assignments(text: str, flag: str) -> dict:
-    """Parse 'name=value,name=value' into an ordered dict of floats."""
+    """Parse 'name=value,name=value' into an ordered dict of floats; a
+    name given twice is a usage error."""
     out: dict = {}
     if not text:
         return out
@@ -93,6 +94,8 @@ def _parse_assignments(text: str, flag: str) -> dict:
         name = name.strip()
         if not sep or not name:
             raise _CliExit(2, f"{flag} expects name=value pairs, got {item!r}")
+        if name in out:
+            raise _CliExit(2, f"{flag}: {name} is given more than once")
         try:
             out[name] = float(value)
         except ValueError:
@@ -298,6 +301,9 @@ def _cmd_eval(args) -> CommandOutcome:
     at = _parse_assignments(args.at, "--at")
     wrt = [w.strip() for w in args.wrt.split(",") if w.strip()] \
         if args.wrt else []
+    for i, name in enumerate(wrt):
+        if name in wrt[:i]:
+            raise _CliExit(2, f"--wrt: {name} is given more than once")
     parsed = ex.parse(args.expr)
     resolved = ex.resolve(parsed, set(at), set())
     jet = ex.eval_expr(resolved, at, {}, wrt, order=2 if wrt else 0)

@@ -325,15 +325,19 @@ def resolve(e: Expr, coord_names, param_names) -> Expr:
 # ------------------------------------------------------------ evaluation
 def eval_expr(e: Expr, coords: dict, params: dict, active, order: int = 2) -> Jet2:
     """Evaluate to a Jet2 differentiated w.r.t. the ordered `active`
-    coordinate names.  Internal entry point with selectable order.  A
+    coordinate names, each bound in `coords` and named once (else
+    EvalError).  Internal entry point with selectable order.  A
     non-finite value or derivative raises EvalError (``jet.NONFINITE``),
     as in the compiled kernels."""
     active = list(active)
     for a in active:
         if a not in coords:
             raise EvalError(f"active variable {a!r} has no bound value")
-    values = [float(coords[a]) for a in active]
     index = {name: i for i, name in enumerate(active)}
+    if len(index) < len(active):        # index holds each last occurrence
+        a = next(a for i, a in enumerate(active) if index[a] != i)
+        raise EvalError(f"active variable {a!r} is repeated")
+    values = [float(coords[a]) for a in active]
     V = len(active)
 
     def ev(node: Expr) -> Jet2:

@@ -40,6 +40,7 @@ others, which yields its whole tensor at every point of the stack.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -206,7 +207,9 @@ def _km_value(data: dict) -> np.ndarray:
              @ A)
         parts.append(_cyclic_sum((Kf.swapaxes(-1, -2) @ g)
                                  .reshape(lead + (nk, nk, nk))))
-    F = np.concatenate([x.reshape(lead + (-1,)) for x in parts], axis=-1)
+    # each part flat per point, sized explicitly: the stack may be empty
+    F = np.concatenate([x.reshape(lead + (math.prod(x.shape[len(lead):]),))
+                        for x in parts], axis=-1)
     T = np.concatenate([F, -F], axis=-1)[..., data["layout"]]
     T += 0.0          # no signed zeros: the structural zeros are +0.0
     return T.reshape(lead + (data["n"] + nk,) * 3)

@@ -43,9 +43,10 @@ what is constant in q: grids with no q-dependent code, such as a
 constant metric, d/ds and dr (their derivatives exactly zero), the
 index arrays and the domain bounds.  A single point reads these
 constants as shared read-only arrays; a stack gets contiguous copies.
-The checks on a constant metric or constant constraint forms run until
-they have passed once for the system, and so does the block check of an
-adapted s-block that is the constant identity exactly.
+Each invariant is established once, by the code that can prove it: the
+loader's probes check the constant grids, an adapted s-block that is
+the constant identity exactly needs no check, and every check whose
+input depends on the point runs at every point.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ import numpy as np
 
 from . import expr as ex
 from ._compile import CompiledSystem, get_compiled
-from ._linalg import (Packed, _first, pk_add, pk_at, pk_hstack, pk_inv,
-                      pk_matmul, pk_rows, pk_transpose)
+from ._linalg import (SINGULAR_TOL, Packed, pk_add, pk_at, pk_hstack,
+                      pk_inv, pk_matmul, pk_rows, pk_transpose)
 from ._rng import Lcg64
 from .errors import (DomainError, EvalError, GeometryError, LoadError,
                      ParameterError, ParseError, check_array, check_integer,
@@ -282,10 +283,9 @@ def load_system(definition) -> NonholonomicSystem:
     system is compiled once (``_compile.CompiledSystem``).
     Raises LoadError listing *all* violations found.  Pointwise geometric
     invariants (metric positive-definiteness, constraint rank, adapted
-    identity block, frame duality) are additionally re-checked lazily at
-    every queried point (see base_at for constant grids); here they are
-    probed at a handful of sampled points to fail fast on structurally
-    bad definitions.
+    identity block, frame duality) are probed at a handful of sampled
+    points to fail fast on structurally bad definitions; once they pass,
+    the compiled form is marked ``loaded`` (see base_at).
     """
     if isinstance(definition, (str, bytes)):
         try:
@@ -426,6 +426,7 @@ def load_system(definition) -> NonholonomicSystem:
                 break
     if bad:
         raise LoadError(bad)
+    get_compiled(system).loaded = True
     return system
 
 
@@ -449,6 +450,22 @@ class BaseData(NamedTuple):
     kD_inv: Packed
 
 
+def _first(bad) -> int | None:
+    """Stack index of the first point where a check fails (0 for an
+    unstacked failure), or None when it holds everywhere."""
+    if bad.ndim == 0:
+        return 0 if bad else None
+    return int(bad.argmax()) if bad.any() else None
+
+
+def _inv(a: Packed, what: str) -> Packed:
+    """pk_inv(a) once |det| of every matrix of a exceeds SINGULAR_TOL,
+    else GeometryError naming the matrix ``what``."""
+    if _first(abs(np.linalg.det(a.val)) <= SINGULAR_TOL) is not None:
+        raise GeometryError(f"singular {what} (|det| <= {SINGULAR_TOL})")
+    return pk_inv(a)
+
+
 def _max_dev(m, ref=0.0):
     """Per point: the largest |entry of m - ref| (0 for an empty m)."""
     return np.abs(m - ref).max(axis=(-2, -1), initial=0.0)
@@ -458,7 +475,7 @@ def _finite(make) -> Packed:
     """The block make() derives from finite data, once each of its
     arrays is found finite (one test per array); else EvalError
     (NONFINITE).  A product can overflow where its factors do not, and
-    an infinite or NaN determinant would pass pk_inv's guard.  Where
+    an infinite or NaN determinant would pass _inv's guard.  Where
     warnings are errors, numpy's overflow warning in make() stands for
     the failed test; elsewhere numpy prints it, and the test raises.
     (Suppressing it with np.errstate would add the cost of that context
@@ -484,7 +501,8 @@ def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
     A Gram matrix built from the grids (the D-frame Gram matrix
     F^T kappa X, and the constraint Gram matrix of the kappa-orthogonal
     complement) is tested for finiteness before it is inverted: a
-    non-finite one raises EvalError (``jet.NONFINITE``), see _finite.
+    non-finite one raises EvalError (``jet.NONFINITE``), see _finite;
+    each matrix inverted here is guarded once, by _inv.
 
     q is one point, shape (n,), a stack of B points, shape (B, n), or a
     PointM (stacked or not), checked once, first, by ``check_domain`` or
@@ -493,12 +511,12 @@ def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
     alone, bit for bit.  Every check runs on every point with the same
     thresholds and in the same order; the first failing check raises,
     naming the first point that fails it.  The exceptions are decided
-    once per system, when it is compiled.  The checks on a grid
-    constant in q (the metric, or the constraint forms) run until they
-    have passed once for the system.  So does the block check where the
-    adapted s-block is the constant identity exactly
-    (``CompiledSystem.identity_block``); then eps(X) of the adapted
-    frame is exactly 0, and it is not checked.
+    once per system, and base_at only reads them: the checks on a grid
+    constant in q (the metric, or the constraint forms) run until
+    ``load_system``'s probes have passed (``CompiledSystem.loaded``),
+    and where the adapted s-block is the constant identity exactly
+    (``CompiledSystem.identity_block``) neither it nor eps(X) of the
+    adapted frame, exactly 0, is checked.
     """
     order = check_integer("order", order, 0, 3)
     q = (system.check_point if isinstance(q, PointM)
@@ -508,7 +526,7 @@ def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
     comp = get_compiled(system)
 
     kappa = comp.metric.packed(q, order)
-    if not comp.metric_checked:
+    if not (comp.loaded and comp.metric.constant):
         i = _first(_max_dev(kappa.val, kappa.val.swapaxes(-1, -2)) > SYM_TOL)
         if i is not None:
             raise GeometryError(f"metric not symmetric at q={qs[i].tolist()}")
@@ -518,10 +536,9 @@ def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
             raise GeometryError(
                 f"metric not positive definite at q={qs[i].tolist()} "
                 f"(min eigenvalue {evmin.reshape(-1)[i]:.3e})")
-        comp.metric_checked = comp.metric.constant
 
     eps = comp.eps.packed(q, order)
-    if not (comp.eps_checked or comp.block_checked):
+    if not (comp.identity_block or comp.loaded and comp.eps.constant):
         # the SVD runs (on the whole stack) only where the s-block S fails:
         # sigma_min(eps)^2 = lambda_min(S S^T + A A^T) >= (1 - k ADAPTED_TOL)^2
         off = None if system.adapted is None else \
@@ -538,13 +555,11 @@ def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
                     "adapted-declaration mismatch: constraint forms do not "
                     "have an identity block over s-columns "
                     f"{list(system.s_indices)} at q={qs[_first(off)].tolist()}")
-        comp.eps_checked = comp.eps.constant
-        comp.block_checked = comp.identity_block
 
     X = _d_frame_at(system, comp, q, eps, order)
     Z = _w_frame_at(comp, q, kappa, eps, order)
 
-    if comp.adapted_Z is None:          # else eps(Z) is the s-block
+    if comp.adapted_chi is None:        # else Z = d/ds: eps(Z) is the s-block
         i = _first(_max_dev(eps.val @ Z.val, comp.eye_k) > DUALITY_TOL)
         if i is not None:
             raise GeometryError(
@@ -561,7 +576,7 @@ def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
         # [-A, 1]] (|det| = 1); its coframe: chi = dr, eps-hat = ds + A dr
         chi = comp.adapted_chi.packed(q, order)
     else:
-        Finv = pk_inv(F, what="frame matrix [X|Z]")
+        Finv = _inv(F, "frame matrix [X|Z]")
         chi = pk_rows(Finv, 0, n - k)
         i = _first(_max_dev(Finv.val[..., n - k:, :], eps.val) > DUALITY_TOL)
         if i is not None:
@@ -571,7 +586,7 @@ def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
     # kD = X^T kappa X and kWD = Z^T kappa X, the row blocks of F^T kappa X
     G = _finite(lambda: pk_matmul(pk_matmul(pk_transpose(F), kappa), X))
     kD = pk_rows(G, 0, n - k)
-    kD_inv = pk_inv(kD, what="D-frame Gram matrix")
+    kD_inv = _inv(kD, "D-frame Gram matrix")
     J = pk_matmul(pk_rows(G, n - k, n), kD_inv)
     mu = pk_add(chi, pk_matmul(pk_transpose(J), eps))
     return BaseData(q=q, order=order, kappa=kappa, eps=eps, X=X, Z=Z,
@@ -597,8 +612,7 @@ def _d_frame_at(system, comp, q, eps, order) -> Packed:
 def _kernel_frame(eps: Packed) -> Packed:
     """Kernel basis of eps(q): per pivot pattern of the stack's points,
     -B^-1 F in the pivot rows (B the pivot-column block of eps, F its
-    free columns) and the identity in the free rows.  The pivot checks
-    keep B away from singular, so pk_inv adds no guard (tol 0)."""
+    free columns) and the identity in the free rows."""
     lead, (k, n) = eps.val.shape[:-2], eps.val.shape[-2:]
     groups: dict = {}
     for i in np.ndindex(lead):
@@ -652,7 +666,9 @@ def _pivot_columns(e: np.ndarray) -> tuple:
 
 
 def _kernel_solve(eps: Packed, piv: tuple) -> Packed:
-    """The kernel basis for the pivot columns piv of every point of eps."""
+    """The kernel basis for the pivot columns piv of every point of eps.
+    The pivot block B is inverted unguarded: _pivot_columns kept each of
+    its pivots above PIVOT_TOL, so B is nonsingular."""
     n = eps.val.shape[-1]
     free = [c for c in range(n) if c not in piv]
 
@@ -660,8 +676,7 @@ def _kernel_solve(eps: Packed, piv: tuple) -> Packed:
         return Packed(*(None if m is None else m[..., cols]
                         for m in (eps.val, eps.d1, eps.d2)))
 
-    M = pk_matmul(pk_inv(block(list(piv)), tol=0.0, what="pivot block"),
-                  block(free))
+    M = pk_matmul(pk_inv(block(list(piv))), block(free))
     X = [None if m is None else np.zeros(m.shape[:-2] + (n, len(free)))
          for m in (M.val, M.d1, M.d2)]
     for x, m in zip(X, (M.val, M.d1, M.d2)):
@@ -672,14 +687,12 @@ def _kernel_solve(eps: Packed, piv: tuple) -> Packed:
 
 
 def _w_frame_at(comp, q, kappa, eps, order) -> Packed:
-    if comp.w is not None:
+    if comp.w is not None:              # the declared w_frame, or d/ds
         return pk_transpose(comp.w.packed(q, order))
-    if comp.adapted_Z is not None:
-        return pk_transpose(comp.adapted_Z.packed(q, order))
     # kappa-orthogonal complement, normalized so eps(Z) = identity
-    Z0 = pk_matmul(pk_inv(kappa, what="metric"), pk_transpose(eps))
+    Z0 = pk_matmul(_inv(kappa, "metric"), pk_transpose(eps))
     G = _finite(lambda: pk_matmul(eps, Z0))
-    return pk_matmul(Z0, pk_inv(G, what="constraint Gram matrix"))
+    return pk_matmul(Z0, _inv(G, "constraint Gram matrix"))
 
 
 # ------------------------------------------------------------ public ops

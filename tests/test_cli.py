@@ -368,6 +368,23 @@ def test_eval_with_derivatives():
     assert "=" in out.summary
 
 
+@pytest.mark.parametrize("argv, flag, name", [
+    (["eval", "--expr", "x^2", "--at", "x=2", "--wrt", "x,x"], "--wrt", "x"),
+    (["eval", "--expr", "x*y", "--at", "x=2,y=3", "--wrt", "y, x,y"],
+     "--wrt", "y"),
+    (["eval", "--expr", "x^2", "--at", "x=1,x=2"], "--at", "x"),
+    (["jacobiator", "--system", "nh_particle", "--triple", "0,1,2",
+      "--point", "y=1, y=2"], "--point", "y"),
+    (["simulate", "--system", "nh_particle", "--dt", "0.01", "--steps", "2",
+      "--init", "ptilde_x=1,ptilde_x=1"], "--init", "ptilde_x"),
+], ids=["wrt", "wrt-spaced", "at", "point", "init"])
+def test_a_repeated_name_is_a_usage_error(argv, flag, name):
+    out = run(argv)
+    assert out.exit_code == 2
+    assert out.payload == ""
+    assert f"{flag}: {name} is given more than once" in out.summary
+
+
 def test_eval_value_only():
     doc, _ = run_json(["eval", "--expr", "exp(1)", "--at", ""])
     assert doc["value"] == pytest.approx(math.e, rel=1e-15)

@@ -17,11 +17,15 @@ from nhk._linalg import pk_const, pk_from_jets
 from nhk.errors import EvalError
 from nhk.expr import eval_expr, fold_constants, parse, resolve
 
-GRIDS = ("metric", "constraints", "w_frame", "d_frame")
-
-
 def _folded(text, names):
     return fold_constants(resolve(parse(text), set(names), set()), {})
+
+
+def _unit_grid(indices, names):
+    """Row a is the unit row of coordinate indices[a], as folded "1" and
+    "0" entries."""
+    return [[_folded("1" if j == i else "0", names)
+             for j in range(len(names))] for i in indices]
 
 
 def _assert_kernel_exact(packed, grid, names, q):
@@ -46,10 +50,18 @@ def _assert_kernel_exact(packed, grid, names, q):
 def _assert_system_exact(system, count, seed):
     comp = get_compiled(system)
     names = list(system.coord_names)
-    kernels = [comp.metric, comp.eps, comp.w, comp.d]
-    grids = [(k, getattr(system, g)) for k, g in zip(kernels, GRIDS)
-             if k is not None]
-    grids.append((comp.potential._grid, [[system.potential]]))
+    # the one complement grid: the declared w_frame, else in adapted
+    # coordinates d/ds, whose coframe rows chi are dr
+    w_frame, chi = system.w_frame, None
+    if system.adapted is not None and w_frame is None:
+        w_frame = _unit_grid(system.s_indices, names)
+        chi = _unit_grid(system.r_indices, names)
+    pairs = [(comp.metric, system.metric), (comp.eps, system.constraints),
+             (comp.w, w_frame), (comp.d, system.d_frame),
+             (comp.adapted_chi, chi),
+             (comp.potential._grid, [[system.potential]])]
+    assert all((k is None) == (g is None) for k, g in pairs)
+    grids = [(k, g) for k, g in pairs if k is not None]
     for p in nhk.sample_points(system, count, seed=seed):
         for kernel, grid in grids:
             _assert_kernel_exact(kernel.packed, grid, names, p.q)

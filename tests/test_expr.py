@@ -287,6 +287,16 @@ def test_active_name_must_be_bound():
         eval_jet(parse("x"), {"x": 1.0}, {}, ["x", "ghost"])
 
 
+def test_an_active_name_may_not_repeat():
+    # a name lifts into one derivative slot: a repeat would read 0
+    e = parse("x*y")
+    for active in (["x", "x"], ["x", "y", "x"], ["y", "x", "y"]):
+        with pytest.raises(EvalError, match="^active variable '(x|y)' is "
+                                            "repeated$") as err:
+            eval_jet(e, {"x": 2.0, "y": 3.0}, {}, active)
+        assert active[0] in str(err.value)
+
+
 # ------------------------------------------------------------- fuzzing
 
 

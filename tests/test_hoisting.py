@@ -2,20 +2,22 @@
 (metric, potential, constraint forms, declared frames), the canonical
 frames of adapted coordinates, and the index bookkeeping of base_at.
 
-The checks on a constant grid run until they have passed once for the
-system, with the same thresholds, messages and exception types; every
-check whose input depends on q still runs at every point.  On an
-adapted system the identity s-block of the constraint forms certifies
-their rank, the duality eps(d/ds) = 1, the frame matrix [X|Z] and its
-coframe, so none of these is checked again where the block passes; the
-messages and their precedence are unchanged.  Where the block is the
-constant identity exactly, its check runs until it has passed once for
-the system, and eps(X) of the adapted frame, exactly 0, is not checked;
-a block only near the identity keeps both checks.  Shared constant arrays
-are read-only, the closed-form adapted coframe is the inverse of the
-frame matrix, and the per-system data does not keep a system alive.
-The work counts of an integration are pinned by counting calls, not by
-timing."""
+Each invariant is established once, by the code that can prove it.  The
+loader's probes check the constant grids, with the same thresholds,
+messages and exception types, and after load base_at checks them no
+more.  An adapted s-block that is the constant identity exactly needs
+no check: the compiled grid copies its constants into every evaluation,
+and eps(X) of the adapted frame is exactly 0; a block only near the
+identity keeps both checks.  Every check whose input depends on the
+point runs at every point.  On an adapted system the identity s-block
+certifies the rank, the duality eps(d/ds) = 1, the frame matrix [X|Z]
+and its coframe, so none of these is checked again where the block
+passes; the messages and their precedence are unchanged.  Once loaded,
+the compiled form is only read.  Shared constant arrays are read-only,
+the closed-form adapted coframe is the inverse of the frame matrix, and
+the per-system data does not keep a system alive.  The work counts of
+an integration and of a base evaluation are pinned by counting calls,
+not by timing."""
 
 import gc
 import weakref
@@ -51,7 +53,7 @@ def test_a_bad_constant_metric_is_refused_at_load(metric, reason):
     definition = builtin_definition("nh_particle")
     q0 = _first_probe_point()
     definition["metric"] = metric
-    # twice: a failed check is not recorded as passed
+    # twice: a failed load leaves nothing behind
     for _ in range(2):
         with pytest.raises(LoadError) as err:
             load_system(definition)
@@ -78,27 +80,41 @@ def test_bad_constant_constraint_forms_are_refused_at_load(forms, reason):
         + reason.format(q=q0.tolist())]
 
 
-def test_a_q_dependent_metric_is_checked_at_every_point():
+def test_a_q_dependent_metric_is_checked_at_every_point(monkeypatch):
     # definite everywhere but on a thin slab around x = -1.9, which the
     # load-time probes miss
     definition = builtin_definition("nh_particle")
     definition["metric"][0][0] = "1 - 3*exp(-50*(x-(-1.9))^2)"
     system = load_system(definition)
+    eigvalsh = _count(monkeypatch, np.linalg, "eigvalsh")
+    calls = 0
     for p in sample_points(system, 5, seed=2):
         if abs(p.q[0] + 1.9) > 0.5:
             base_at(system, p.q, order=1)
+            calls += 1
     for _ in range(2):
         with pytest.raises(GeometryError,
                            match=r"metric not positive definite at "
                                  r"q=\[-1\.9, 0\.3, 0\.1\]"):
             base_at(system, [-1.9, 0.3, 0.1], order=1)
-    assert not get_compiled(system).metric_checked
+    # a passing point does not excuse the next one
+    assert calls > 0 and eigvalsh.calls == calls + 2
 
 
-def test_constant_grids_are_marked_checked_only_when_constant(system):
+def test_constant_grids_are_marked_checked_only_when_constant(
+        system, monkeypatch):
+    # after load, base_at takes no eigvalsh for a constant metric and no
+    # SVD for constant forms or an exact identity block; otherwise one
+    # per call, for a stack as for a point
     comp = get_compiled(system)
-    assert comp.metric_checked == comp.metric.constant
-    assert comp.eps_checked == comp.eps.constant
+    counts = [_count(monkeypatch, np.linalg, f) for f in ("eigvalsh", "svd")]
+    pts = sample_points(system, 3, seed=13)
+    for q in (pts.q, pts.q[1]):
+        for order in (0, 1, 2):
+            base_at(system, q, order)
+    assert [c.calls for c in counts] == [
+        0 if constant else 6 for constant in
+        (comp.metric.constant, comp.eps.constant or comp.identity_block)]
 
 
 # ---------------------------------------------------- closed-form coframe
@@ -126,10 +142,11 @@ def test_adapted_coframe_is_the_inverse_of_the_frame_matrix(request):
 
 def test_the_identity_block_certifies_the_adapted_frames(request):
     for system in _adapted_systems(request):
-        assert get_compiled(system).adapted_Z is not None, system.name
         k, s_idx = system.k, list(system.s_indices)
         for p in sample_points(system, 20, seed=29):
             bd = base_at(system, p.q, order=0)
+            # the complement is d/ds
+            assert np.array_equal(bd.Z.val, np.eye(system.n)[:, s_idx])
             frame = np.hstack([bd.X.val, bd.Z.val])
             assert abs(abs(np.linalg.det(frame)) - 1.0) <= 1e-12, system.name
             assert np.array_equal(bd.eps.val @ bd.Z.val, bd.eps.val[:, s_idx])
@@ -188,18 +205,22 @@ def _with_s_entry(entry: str) -> dict:
     return definition
 
 
-def test_the_identity_block_is_recorded_when_exact(request):
+def test_the_identity_block_is_recorded_when_exact(request, monkeypatch):
     for system in _adapted_systems(request):
         assert get_compiled(system).identity_block, system.name
     for name in ("snakeboard", "kernel_path", "kernel2", "free"):
         comp = get_compiled(request.getfixturevalue(name))
         assert not comp.identity_block, name
-    # a folded constant counts; a value off 1, or a q-dependent entry, not
+    # a folded constant counts; a value off 1, or a q-dependent entry,
+    # not; an exact block is not checked, nor is eps(X), else both are
+    checks = _count(monkeypatch, manifold, "_max_dev")
     for entry, exact in [("1", True), ("2 - 1", True),
                          ("1.0000000000001", False), ("z/z", False)]:
-        comp = get_compiled(load_system(_with_s_entry(entry)))
-        assert comp.identity_block is exact, entry
-        assert comp.block_checked is exact, entry
+        system = load_system(_with_s_entry(entry))
+        assert get_compiled(system).identity_block is exact, entry
+        checks.calls = 0
+        base_at(system, [0.1, 0.2, 0.3], order=1)
+        assert checks.calls == (0 if exact else 2), entry
 
 
 @pytest.mark.parametrize("entry", ["1", "1.0000000000001"])
@@ -236,8 +257,8 @@ def test_value_checks_per_rk4_stage(name, entry, per_stage, monkeypatch):
         _with_s_entry(entry)
     system = load_system(definition)
     comp = get_compiled(system)
-    assert comp.metric_checked and not comp.eps.constant
-    assert comp.block_checked == comp.identity_block == (per_stage == 0)
+    assert comp.metric.constant and not comp.eps.constant
+    assert comp.identity_block == (per_stage == 0)
     checks.calls = 0
     init = sample_points(system, 1, seed=3)[0]
     assert nhk.integrate(system, init, 0.01, steps).completed
@@ -284,6 +305,14 @@ def test_one_compile_per_load(system, monkeypatch):
     s = load_system(system.definition)
     assert compiles == [s.name]
     assert get_compiled(s) is get_compiled(s)
+    # once loaded, the compiled form is only read: no attribute is set,
+    # and every entry stays the same object
+    comp = get_compiled(s)
+    before = dict(vars(comp))
+    assert comp.loaded is True
+    writes = []
+    monkeypatch.setattr(_compile.CompiledSystem, "__setattr__",
+                        lambda self, key, value: writes.append(key))
     nhk.cross_validate(s, samples=3, seed=5)
     p = sample_points(s, 1, seed=7)[0]
     nhk.integrate(s, p, 0.01, 3)
@@ -303,6 +332,10 @@ def test_one_compile_per_load(system, monkeypatch):
         nhk.adapted_data(s, p.q)
         nhk.jacobiator_km(s, p, triple)
     assert compiles == [s.name]
+    assert writes == []
+    assert vars(comp).keys() == before.keys()
+    for key, value in vars(comp).items():
+        assert value is before[key], key
 
 
 # ---------------------------------------------------------------- memory
@@ -367,6 +400,26 @@ def test_omega_M_takes_one_determinant_of_the_restricted_gram(
         det.calls = 0
         nhk.omega_M(system, p, order)
         assert det.calls == in_base + 1
+    # the brute-force route inverts G after that one guard, unguarded
+    for pts in (p, sample_points(system, 2, seed=3)):
+        det.calls = 0
+        base_at(system, pts, 2)
+        in_base = det.calls
+        det.calls = 0
+        nhk.jacobiator_tensor(system, pts, "bruteforce")
+        assert det.calls == in_base + 1
+
+
+def test_the_pivot_solve_takes_no_determinant(kernel_path, monkeypatch):
+    # the pivots were kept above PIVOT_TOL, so the pivot block is inverted
+    # unguarded: one inverse per pivot pattern, no determinant
+    eps = get_compiled(kernel_path).eps.packed(
+        sample_points(kernel_path, 4, seed=3).q, 2)
+    det = _count(monkeypatch, np.linalg, "det")
+    inv = _count(monkeypatch, np.linalg, "inv")
+    X = manifold._kernel_frame(eps)
+    assert (det.calls, inv.calls) == (0, 1)
+    assert np.abs(eps.val @ X.val).max() <= manifold.DUALITY_TOL
 
 
 @pytest.mark.parametrize("name", ["snakeboard", "nh_particle",
@@ -377,7 +430,7 @@ def test_integrate_work_counts_on_a_constant_metric(name, monkeypatch):
     system = load_system(builtin_definition(name))
     # the load-time probes are one stack, which passes the metric checks
     assert eigvalsh.calls == 1
-    assert get_compiled(system).metric_checked
+    assert get_compiled(system).metric.constant
     base = _count(monkeypatch, sim, "base_at")
     residual = _count(monkeypatch, sim, "_residual")
     init = sample_points(system, 1, seed=3)[0]
