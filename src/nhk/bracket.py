@@ -12,7 +12,9 @@ which in the chart basis works out to the closed block form
           [ X^T,  S ]],        S = X^T E X,
 
 with E the momentum-weighted antisymmetrized derivative of the
-embedding coefficients mu.  Brackets of chart functions are
+embedding coefficients mu = kD^{-1} X^T kappa.  The bracket reads only
+the D-frame X and mu, not the complement W: it is the same for every
+choice of W.  Brackets of chart functions are
 {u^I, u^J} = pi(du^I, du^J) = Pi[J, I].
 
 Two independent constructions live here:
@@ -31,7 +33,10 @@ The two are pinned against each other in the test suite.
 Dynamics: the Hamiltonian is H = (1/2) ptilde . kD^{-1} ptilde + U with
 kD the D-frame Gram matrix of the kinetic metric, and the evolution
 field is X_nh = -pi#(dH), written out componentwise in ``_field``; the
-integrator (``sim``) evaluates the same H, dH and field.
+integrator (``sim``) evaluates the same H, dH and field from the
+D-frame stage of ``manifold.base_at`` alone.  The Hamiltonian's ambient
+cross-check embeds the momenta through the complement instead
+(``manifold._eliminated_mu``), so that its two routes share no formula.
 """
 
 from __future__ import annotations
@@ -45,8 +50,8 @@ from ._compile import get_compiled
 from ._linalg import Packed, pk_inv, pk_matmul, pk_transpose
 from .errors import (EvalError, GeometryError, check_array, check_integer,
                      check_one_point)
-from .manifold import (BaseData, NonholonomicSystem, PointM, _omega_arrays,
-                       _omega_packed, base_at)
+from .manifold import (BaseData, NonholonomicSystem, PointM, _eliminated_mu,
+                       _omega_arrays, _omega_packed, base_at)
 
 __all__ = ["BivectorAtPoint", "ChartTensors", "chart_tensors", "nh_bivector",
            "hamiltonian_M", "nh_vector_field"]
@@ -177,8 +182,9 @@ def hamiltonian_M(system: NonholonomicSystem, p: PointM):
 
     H = (1/2) ptilde . kD^{-1} ptilde + U(q), with kD the D-frame Gram
     matrix of the kinetic metric.  The value is cross-checked against
-    the ambient route (1/2) p . kappa^{-1} p with p the embedded
-    momenta.  Returns (value, dH) with dH a chart covector."""
+    the ambient route (1/2) p . kappa^{-1} p with p the momenta embedded
+    by the elimination through the complement (``manifold``'s
+    _eliminated_mu).  Returns (value, dH) with dH a chart covector."""
     return _hamiltonian(system, p, base_at(system, p, order=1))
 
 
@@ -217,7 +223,7 @@ def _hamiltonian(system: NonholonomicSystem, p: PointM, bd: BaseData):
     """hamiltonian_M from base data ``bd`` at p.q of order at least 1."""
     check_one_point(bd.q)
     value, uval, dHq, vel = _energy(system, p.q, p.ptilde, bd)
-    p_amb = bd.mu.val.T @ p.ptilde
+    p_amb = _eliminated_mu(bd).T @ p.ptilde
     value_amb = 0.5 * float(p_amb @ np.linalg.solve(bd.kappa.val, p_amb)) \
         + uval
     if abs(value - value_amb) > ROUTE_TOL * max(1.0, abs(value)):

@@ -304,6 +304,8 @@ def _cmd_eval(args) -> CommandOutcome:
     for i, name in enumerate(wrt):
         if name in wrt[:i]:
             raise _CliExit(2, f"--wrt: {name} is given more than once")
+        if name not in at:
+            raise _CliExit(2, f"--wrt: {name} is not bound by --at")
     parsed = ex.parse(args.expr)
     resolved = ex.resolve(parsed, set(at), set())
     jet = ex.eval_expr(resolved, at, {}, wrt, order=2 if wrt else 0)
@@ -424,7 +426,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--at", default="", metavar="name=val,...",
                    help="variable bindings")
     p.add_argument("--wrt", default="", metavar="name,...",
-                   help="differentiate with respect to these variables")
+                   help="differentiate with respect to these variables "
+                        "(each bound by --at)")
     p.set_defaults(func=_cmd_eval)
 
     return parser

@@ -9,11 +9,13 @@ the image M = kappa-flat(D) inside T*Q, charted globally here by
 
 where X_alpha is the working frame of D.  This module builds, pointwise:
 
-* frames: the D-frame X, a complement frame Z spanning W (so that
-  eps^a(Z_b) = delta^a_b), the dual coframe {chi^alpha, eps^a}, and the
-  momentum-elimination coefficients J with p(Z_a) = J_a^beta ptilde_beta;
-* the embedding M -> T*Q,  p_i = ptilde_alpha mu^alpha_i,
-  mu^alpha = chi^alpha + J_a^alpha eps^a;
+* the D-frame X, its Gram matrix kD = X^T kappa X, and the embedding
+  M -> T*Q,  p_i = ptilde_alpha mu^alpha_i,  mu = kD^-1 X^T kappa,
+  which is kappa-flat of the velocity X kD^-1 ptilde and needs no
+  complement;
+* a complement frame Z spanning W (so that eps^a(Z_b) = delta^a_b),
+  the dual coframe {chi^alpha, eps^a}, and the momentum-elimination
+  coefficients J = (mu Z)^T with p(Z_a) = J_a^beta ptilde_beta;
 * the pullback 2-form Omega_M of the canonical symplectic form and its
   restricted Gram matrix G = C^T Omega_M C on the C basis;
 * the splitting TM = C (+) W-lift: the C basis (``_c_basis``), the
@@ -30,7 +32,10 @@ point and one packed solve per pivot pattern.  The complement is the
 declared `w_frame`; else, for an adapted declaration, Z_a = d/ds^a,
 whose dual coframe is chi^alpha = dr^alpha in closed form; else the
 kappa-orthogonal complement, and the coframe comes from inverting
-[X|Z].
+[X|Z].  ``base_at`` builds the first item, the D-frame stage, and then
+the second, the complement stage; the dynamics, the embedding and the
+bracket read only the first, and W enters only the curvature and the
+global Jacobiator formula.
 
 The public results hold numpy arrays too: ``base_at`` returns the
 Packed frames and elimination data, and ``omega_M`` the matrix with its
@@ -62,8 +67,8 @@ import numpy as np
 
 from . import expr as ex
 from ._compile import CompiledSystem, get_compiled
-from ._linalg import (SINGULAR_TOL, Packed, pk_add, pk_at, pk_hstack,
-                      pk_inv, pk_matmul, pk_rows, pk_transpose)
+from ._linalg import (SINGULAR_TOL, Packed, pk_at, pk_hstack, pk_inv,
+                      pk_matmul, pk_rows, pk_transpose)
 from ._rng import Lcg64
 from .errors import (DomainError, EvalError, GeometryError, LoadError,
                      ParameterError, ParseError, check_array, check_integer,
@@ -436,7 +441,10 @@ class BaseData(NamedTuple):
     (order >= 1) its derivative along q^l and d2[l, m] (order 2) the
     second derivative.  For a stack of points, q is (B, n) and every
     Packed leads with the same stack axis.  A named tuple, like Packed:
-    base_at builds one per call."""
+    base_at builds one per call, in two stages.  The D-frame stage
+    (``_d_stage``) fills every field but Z, chi and J, which it leaves
+    None: none of them depends on the complement W.  The complement
+    stage (``_w_stage``) fills those three, with J = (mu Z)^T."""
     q: np.ndarray
     order: int
     kappa: Packed            # n x n
@@ -445,7 +453,7 @@ class BaseData(NamedTuple):
     Z: Packed                # n x k columns spanning W
     chi: Packed              # (n-k) x n coframe rows dual to X in {chi, eps}
     J: Packed                # k x (n-k): p(Z_a) = J[a, beta] ptilde_beta
-    mu: Packed               # (n-k) x n
+    mu: Packed               # (n-k) x n: kD^-1 X^T kappa, p = mu^T ptilde
     kD: Packed               # (n-k) x (n-k) Gram of X
     kD_inv: Packed
 
@@ -471,54 +479,71 @@ def _max_dev(m, ref=0.0):
     return np.abs(m - ref).max(axis=(-2, -1), initial=0.0)
 
 
-def _finite(make) -> Packed:
-    """The block make() derives from finite data, once each of its
-    arrays is found finite (one test per array); else EvalError
-    (NONFINITE).  A product can overflow where its factors do not, and
-    an infinite or NaN determinant would pass _inv's guard.  Where
+def _finite(make) -> tuple[Packed, Packed]:
+    """The pair (P, G) that make() derives from finite data, a product P
+    and the Gram matrix G built from it, once each array of G is found
+    finite (one test per array); else EvalError (NONFINITE).  Each entry
+    of P is a term of an entry of G, so a non-finite P makes G
+    non-finite too.  A product can overflow where its factors do not,
+    and an infinite or NaN determinant would pass _inv's guard.  Where
     warnings are errors, numpy's overflow warning in make() stands for
     the failed test; elsewhere numpy prints it, and the test raises.
     (Suppressing it with np.errstate would add the cost of that context
     to every call.)"""
     try:
-        p = make()
+        P, G = make()
     except RuntimeWarning:
         raise EvalError(NONFINITE) from None
-    for m in p:
+    for m in G:
         if m is not None and np.count_nonzero(np.isfinite(m)) < m.size:
             raise EvalError(NONFINITE)
-    return p
+    return P, G
 
 
 def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
     """Evaluate all base-level geometry at q to the requested jet order
     (0, 1 or 2) as ``BaseData``: metric, constraint forms, the frames X
-    and Z, the coframe chi, J, mu and the D-frame Gram matrix.  It
-    enforces the pointwise invariants (metric symmetry and positive
-    definiteness, constraint rank, adapted identity block, frame duality);
-    on an adapted system the identity block certifies the rank, and with
-    Z = d/ds the duality, [X|Z] and its coframe, which it then skips.
-    A Gram matrix built from the grids (the D-frame Gram matrix
-    F^T kappa X, and the constraint Gram matrix of the kappa-orthogonal
-    complement) is tested for finiteness before it is inverted: a
-    non-finite one raises EvalError (``jet.NONFINITE``), see _finite;
-    each matrix inverted here is guarded once, by _inv.
+    and Z, the coframe chi, J, mu and the D-frame Gram matrix, in two
+    stages: ``_d_stage`` reads no complement, and ``_w_stage`` adds Z,
+    chi and J.  It enforces the pointwise invariants (metric symmetry
+    and positive definiteness, constraint rank, adapted identity block,
+    frame duality); on an adapted system the identity block certifies
+    the rank, and with Z = d/ds the duality, [X|Z] and its coframe,
+    which it then skips.  A Gram matrix built from the grids (the
+    D-frame Gram matrix (X^T kappa) X, and the constraint Gram matrix of
+    the kappa-orthogonal complement) is tested for finiteness before it
+    is inverted: a non-finite one raises EvalError (``jet.NONFINITE``),
+    see _finite; each matrix inverted here is guarded once, by _inv.
 
     q is one point, shape (n,), a stack of B points, shape (B, n), or a
     PointM (stacked or not), checked once, first, by ``check_domain`` or
     ``check_point``.  A stack is evaluated as one pass whose arrays lead
     with the stack axis; each point's slice equals base_at at that point
     alone, bit for bit.  Every check runs on every point with the same
-    thresholds and in the same order; the first failing check raises,
-    naming the first point that fails it.  The exceptions are decided
-    once per system, and base_at only reads them: the checks on a grid
-    constant in q (the metric, or the constraint forms) run until
-    ``load_system``'s probes have passed (``CompiledSystem.loaded``),
-    and where the adapted s-block is the constant identity exactly
-    (``CompiledSystem.identity_block``) neither it nor eps(X) of the
-    adapted frame, exactly 0, is checked.
+    thresholds and in the same order, the D-frame stage's first; the
+    first failing check raises, naming the first point that fails it.
+    The exceptions are decided once per system, and base_at only reads
+    them: the checks on a grid constant in q (the metric, or the
+    constraint forms) run until ``load_system``'s probes have passed
+    (``CompiledSystem.loaded``), and where the adapted s-block is the
+    constant identity exactly (``CompiledSystem.identity_block``)
+    neither it nor eps(X) of the adapted frame, exactly 0, is checked.
     """
     order = check_integer("order", order, 0, 3)
+    return _w_stage(system, _d_stage(system, q, order))
+
+
+def _d_stage(system: NonholonomicSystem, q, order: int) -> BaseData:
+    """The D-frame stage of base_at, at q as base_at takes it and at an
+    order base_at has checked: ``BaseData`` with the fields Z, chi and J
+    None.  The integrator runs this stage alone.  It checks q, then
+    evaluates and checks the metric kappa and the constraint forms eps,
+    then the D-frame X and eps(X) = 0, and forms kD = (X^T kappa) X, its
+    guarded inverse and the embedding coefficients mu = kD^-1 X^T kappa,
+    which need no complement: p = kappa-flat(v) for the velocity
+    v = X kD^-1 ptilde.  With no constraints (k = 0), mu = X^-1, the
+    coframe of base_at's frame matrix, and exact where X is the
+    identity."""
     q = (system.check_point if isinstance(q, PointM)
          else system.check_domain)(q)
     n, k = system.n, system.k
@@ -557,40 +582,48 @@ def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
                     f"{list(system.s_indices)} at q={qs[_first(off)].tolist()}")
 
     X = _d_frame_at(system, comp, q, eps, order)
-    Z = _w_frame_at(comp, q, kappa, eps, order)
-
-    if comp.adapted_chi is None:        # else Z = d/ds: eps(Z) is the s-block
-        i = _first(_max_dev(eps.val @ Z.val, comp.eye_k) > DUALITY_TOL)
-        if i is not None:
-            raise GeometryError(
-                f"complement frame not dual to constraints at q={qs[i].tolist()}")
     if not comp.identity_block:         # else eps(X) is exactly 0
         i = _first(_max_dev(eps.val @ X.val) > DUALITY_TOL)
         if i is not None:
             raise GeometryError(
                 f"D-frame does not lie in the constraint kernel at q={qs[i].tolist()}")
 
-    F = pk_hstack(X, Z)
+    XTk, kD = _finite(lambda: (P := pk_matmul(pk_transpose(X), kappa),
+                               pk_matmul(P, X)))
+    kD_inv = _inv(kD, "D-frame Gram matrix")
+    mu = pk_inv(X) if k == 0 else pk_matmul(kD_inv, XTk)
+    return BaseData(q=q, order=order, kappa=kappa, eps=eps, X=X, Z=None,
+                    chi=None, J=None, mu=mu, kD=kD, kD_inv=kD_inv)
+
+
+def _w_stage(system: NonholonomicSystem, bd: BaseData) -> BaseData:
+    """The complement stage of base_at: ``bd`` from ``_d_stage`` with
+    the complement frame Z and its check eps(Z) = 1, the coframe chi
+    dual to X in {chi, eps} and its check, and J = (mu Z)^T, so that
+    p(Z_a) = J[a, beta] ptilde_beta."""
+    n, k = system.n, system.k
+    q, order, eps, X = bd.q, bd.order, bd.eps, bd.X
+    qs = q.reshape(-1, n)
+    comp = get_compiled(system)
+    Z = _w_frame_at(comp, q, bd.kappa, eps, order)
+
     if comp.adapted_chi is not None:
         # [X|Z] = [d/dr - A d/ds | d/ds] permutes the rows of [[1, 0],
-        # [-A, 1]] (|det| = 1); its coframe: chi = dr, eps-hat = ds + A dr
+        # [-A, 1]] (|det| = 1); its coframe: chi = dr, eps-hat = ds + A dr;
+        # and eps(Z) is the s-block
         chi = comp.adapted_chi.packed(q, order)
     else:
-        Finv = _inv(F, "frame matrix [X|Z]")
+        i = _first(_max_dev(eps.val @ Z.val, comp.eye_k) > DUALITY_TOL)
+        if i is not None:
+            raise GeometryError(
+                f"complement frame not dual to constraints at q={qs[i].tolist()}")
+        Finv = _inv(pk_hstack(X, Z), "frame matrix [X|Z]")
         chi = pk_rows(Finv, 0, n - k)
         i = _first(_max_dev(Finv.val[..., n - k:, :], eps.val) > DUALITY_TOL)
         if i is not None:
             raise GeometryError(
                 f"coframe rows do not reproduce the constraint forms at q={qs[i].tolist()}")
-
-    # kD = X^T kappa X and kWD = Z^T kappa X, the row blocks of F^T kappa X
-    G = _finite(lambda: pk_matmul(pk_matmul(pk_transpose(F), kappa), X))
-    kD = pk_rows(G, 0, n - k)
-    kD_inv = _inv(kD, "D-frame Gram matrix")
-    J = pk_matmul(pk_rows(G, n - k, n), kD_inv)
-    mu = pk_add(chi, pk_matmul(pk_transpose(J), eps))
-    return BaseData(q=q, order=order, kappa=kappa, eps=eps, X=X, Z=Z,
-                    chi=chi, J=J, mu=mu, kD=kD, kD_inv=kD_inv)
+    return bd._replace(Z=Z, chi=chi, J=pk_transpose(pk_matmul(bd.mu, Z)))
 
 
 def _d_frame_at(system, comp, q, eps, order) -> Packed:
@@ -690,8 +723,9 @@ def _w_frame_at(comp, q, kappa, eps, order) -> Packed:
     if comp.w is not None:              # the declared w_frame, or d/ds
         return pk_transpose(comp.w.packed(q, order))
     # kappa-orthogonal complement, normalized so eps(Z) = identity
-    Z0 = pk_matmul(_inv(kappa, "metric"), pk_transpose(eps))
-    G = _finite(lambda: pk_matmul(eps, Z0))
+    kappa_inv = _inv(kappa, "metric")
+    Z0, G = _finite(lambda: (P := pk_matmul(kappa_inv, pk_transpose(eps)),
+                             pk_matmul(eps, P)))
     return pk_matmul(Z0, _inv(G, "constraint Gram matrix"))
 
 
@@ -704,16 +738,25 @@ def pick_default_W(system: NonholonomicSystem, q) -> np.ndarray:
     return bd.Z.val.copy()
 
 
+def _eliminated_mu(bd: BaseData) -> np.ndarray:
+    """The values of the embedding coefficients by the elimination
+    through the complement, chi + J_W^T eps with J_W = (Z^T kappa X)
+    kD^-1: an independent check on mu = kD^-1 X^T kappa, which reads
+    no complement."""
+    X, kappa = bd.X.val, bd.kappa.val
+    J_W = bd.Z.val.swapaxes(-1, -2) @ kappa @ X @ bd.kD_inv.val
+    return bd.chi.val + J_W.swapaxes(-1, -2) @ bd.eps.val
+
+
 def embed(system: NonholonomicSystem, p: PointM) -> np.ndarray:
     """Canonical momenta p_i on T*Q of the point (q, ptilde):
-    p = ptilde_alpha mu^alpha.  Internally cross-checked against the
-    metric image kappa-flat(v) of the velocity v in D with
-    X-momenta ptilde."""
+    p = ptilde_alpha mu^alpha, the metric image kappa-flat(v) of the
+    velocity v in D with X-momenta ptilde.  Internally cross-checked
+    against the elimination through the complement (_eliminated_mu)."""
     check_one_point(p.q)
     bd = base_at(system, p, order=0)
     pi = bd.mu.val.T @ p.ptilde
-    v = bd.X.val @ (bd.kD_inv.val @ p.ptilde)
-    p2 = bd.kappa.val @ v
+    p2 = _eliminated_mu(bd).T @ p.ptilde
     err = float(np.max(np.abs(pi - p2), initial=0.0))
     if err > DUALITY_TOL:
         raise GeometryError(

@@ -385,6 +385,20 @@ def test_a_repeated_name_is_a_usage_error(argv, flag, name):
     assert f"{flag}: {name} is given more than once" in out.summary
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["eval", "--expr", "x", "--at", "x=1", "--wrt", "y"], "y"),
+    (["eval", "--expr", "x", "--at", "x=1", "--wrt", "1bad"], "1bad"),
+    (["eval", "--expr", "x*y", "--at", "x=1,y=2", "--wrt", "x, z"], "z"),
+    # checked before the expression is parsed
+    (["eval", "--expr", "sin(x", "--at", "x=1", "--wrt", "y"], "y"),
+], ids=["unbound", "malformed", "unbound-second", "before-parse"])
+def test_an_unbound_wrt_name_is_a_usage_error(argv, name):
+    out = run(argv)
+    assert out.exit_code == 2
+    assert out.payload == ""
+    assert f"--wrt: {name} is not bound by --at" in out.summary
+
+
 def test_eval_value_only():
     doc, _ = run_json(["eval", "--expr", "exp(1)", "--at", ""])
     assert doc["value"] == pytest.approx(math.e, rel=1e-15)

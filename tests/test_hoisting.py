@@ -16,8 +16,8 @@ passes; the messages and their precedence are unchanged.  Once loaded,
 the compiled form is only read.  Shared constant arrays are read-only,
 the closed-form adapted coframe is the inverse of the frame matrix, and
 the per-system data does not keep a system alive.  The work counts of
-an integration and of a base evaluation are pinned by counting calls,
-not by timing."""
+an integration, whose RK4 stages run only base_at's D-frame stage, and
+of a base evaluation are pinned by counting calls, not by timing."""
 
 import gc
 import weakref
@@ -247,8 +247,9 @@ def test_a_near_identity_block_keeps_the_kernel_check(entry):
     ("rolling_disk", None, 0),
     # the near-identity block: its check and eps(X) at every stage
     ("nh_particle", "1.0000000000001", 2),
-    # no adapted declaration: eps(Z) = 1, eps(X) = 0 and the coframe rows
-    ("snakeboard", None, 3),
+    # no adapted declaration: eps(X) = 0; the complement's checks, eps(Z)
+    # = 1 and the coframe rows, are not made in an RK4 stage
+    ("snakeboard", None, 1),
 ])
 def test_value_checks_per_rk4_stage(name, entry, per_stage, monkeypatch):
     steps = 3
@@ -368,8 +369,9 @@ def _count(monkeypatch, owner, name) -> _Counter:
 @pytest.mark.parametrize("name, per_stage", [
     ("nh_particle", (0, 1, 1)),
     ("rolling_disk", (0, 1, 1)),
-    # no adapted declaration: the rank and the frame matrix [X|Z]
-    ("snakeboard", (1, 2, 2)),
+    # no adapted declaration: the rank; the frame matrix [X|Z] is not
+    # inverted in an RK4 stage
+    ("snakeboard", (1, 1, 1)),
 ])
 def test_linear_algebra_per_rk4_stage(name, per_stage, monkeypatch):
     steps = 3
@@ -431,7 +433,7 @@ def test_integrate_work_counts_on_a_constant_metric(name, monkeypatch):
     # the load-time probes are one stack, which passes the metric checks
     assert eigvalsh.calls == 1
     assert get_compiled(system).metric.constant
-    base = _count(monkeypatch, sim, "base_at")
+    base = _count(monkeypatch, sim, "_d_stage")
     residual = _count(monkeypatch, sim, "_residual")
     init = sample_points(system, 1, seed=3)[0]
     tr = nhk.integrate(system, init, 0.01, steps)
@@ -444,7 +446,7 @@ def test_integrate_work_counts_on_a_constant_metric(name, monkeypatch):
 def test_integrate_work_counts_on_a_q_dependent_metric(twist5, monkeypatch):
     steps = 4
     eigvalsh = _count(monkeypatch, np.linalg, "eigvalsh")
-    base = _count(monkeypatch, sim, "base_at")
+    base = _count(monkeypatch, sim, "_d_stage")
     residual = _count(monkeypatch, sim, "_residual")
     init = sample_points(twist5, 1, seed=3)[0]
     tr = nhk.integrate(twist5, init, 0.01, steps)

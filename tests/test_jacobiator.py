@@ -531,8 +531,7 @@ def base_at_calls(monkeypatch):
         calls.append((order, np.array(q.q if isinstance(q, PointM) else q)))
         return orig(system, q, order)
 
-    for mod in (nhk.manifold, nhk.bracket, nhk.curvature, nhk.jacobiator,
-                nhk.sim):
+    for mod in (nhk.manifold, nhk.bracket, nhk.curvature, nhk.jacobiator):
         monkeypatch.setattr(mod, "base_at", counting)
     return calls
 

@@ -1,6 +1,9 @@
-"""Integrator: right-hand side against the bracket formulation, energy
-and constraint conservation, domain-exit truncation, failure handling,
-and the CSV export."""
+"""Integrator: right-hand side against the bracket formulation, the
+complement it does not read, energy and constraint conservation, a
+closed-form trajectory, domain-exit truncation, failure handling, and
+the CSV export."""
+
+import math
 
 import numpy as np
 import pytest
@@ -8,12 +11,15 @@ import pytest
 import nhk.sim
 from nhk import (
     PointM,
+    base_at,
     builtin_definition,
     chart_tensors,
     hamiltonian_M,
     integrate,
+    jacobiator_tensor,
     load_system,
     nh_vector_field,
+    pick_default_W,
     sample_points,
     trajectory_csv,
 )
@@ -35,6 +41,44 @@ def test_rhs_is_the_nonholonomic_vector_field(system):
         assert h == pytest.approx(hamiltonian_M(system, p)[0], rel=1e-12)
         # qdot lies in the constraint kernel exactly
         assert _residual(eps, du) < 1e-10
+
+
+# ------------------------------------------------- no complement is read
+def test_the_dynamics_and_the_brute_force_route_read_no_complement():
+    # the snakeboard with its declared wheel-axle complement, and without
+    # it (the kappa-orthogonal complement): the embedding, the field, the
+    # trajectories and the brute-force Jacobiator do not depend on W,
+    # and none of them reads it, so they agree bit for bit
+    declared = load_system(builtin_definition("snakeboard"))
+    definition = builtin_definition("snakeboard")
+    del definition["w_frame"]
+    orthogonal = load_system(definition)
+    points = sample_points(declared, 20, seed=5)
+    assert not np.allclose(pick_default_W(declared, points.q[0]),
+                           pick_default_W(orthogonal, points.q[0]))
+    for p in points:
+        mu = [base_at(s, p.q, 2).mu for s in (declared, orthogonal)]
+        for a, b in zip(*mu):
+            assert np.array_equal(a, b)
+        assert np.array_equal(nh_vector_field(declared, p),
+                              nh_vector_field(orthogonal, p))
+        assert np.array_equal(jacobiator_tensor(declared, p, "bruteforce"),
+                              jacobiator_tensor(orthogonal, p, "bruteforce"))
+        a, b = (integrate(s, p, 0.01, 10) for s in (declared, orthogonal))
+        assert (a.completed, a.exit_reason) == (b.completed, b.exit_reason)
+        assert np.array_equal(a.states_array(), b.states_array())
+
+
+def test_an_rk4_stage_evaluates_no_complement(system, monkeypatch):
+    calls = []
+    real = nhk.manifold._w_frame_at
+    monkeypatch.setattr(nhk.manifold, "_w_frame_at",
+                        lambda *args: calls.append(1) or real(*args))
+    p = sample_points(system, 1, seed=3)[0]
+    base_at(system, p.q, 1)
+    assert len(calls) == 1
+    assert integrate(system, p, 0.01, 3).times.size > 1
+    assert len(calls) == 1
 
 
 # ------------------------------------------------------------- conservation
@@ -87,6 +131,33 @@ def test_trajectory_record_shapes(particle):
     h0 = traj.energy[0]
     assert d["max_energy_drift"] == pytest.approx(
         np.max(np.abs(traj.energy - h0)) / abs(h0), rel=1e-12)
+
+
+def test_particle_run_matches_its_closed_form():
+    # on nh_particle, ydot and c = xdot sqrt(1 + y^2) are conserved, so
+    # x, z and ptilde_x = c sqrt(1 + y^2) follow in closed form; RK4's
+    # error at t = 1 falls by 2^4 = 16 per halving of dt (at dt = 0.0025
+    # the ratio reaches the rounding floor)
+    x0, y0, z0 = 0.25, -0.5, 1.0
+    pt = [1.0, 0.5]
+    ydot = pt[1]
+    c = pt[0] / math.sqrt(1 + y0 * y0)
+
+    def exact(t):
+        y = y0 + ydot * t
+        return [x0 + c / ydot * (math.asinh(y) - math.asinh(y0)), y,
+                z0 + c / ydot * (math.hypot(1, y) - math.hypot(1, y0)),
+                c * math.hypot(1, y), ydot]
+
+    errors = []
+    for dt, bound in ((0.02, 5e-11), (0.01, 3.2e-12), (0.005, 2e-13)):
+        tr = integrate(nhk.builtin("nh_particle"),
+                       PointM([x0, y0, z0], pt), dt, round(1 / dt))
+        assert tr.completed and tr.times[-1] == pytest.approx(1.0)
+        errors.append(np.abs(tr.states_array()[-1] - exact(tr.times[-1])).max())
+        assert errors[-1] <= bound, dt
+    for coarse, fine in zip(errors, errors[1:]):
+        assert coarse / fine == pytest.approx(16.0, rel=0.2)
 
 
 # -------------------------------------------------------- domain truncation
@@ -186,24 +257,24 @@ def test_initial_point_must_be_valid(snakeboard):
 
 def test_frame_singularity_is_fatal(particle, monkeypatch):
     calls = {"n": 0}
-    real = nhk.sim.base_at
+    real = nhk.sim._d_stage
 
-    def failing(system, q, order=0):
+    def failing(system, q, order):
         calls["n"] += 1
         if calls["n"] >= 6:
             raise GeometryError("constraint frame lost rank")
         return real(system, q, order)
 
-    monkeypatch.setattr(nhk.sim, "base_at", failing)
+    monkeypatch.setattr(nhk.sim, "_d_stage", failing)
     with pytest.raises(GeometryError, match=r"frame singularity at step \d"):
         integrate(particle, PointM([0, 0, 0], [1.0, 0.5]), dt=1e-3, steps=10)
 
 
 def test_frame_singularity_at_start(particle, monkeypatch):
-    def failing(system, q, order=0):
+    def failing(system, q, order):
         raise GeometryError("constraint frame lost rank")
 
-    monkeypatch.setattr(nhk.sim, "base_at", failing)
+    monkeypatch.setattr(nhk.sim, "_d_stage", failing)
     with pytest.raises(GeometryError, match="frame singularity at step 0"):
         integrate(particle, PointM([0, 0, 0], [1.0, 0.5]), dt=1e-3, steps=10)
 
