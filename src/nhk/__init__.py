@@ -27,9 +27,9 @@ from .errors import (DomainError, EvalError, GeometryError, LoadError,
                      UnsupportedOperationError)
 from .jet import Jet2
 from .manifold import (NonholonomicSystem, PointM, SplittingAtPoint,
-                       TwoFormAtPoint, adapted_coframe, base_at, embed,
-                       load_system, omega_M, pick_default_W, sample_points,
-                       splitting_at)
+                       TwoFormAtPoint, adapted_coframe, base_at,
+                       complement_at, embed, load_system, omega_M,
+                       pick_default_W, sample_points, splitting_at)
 from .bracket import (BivectorAtPoint, chart_tensors, hamiltonian_M,
                       nh_bivector, nh_vector_field)
 from .curvature import (AdaptedData, CurvatureAtPoint, adapted_data,
@@ -57,7 +57,7 @@ __all__ = [
     # manifold
     "NonholonomicSystem", "PointM", "SplittingAtPoint", "TwoFormAtPoint",
     "load_system", "pick_default_W", "embed", "omega_M", "splitting_at",
-    "base_at", "adapted_coframe", "sample_points",
+    "base_at", "complement_at", "adapted_coframe", "sample_points",
     # bracket
     "BivectorAtPoint", "nh_bivector", "hamiltonian_M", "nh_vector_field",
     "chart_tensors",

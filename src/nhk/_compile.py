@@ -37,7 +37,8 @@ non-finite entry, which ``packed`` refuses with ``EvalError``.
 
 A grid with no q-dependent code has no kernel: its arrays are filled at
 compile time and shared, read-only.  ``CompiledSystem`` also keeps the
-rest of what base_at needs that is constant in q.
+rest of what ``manifold.base_at`` and ``manifold.complement_at`` need
+that is constant in q.
 
 ``manifold.load_system`` builds a system's ``CompiledSystem`` once and
 stores it on the system; ``get_compiled`` reads it back.  Nothing here
@@ -433,12 +434,12 @@ class CompiledSystem:
         self.lo, self.hi = _read_only(lo), _read_only(hi)
         # the complement grid, rows Z_a: the declared w_frame, else in
         # adapted coordinates the canonical Z = d/ds, whose coframe dual
-        # to [X|Z] is {dr^alpha, eps^a}, with chi as rows dr^alpha
+        # to [X|Z] is {dr^alpha, eps^a}: chi is the constant array of
+        # the rows dr^alpha
         w_frame, self.adapted_chi = system.w_frame, None
         if system.adapted is not None and w_frame is None:
             w_frame = _unit_rows(system.s_indices, n)
-            self.adapted_chi = GridEval(_unit_rows(system.r_indices, n),
-                                        names)
+            self.adapted_chi = _read_only(np.eye(n)[list(system.r_indices)])
         self.w = GridEval(w_frame, names) if w_frame is not None else None
         # an adapted s-block of folded constants that is the identity
         # exactly: the compiled grid copies these constants unchanged

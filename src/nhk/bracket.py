@@ -33,10 +33,11 @@ The two are pinned against each other in the test suite.
 Dynamics: the Hamiltonian is H = (1/2) ptilde . kD^{-1} ptilde + U with
 kD the D-frame Gram matrix of the kinetic metric, and the evolution
 field is X_nh = -pi#(dH), written out componentwise in ``_field``; the
-integrator (``sim``) evaluates the same H, dH and field from the
-D-frame stage of ``manifold.base_at`` alone.  The Hamiltonian's ambient
-cross-check embeds the momenta through the complement instead
-(``manifold._eliminated_mu``), so that its two routes share no formula.
+integrator (``sim``) evaluates the same H, dH and field from
+``manifold.base_at`` alone, which reads no complement.  The
+Hamiltonian's ambient cross-check embeds the momenta through the
+complement instead (``manifold._eliminated_mu``), so that its two
+routes share no formula.
 """
 
 from __future__ import annotations
@@ -185,6 +186,7 @@ def hamiltonian_M(system: NonholonomicSystem, p: PointM):
     the ambient route (1/2) p . kappa^{-1} p with p the momenta embedded
     by the elimination through the complement (``manifold``'s
     _eliminated_mu).  Returns (value, dH) with dH a chart covector."""
+    check_one_point(p.q)
     return _hamiltonian(system, p, base_at(system, p, order=1))
 
 
@@ -221,9 +223,9 @@ def _field(bd: BaseData, pt, dHq, vel):
 
 def _hamiltonian(system: NonholonomicSystem, p: PointM, bd: BaseData):
     """hamiltonian_M from base data ``bd`` at p.q of order at least 1."""
-    check_one_point(bd.q)
+    mu_w = _eliminated_mu(system, bd)
     value, uval, dHq, vel = _energy(system, p.q, p.ptilde, bd)
-    p_amb = _eliminated_mu(bd).T @ p.ptilde
+    p_amb = mu_w.T @ p.ptilde
     value_amb = 0.5 * float(p_amb @ np.linalg.solve(bd.kappa.val, p_amb)) \
         + uval
     if abs(value - value_amb) > ROUTE_TOL * max(1.0, abs(value)):
@@ -235,6 +237,7 @@ def _hamiltonian(system: NonholonomicSystem, p: PointM, bd: BaseData):
 def nh_vector_field(system: NonholonomicSystem, p: PointM) -> np.ndarray:
     """Evolution vector field X_nh = -pi#(dH) in chart components (see
     ``_field``), from one base evaluation shared with the Hamiltonian."""
+    check_one_point(p.q)
     bd = base_at(system, p, order=1)
     _, dH = _hamiltonian(system, p, bd)
     n = system.n

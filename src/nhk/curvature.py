@@ -7,8 +7,10 @@ curvature of C measures the failure of C to be involutive:
 
 for any extensions U, V of u, v -- the value is tensorial.  The
 splitting, its derivatives and the lift correction are built in
-``manifold._splitting``; from them this module computes the coefficient
-tensor of K_W against the lifted complement frame.  It also computes
+``manifold._splitting`` from a complement frame Z, an argument here as
+there (``manifold.complement_at`` builds the default one); from them
+this module computes the coefficient tensor of K_W against the lifted
+complement frame.  It also computes
 the corresponding object downstairs on Q, with its own projection onto
 D (an independent cross-check), and the adapted-coordinate data (the
 coefficient matrix A of the constraints and its nonholonomy
@@ -30,8 +32,8 @@ import numpy as np
 from ._compile import get_compiled
 from ._linalg import Packed
 from .errors import UnsupportedOperationError, check_array, check_one_point
-from .manifold import (BaseData, NonholonomicSystem, PointM, _splitting,
-                       base_at)
+from .manifold import (BaseData, NonholonomicSystem, PointM, _check_one_q,
+                       _splitting, base_at, complement_at)
 
 __all__ = ["CurvatureAtPoint", "AdaptedData", "curvature_coeffs",
            "curvature_KW_M", "curvature_KW_Q", "adapted_data"]
@@ -81,14 +83,17 @@ def curvature_coeffs(system: NonholonomicSystem, p: PointM,
     """Coefficient tensor of K_W at p against the lifted complement
     frame, from the commutator of projected constant-coefficient chart
     extensions (tensoriality makes the extension choice immaterial)."""
-    return _curvature_coeffs(system, base_at(system, p, order=1), lift)
+    bd = base_at(system, p, order=1)
+    Z, _ = complement_at(system, bd, 1)
+    return _curvature_coeffs(system, bd, Z, lift)
 
 
-def _curvature_coeffs(system: NonholonomicSystem, bd: BaseData,
+def _curvature_coeffs(system: NonholonomicSystem, bd: BaseData, Z: Packed,
                       lift=None) -> CurvatureAtPoint:
-    """curvature_coeffs from base data ``bd`` of order at least 1; for a
-    stacked bd, every array of the result leads with its stack axis."""
-    Zl, _, epse, P_W, P_C, dP_C = _splitting(system, bd, lift)
+    """curvature_coeffs from base data ``bd`` and the complement frame Z
+    at bd.q (``complement_at``), each of order at least 1; for a stacked
+    bd, every array of the result leads with its stack axis."""
+    Zl, _, epse, P_W, P_C, dP_C = _splitting(system, bd, Z, lift)
     br = (np.einsum("...li,...lkj->...kij", P_C, dP_C)
           - np.einsum("...lj,...lki->...kij", P_C, dP_C))
     coeffs = -np.einsum("...ak,...kij->...aij", epse, br)
@@ -99,6 +104,7 @@ def _curvature_coeffs(system: NonholonomicSystem, bd: BaseData,
 def curvature_KW_M(system: NonholonomicSystem, p: PointM, X, Y,
                    lift=None) -> np.ndarray:
     """The vector K_W(X, Y) at p, chart components."""
+    check_one_point(p.q)
     return curvature_coeffs(system, p, lift=lift).pair(X, Y)
 
 
@@ -106,17 +112,18 @@ def curvature_KW_Q(system: NonholonomicSystem, q, v, w) -> np.ndarray:
     """Curvature of the constraint distribution on Q itself:
     K(v, w) = dps^a(P_D v, P_D w) Z_a with P_D = id - Z eps the
     projection onto D along the complement."""
+    _check_one_q(q)
     bd = base_at(system, q, order=1)
-    check_one_point(bd.q)
+    Z = complement_at(system, bd)[0].val
     v = check_array("v", v, (system.n,))
     w = check_array("w", w, (system.n,))
-    P_D = np.eye(system.n) - bd.Z.val @ bd.eps.val
+    P_D = np.eye(system.n) - Z @ bd.eps.val
     pv, pw = P_D @ v, P_D @ w
     # d eps^a (u1, u2) = (d_i eps^a_j - d_j eps^a_i) u1^i u2^j
     deps = bd.eps.d1
     vals = (np.einsum("iaj,i,j->a", deps, pv, pw)
             - np.einsum("jai,i,j->a", deps, pv, pw))
-    return bd.Z.val @ vals
+    return Z @ vals
 
 
 def adapted_data(system: NonholonomicSystem, q) -> AdaptedData:
@@ -124,8 +131,8 @@ def adapted_data(system: NonholonomicSystem, q) -> AdaptedData:
     if system.adapted is None:
         raise UnsupportedOperationError(
             f"system {system.name!r} has no adapted declaration")
+    _check_one_q(q)
     bd = base_at(system, q, order=2)
-    check_one_point(bd.q)
     A, dA, C, Kcoef = _nonholonomy(system, bd)
     r_idx = list(system.r_indices)
     return AdaptedData(r_indices=tuple(r_idx), s_indices=system.s_indices,

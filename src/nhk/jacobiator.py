@@ -33,9 +33,13 @@ whole tensor from ``jacobiator_tensor``, its one implementation.  It and
 sample of points and all chart covector triples and reports any
 pairwise discrepancy beyond tolerance.  It evaluates the points as
 stacks: the routes share one base evaluation per stack
-(``manifold.base_at``: metric, constraints, frames and their
-derivatives), then each makes one pass per stack, independent of the
-others, which yields its whole tensor at every point of the stack.
+(``manifold.base_at``: metric, constraints, the D-frame and their
+derivatives), and the global route reads the complement frame Z of one
+``manifold.complement_at`` per stack; then each route makes one pass
+per stack, independent of the others, which yields its whole tensor at
+every point of the stack.  The global route takes Z as an argument: its
+value is the same for every complement, which a test checks with a
+second one.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from .errors import (EvalError, NhkError, ParameterError,
                      UnsupportedOperationError, check_array, check_integer,
                      check_one_point, check_real)
 from .manifold import (BaseData, NonholonomicSystem, PointM, base_at,
-                       sample_points)
+                       complement_at, sample_points)
 
 __all__ = ["JacobiatorReport", "jacobiator_bruteforce", "jacobiator_global",
            "jacobiator_km", "jacobiator_tensor", "cross_validate"]
@@ -109,12 +113,14 @@ def jacobiator_global(system: NonholonomicSystem, p: PointM,
 
 
 def _global_tensor(system: NonholonomicSystem, p: PointM, bd: BaseData,
-                   lift=None) -> np.ndarray:
+                   Z: Packed, lift=None) -> np.ndarray:
     """Batched curvature-formula Jacobiator over all basis triples, from
-    base data ``bd`` at p.q of order at least 1 (p and bd may be stacked
-    alike; the tensor then leads with the stack axis)."""
+    base data ``bd`` at p.q and a complement frame Z there (eps(Z) = 1,
+    as ``complement_at`` builds it), each of order at least 1 (p, bd and
+    Z may be stacked alike; the tensor then leads with the stack axis).
+    The value does not depend on the complement."""
     ct = _chart_tensors(system, p, bd, 0)
-    cv = _curvature_coeffs(system, bd, lift)
+    cv = _curvature_coeffs(system, bd, Z, lift)
     Pi, Om = ct.Pi, ct.Omega
     d, k = system.dimM, system.k
     lead = bd.q.shape[:-1]
@@ -236,18 +242,21 @@ def jacobiator_tensor(system: NonholonomicSystem, p: PointM,
             f"coordinate Jacobiator needs an adapted declaration; "
             f"system {system.name!r} has none")
     bd = base_at(system, p, order=2 if method == "bruteforce" else 1)
-    return _route_tensor(system, p, bd, method, lift)
+    Z = complement_at(system, bd, 1)[0] if method == "global" else None
+    return _route_tensor(system, p, bd, method, Z, lift)
 
 
 def _route_tensor(system: NonholonomicSystem, p: PointM, bd: BaseData,
-                  method: str, lift=None) -> np.ndarray:
+                  method: str, Z: Packed | None = None,
+                  lift=None) -> np.ndarray:
     """The tensor of route ``method`` at p from base data ``bd`` at p.q
-    (order 2 for the brute-force route, else at least 1); p and bd may
-    be stacked alike, and so is the tensor."""
+    (order 2 for the brute-force route, else at least 1) and, for the
+    global route only, the complement frame Z there of order at least 1;
+    p, bd and Z may be stacked alike, and so is the tensor."""
     if method == "bruteforce":
         return _trivector_brute(system, p, bd)
     if method == "global":
-        return _global_tensor(system, p, bd, lift)
+        return _global_tensor(system, p, bd, Z, lift)
     return _km_value(_km_point_data(system, p, bd))
 
 
@@ -303,16 +312,18 @@ _CHUNK = 64
 def _stack_values(system: NonholonomicSystem, pts: PointM, methods: tuple,
                   tri: tuple) -> np.ndarray:
     """Route values out[b, t, m] at point b of pts, on chart triple t by
-    methods[m]: one base evaluation and one pass per route.  pts is a
-    stacked PointM, or one point (no stack axis; out then has one row).
-    ``tri`` indexes a stack of tensors at the triples.  Raises the first
-    NhkError of any point, as ``base_at`` checks pts first, and
+    methods[m]: one base evaluation and one complement evaluation, then
+    one pass per route.  pts is a stacked PointM, or one point (no stack
+    axis; out then has one row).  ``tri`` indexes a stack of tensors at
+    the triples.  Raises the first NhkError of any point, as ``base_at``
+    checks pts first and ``complement_at`` the complement next, and
     EvalError naming the first route with a non-finite value."""
     d = system.dimM
     bd = base_at(system, pts, order=2)
+    Z, _ = complement_at(system, bd, 1)
     out = []
     for m in methods:
-        v = _route_tensor(system, pts, bd, m).reshape(-1, d, d, d)[tri]
+        v = _route_tensor(system, pts, bd, m, Z).reshape(-1, d, d, d)[tri]
         if np.count_nonzero(np.isfinite(v)) < v.size:
             raise EvalError(f"the {m} route has a non-finite value")
         out.append(v)

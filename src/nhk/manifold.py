@@ -13,9 +13,8 @@ where X_alpha is the working frame of D.  This module builds, pointwise:
   M -> T*Q,  p_i = ptilde_alpha mu^alpha_i,  mu = kD^-1 X^T kappa,
   which is kappa-flat of the velocity X kD^-1 ptilde and needs no
   complement;
-* a complement frame Z spanning W (so that eps^a(Z_b) = delta^a_b),
-  the dual coframe {chi^alpha, eps^a}, and the momentum-elimination
-  coefficients J = (mu Z)^T with p(Z_a) = J_a^beta ptilde_beta;
+* a complement frame Z spanning W (so that eps^a(Z_b) = delta^a_b)
+  and the dual coframe {chi^alpha, eps^a};
 * the pullback 2-form Omega_M of the canonical symplectic form and its
   restricted Gram matrix G = C^T Omega_M C on the C basis;
 * the splitting TM = C (+) W-lift: the C basis (``_c_basis``), the
@@ -32,21 +31,22 @@ point and one packed solve per pivot pattern.  The complement is the
 declared `w_frame`; else, for an adapted declaration, Z_a = d/ds^a,
 whose dual coframe is chi^alpha = dr^alpha in closed form; else the
 kappa-orthogonal complement, and the coframe comes from inverting
-[X|Z].  ``base_at`` builds the first item, the D-frame stage, and then
-the second, the complement stage; the dynamics, the embedding and the
-bracket read only the first, and W enters only the curvature and the
-global Jacobiator formula.
+[X|Z].  ``base_at`` builds the first item, which is all that the
+dynamics, the embedding and the bracket read, and ``complement_at`` the
+second, only for the operations that read W: the curvature and the
+global Jacobiator formula, which take Z as an argument, and those that
+show W or cross-check through it.
 
-The public results hold numpy arrays too: ``base_at`` returns the
-Packed frames and elimination data, and ``omega_M`` the matrix with its
-chart derivatives in ``d1``.
+The public results hold numpy arrays too: ``base_at`` returns Packed
+arrays, ``complement_at`` the Packed Z and the values of chi, and
+``omega_M`` the matrix with its chart derivatives in ``d1``.
 
 The system's grids hold resolved, constant-folded expressions (the
 parameters substituted).  ``load_system`` compiles them once into the
 system's compiled form (``_compile.CompiledSystem``), which also holds
 what is constant in q: grids with no q-dependent code, such as a
-constant metric, d/ds and dr (their derivatives exactly zero), the
-index arrays and the domain bounds.  A single point reads these
+constant metric and d/ds (their derivatives exactly zero), the rows dr,
+the index arrays and the domain bounds.  A single point reads these
 constants as shared read-only arrays; a stack gets contiguous copies.
 Each invariant is established once, by the code that can prove it: the
 loader's probes check the constant grids, an adapted s-block that is
@@ -67,8 +67,8 @@ import numpy as np
 
 from . import expr as ex
 from ._compile import CompiledSystem, get_compiled
-from ._linalg import (SINGULAR_TOL, Packed, pk_at, pk_hstack, pk_inv,
-                      pk_matmul, pk_rows, pk_transpose)
+from ._linalg import (SINGULAR_TOL, Packed, pk_at, pk_inv, pk_matmul,
+                      pk_transpose)
 from ._rng import Lcg64
 from .errors import (DomainError, EvalError, GeometryError, LoadError,
                      ParameterError, ParseError, check_array, check_integer,
@@ -78,7 +78,7 @@ from .jet import NONFINITE
 __all__ = [
     "NonholonomicSystem", "PointM", "SplittingAtPoint", "TwoFormAtPoint",
     "load_system", "pick_default_W", "embed", "omega_M", "splitting_at",
-    "sample_points", "BaseData", "base_at",
+    "sample_points", "BaseData", "base_at", "complement_at",
 ]
 
 RANK_TOL = 1e-10
@@ -100,6 +100,13 @@ def _real(value, what: str) -> np.ndarray:
     if a is None:
         raise DomainError(f"{what} must be real numbers, got {value!r}")
     return a
+
+
+def _check_one_q(q) -> None:
+    """ParameterError if the coordinates q (an array-like or a PointM)
+    are a stack, before anything is evaluated; DomainError if they are
+    not real numbers."""
+    check_one_point(q.q if isinstance(q, PointM) else _real(q, "coordinates"))
 
 
 # ------------------------------------------------------------------ types
@@ -288,9 +295,10 @@ def load_system(definition) -> NonholonomicSystem:
     system is compiled once (``_compile.CompiledSystem``).
     Raises LoadError listing *all* violations found.  Pointwise geometric
     invariants (metric positive-definiteness, constraint rank, adapted
-    identity block, frame duality) are probed at a handful of sampled
-    points to fail fast on structurally bad definitions; once they pass,
-    the compiled form is marked ``loaded`` (see base_at).
+    identity block, frame duality, and the complement's, see
+    complement_at) are probed at a handful of sampled points to fail
+    fast on structurally bad definitions; once they pass, the compiled
+    form is marked ``loaded`` (see base_at).
     """
     if isinstance(definition, (str, bytes)):
         try:
@@ -418,13 +426,13 @@ def load_system(definition) -> NonholonomicSystem:
     qs = np.array([_sample_q(system, rng) for _ in range(7)])
     potential = get_compiled(system).potential
     try:
-        base_at(system, qs, order=0)
+        complement_at(system, base_at(system, qs, order=0))
         for q in qs:
             potential.evaluate(q, 0)
     except (GeometryError, EvalError):
         for q in qs:
             try:
-                base_at(system, q, order=0)
+                complement_at(system, base_at(system, q, order=0))
                 potential.evaluate(q, 0)
             except (GeometryError, EvalError) as err:
                 bad.append(f"at sampled point q={np.round(q, 6).tolist()}: {err}")
@@ -441,18 +449,13 @@ class BaseData(NamedTuple):
     (order >= 1) its derivative along q^l and d2[l, m] (order 2) the
     second derivative.  For a stack of points, q is (B, n) and every
     Packed leads with the same stack axis.  A named tuple, like Packed:
-    base_at builds one per call, in two stages.  The D-frame stage
-    (``_d_stage``) fills every field but Z, chi and J, which it leaves
-    None: none of them depends on the complement W.  The complement
-    stage (``_w_stage``) fills those three, with J = (mu Z)^T."""
+    base_at builds one per call.  No field depends on the complement W
+    (``complement_at``)."""
     q: np.ndarray
     order: int
     kappa: Packed            # n x n
     eps: Packed              # k x n
     X: Packed                # n x (n-k) columns spanning D
-    Z: Packed                # n x k columns spanning W
-    chi: Packed              # (n-k) x n coframe rows dual to X in {chi, eps}
-    J: Packed                # k x (n-k): p(Z_a) = J[a, beta] ptilde_beta
     mu: Packed               # (n-k) x n: kD^-1 X^T kappa, p = mu^T ptilde
     kD: Packed               # (n-k) x (n-k) Gram of X
     kD_inv: Packed
@@ -501,49 +504,34 @@ def _finite(make) -> tuple[Packed, Packed]:
 
 
 def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
-    """Evaluate all base-level geometry at q to the requested jet order
-    (0, 1 or 2) as ``BaseData``: metric, constraint forms, the frames X
-    and Z, the coframe chi, J, mu and the D-frame Gram matrix, in two
-    stages: ``_d_stage`` reads no complement, and ``_w_stage`` adds Z,
-    chi and J.  It enforces the pointwise invariants (metric symmetry
-    and positive definiteness, constraint rank, adapted identity block,
-    frame duality); on an adapted system the identity block certifies
-    the rank, and with Z = d/ds the duality, [X|Z] and its coframe,
-    which it then skips.  A Gram matrix built from the grids (the
-    D-frame Gram matrix (X^T kappa) X, and the constraint Gram matrix of
-    the kappa-orthogonal complement) is tested for finiteness before it
-    is inverted: a non-finite one raises EvalError (``jet.NONFINITE``),
-    see _finite; each matrix inverted here is guarded once, by _inv.
+    """Evaluate the base-level geometry at q to the requested jet order
+    (0, 1 or 2) as ``BaseData``: the metric kappa, the constraint forms
+    eps, the D-frame X, its Gram matrix kD = (X^T kappa) X and inverse,
+    and the embedding coefficients mu = kD^-1 X^T kappa, which need no
+    complement: p = kappa-flat(v) for the velocity v = X kD^-1 ptilde.
+    With no constraints (k = 0), mu = X^-1, exact where X is the
+    identity.  It enforces the pointwise invariants in this order:
+    metric symmetry and positive definiteness, constraint rank, adapted
+    identity block (which certifies the rank) and eps(X) = 0.  kD is
+    tested for finiteness before it is inverted: a non-finite one raises
+    EvalError (``jet.NONFINITE``), see _finite; each matrix inverted here
+    is guarded once, by _inv.
 
     q is one point, shape (n,), a stack of B points, shape (B, n), or a
     PointM (stacked or not), checked once, first, by ``check_domain`` or
     ``check_point``.  A stack is evaluated as one pass whose arrays lead
     with the stack axis; each point's slice equals base_at at that point
     alone, bit for bit.  Every check runs on every point with the same
-    thresholds and in the same order, the D-frame stage's first; the
-    first failing check raises, naming the first point that fails it.
-    The exceptions are decided once per system, and base_at only reads
-    them: the checks on a grid constant in q (the metric, or the
-    constraint forms) run until ``load_system``'s probes have passed
-    (``CompiledSystem.loaded``), and where the adapted s-block is the
-    constant identity exactly (``CompiledSystem.identity_block``)
-    neither it nor eps(X) of the adapted frame, exactly 0, is checked.
+    thresholds and in the same order; the first failing check raises,
+    naming the first point that fails it.  The exceptions are decided
+    once per system, and base_at only reads them: the checks on a grid
+    constant in q (the metric, or the constraint forms) run until
+    ``load_system``'s probes have passed (``CompiledSystem.loaded``),
+    and where the adapted s-block is the constant identity exactly
+    (``CompiledSystem.identity_block``) neither it nor eps(X) of the
+    adapted frame, exactly 0, is checked.
     """
     order = check_integer("order", order, 0, 3)
-    return _w_stage(system, _d_stage(system, q, order))
-
-
-def _d_stage(system: NonholonomicSystem, q, order: int) -> BaseData:
-    """The D-frame stage of base_at, at q as base_at takes it and at an
-    order base_at has checked: ``BaseData`` with the fields Z, chi and J
-    None.  The integrator runs this stage alone.  It checks q, then
-    evaluates and checks the metric kappa and the constraint forms eps,
-    then the D-frame X and eps(X) = 0, and forms kD = (X^T kappa) X, its
-    guarded inverse and the embedding coefficients mu = kD^-1 X^T kappa,
-    which need no complement: p = kappa-flat(v) for the velocity
-    v = X kD^-1 ptilde.  With no constraints (k = 0), mu = X^-1, the
-    coframe of base_at's frame matrix, and exact where X is the
-    identity."""
     q = (system.check_point if isinstance(q, PointM)
          else system.check_domain)(q)
     n, k = system.n, system.k
@@ -592,38 +580,8 @@ def _d_stage(system: NonholonomicSystem, q, order: int) -> BaseData:
                                pk_matmul(P, X)))
     kD_inv = _inv(kD, "D-frame Gram matrix")
     mu = pk_inv(X) if k == 0 else pk_matmul(kD_inv, XTk)
-    return BaseData(q=q, order=order, kappa=kappa, eps=eps, X=X, Z=None,
-                    chi=None, J=None, mu=mu, kD=kD, kD_inv=kD_inv)
-
-
-def _w_stage(system: NonholonomicSystem, bd: BaseData) -> BaseData:
-    """The complement stage of base_at: ``bd`` from ``_d_stage`` with
-    the complement frame Z and its check eps(Z) = 1, the coframe chi
-    dual to X in {chi, eps} and its check, and J = (mu Z)^T, so that
-    p(Z_a) = J[a, beta] ptilde_beta."""
-    n, k = system.n, system.k
-    q, order, eps, X = bd.q, bd.order, bd.eps, bd.X
-    qs = q.reshape(-1, n)
-    comp = get_compiled(system)
-    Z = _w_frame_at(comp, q, bd.kappa, eps, order)
-
-    if comp.adapted_chi is not None:
-        # [X|Z] = [d/dr - A d/ds | d/ds] permutes the rows of [[1, 0],
-        # [-A, 1]] (|det| = 1); its coframe: chi = dr, eps-hat = ds + A dr;
-        # and eps(Z) is the s-block
-        chi = comp.adapted_chi.packed(q, order)
-    else:
-        i = _first(_max_dev(eps.val @ Z.val, comp.eye_k) > DUALITY_TOL)
-        if i is not None:
-            raise GeometryError(
-                f"complement frame not dual to constraints at q={qs[i].tolist()}")
-        Finv = _inv(pk_hstack(X, Z), "frame matrix [X|Z]")
-        chi = pk_rows(Finv, 0, n - k)
-        i = _first(_max_dev(Finv.val[..., n - k:, :], eps.val) > DUALITY_TOL)
-        if i is not None:
-            raise GeometryError(
-                f"coframe rows do not reproduce the constraint forms at q={qs[i].tolist()}")
-    return bd._replace(Z=Z, chi=chi, J=pk_transpose(pk_matmul(bd.mu, Z)))
+    return BaseData(q=q, order=order, kappa=kappa, eps=eps, X=X, mu=mu,
+                    kD=kD, kD_inv=kD_inv)
 
 
 def _d_frame_at(system, comp, q, eps, order) -> Packed:
@@ -719,10 +677,50 @@ def _kernel_solve(eps: Packed, piv: tuple) -> Packed:
     return Packed(*X)
 
 
+def complement_at(system: NonholonomicSystem, bd: BaseData,
+                  order: int = 0) -> tuple[Packed, np.ndarray]:
+    """The complement W at base data ``bd`` (stacked or not): returns
+    (Z, chi) with Z the complement frame (n x k columns, eps(Z) = 1) as
+    Packed to ``order`` (at most bd.order), and chi the values of the
+    coframe rows ((n-k) x n) dual to X in {chi, eps}.  Z is the declared
+    w_frame; else, for an adapted declaration, d/ds; else the
+    kappa-orthogonal complement, whose constraint Gram matrix is tested
+    for finiteness before it is inverted (EvalError, see _finite).
+
+    Every point is checked: eps(Z) = 1, the guarded |det [X|Z]| and the
+    coframe rows eps-hat = eps.  With Z = d/ds nothing is left to check:
+    [X|Z] = [d/dr - A d/ds | d/ds] permutes the rows of [[1, 0], [-A, 1]]
+    (|det| = 1), its coframe is {dr, ds + A dr}, and eps(Z) is the
+    s-block that base_at checked."""
+    order = check_integer("order", order, 0, bd.order + 1)
+    n, k = system.n, system.k
+    q, eps, X = bd.q, bd.eps, bd.X
+    comp = get_compiled(system)
+    Z = _w_frame_at(comp, q, bd.kappa, eps, order)
+    if comp.adapted_chi is not None:    # a stack gets its own copy
+        chi = comp.adapted_chi
+        return Z, chi if q.ndim == 1 else chi[None].repeat(len(q), 0)
+    qs = q.reshape(-1, n)
+    i = _first(_max_dev(eps.val @ Z.val, comp.eye_k) > DUALITY_TOL)
+    if i is not None:
+        raise GeometryError(
+            f"complement frame not dual to constraints at q={qs[i].tolist()}")
+    Finv = _inv(Packed(np.concatenate([X.val, Z.val], axis=-1)),
+                "frame matrix [X|Z]").val
+    i = _first(_max_dev(Finv[..., n - k:, :], eps.val) > DUALITY_TOL)
+    if i is not None:
+        raise GeometryError(
+            f"coframe rows do not reproduce the constraint forms at q={qs[i].tolist()}")
+    return Z, Finv[..., :n - k, :]
+
+
 def _w_frame_at(comp, q, kappa, eps, order) -> Packed:
+    """The complement frame Z to ``order`` (see complement_at)."""
     if comp.w is not None:              # the declared w_frame, or d/ds
         return pk_transpose(comp.w.packed(q, order))
-    # kappa-orthogonal complement, normalized so eps(Z) = identity
+    # kappa-orthogonal complement, normalized so eps(Z) = identity, from
+    # kappa and eps without their derivatives above order
+    kappa, eps = Packed(*kappa[:order + 1]), Packed(*eps[:order + 1])
     kappa_inv = _inv(kappa, "metric")
     Z0, G = _finite(lambda: (P := pk_matmul(kappa_inv, pk_transpose(eps)),
                              pk_matmul(eps, P)))
@@ -734,18 +732,19 @@ def pick_default_W(system: NonholonomicSystem, q) -> np.ndarray:
     """Columns of the complement frame Z at q: the user's w_frame when
     given; d/ds^a for adapted systems; else the kappa-orthogonal
     complement normalized to eps^a(Z_b) = delta."""
-    bd = base_at(system, q, order=0)
-    return bd.Z.val.copy()
+    Z, _ = complement_at(system, base_at(system, q, order=0))
+    return Z.val.copy()
 
 
-def _eliminated_mu(bd: BaseData) -> np.ndarray:
+def _eliminated_mu(system: NonholonomicSystem, bd: BaseData) -> np.ndarray:
     """The values of the embedding coefficients by the elimination
-    through the complement, chi + J_W^T eps with J_W = (Z^T kappa X)
-    kD^-1: an independent check on mu = kD^-1 X^T kappa, which reads
-    no complement."""
+    through the complement (``complement_at``), chi + J_W^T eps with
+    J_W = (Z^T kappa X) kD^-1: an independent check on
+    mu = kD^-1 X^T kappa, which reads no complement."""
+    Z, chi = complement_at(system, bd)
     X, kappa = bd.X.val, bd.kappa.val
-    J_W = bd.Z.val.swapaxes(-1, -2) @ kappa @ X @ bd.kD_inv.val
-    return bd.chi.val + J_W.swapaxes(-1, -2) @ bd.eps.val
+    J_W = Z.val.swapaxes(-1, -2) @ kappa @ X @ bd.kD_inv.val
+    return chi + J_W.swapaxes(-1, -2) @ bd.eps.val
 
 
 def embed(system: NonholonomicSystem, p: PointM) -> np.ndarray:
@@ -756,7 +755,7 @@ def embed(system: NonholonomicSystem, p: PointM) -> np.ndarray:
     check_one_point(p.q)
     bd = base_at(system, p, order=0)
     pi = bd.mu.val.T @ p.ptilde
-    p2 = _eliminated_mu(bd).T @ p.ptilde
+    p2 = _eliminated_mu(system, bd).T @ p.ptilde
     err = float(np.max(np.abs(pi - p2), initial=0.0))
     if err > DUALITY_TOL:
         raise GeometryError(
@@ -827,12 +826,14 @@ def _check_lift(lift, shape: tuple):
             for name, m in (("c", c), ("d", d))]
 
 
-def _splitting(system: NonholonomicSystem, bd: BaseData, lift=None):
-    """The splitting T M = C (+) W-lift from base data ``bd``: returns
+def _splitting(system: NonholonomicSystem, bd: BaseData, Z: Packed,
+               lift=None):
+    """The splitting T M = C (+) W-lift from base data ``bd`` and the
+    complement frame Z at bd.q (``complement_at``): returns
     (Zl, dZl, epse, P_W, P_C, dP_C) with Zl the lifted complement frame
     (dimM x k), epse the constraint rows padded to chart covectors
     (k x dimM), the projections P_W = Zl epse and P_C = 1 - P_W, and,
-    when bd has order at least 1, the q-direction derivatives dZl
+    when Z has order at least 1, the q-direction derivatives dZl
     (n x dimM x k) and the chart-direction derivatives dP_C
     (dimM x dimM x dimM); at order 0 those two are None.  Each array
     leads with bd's stack axis, if it has one.
@@ -843,7 +844,7 @@ def _splitting(system: NonholonomicSystem, bd: BaseData, lift=None):
     n, k, dim = system.n, system.k, system.dimM
     lead = bd.q.shape[:-1]
     Zl = np.zeros(lead + (dim, k))
-    Zl[..., :n, :] = bd.Z.val
+    Zl[..., :n, :] = Z.val
     if lift is not None:
         c, d = _check_lift(lift, (k, n - k))
         Zl[..., :n, :] += bd.X.val @ c.T
@@ -852,10 +853,10 @@ def _splitting(system: NonholonomicSystem, bd: BaseData, lift=None):
     epse[..., :n] = bd.eps.val
     P_W = Zl @ epse
     P_C = np.eye(dim) - P_W
-    if bd.order == 0:
+    if Z.d1 is None:
         return Zl, None, epse, P_W, P_C, None
     dZl = np.zeros(lead + (n, dim, k))
-    dZl[..., :n, :] = bd.Z.d1
+    dZl[..., :n, :] = Z.d1
     if lift is not None:
         dZl[..., :n, :] += np.einsum("...lib,ab->...lia", bd.X.d1, c)
     depse = np.zeros(lead + (n, k, dim))
@@ -914,7 +915,8 @@ def splitting_at(system: NonholonomicSystem, p: PointM) -> SplittingAtPoint:
     here collapses to P_W = Z-lift (x) pulled-back eps (``_splitting``)."""
     check_one_point(p.q)
     bd = base_at(system, p, order=0)
-    Zl, _, _, P_W, P_C, _ = _splitting(system, bd)
+    Z, _ = complement_at(system, bd)
+    Zl, _, _, P_W, P_C, _ = _splitting(system, bd, Z)
     return SplittingAtPoint(dimM=system.dimM,
                             C_basis=_c_basis(system, bd, 0).val,
                             W_basis=Zl, P_C=P_C, P_W=P_W)
@@ -929,8 +931,9 @@ def adapted_coframe(system: NonholonomicSystem, q):
     basis covector.  A chi row that coincides with a coordinate
     differential named like its frame label keeps the bare label (for
     the snakeboard, chi^psi = dpsi); otherwise it is alpha_<label>."""
+    _check_one_q(q)
     bd = base_at(system, q, order=0)
-    check_one_point(bd.q)
+    _, chi = complement_at(system, bd)
     n, k = system.n, system.k
     nk = n - k
     dim = system.dimM
@@ -938,12 +941,12 @@ def adapted_coframe(system: NonholonomicSystem, q):
     names = []
     rows = np.zeros((dim, dim))
     for al in range(nk):
-        rows[al, :n] = bd.chi.val[al]
+        rows[al, :n] = chi[al]
         label = labels[al]
         if label in system.coord_names:
             unit = np.zeros(n)
             unit[system.coord_names.index(label)] = 1.0
-            if np.max(np.abs(bd.chi.val[al] - unit)) <= 1e-12:
+            if np.max(np.abs(chi[al] - unit)) <= 1e-12:
                 names.append(label)
                 continue
         names.append(f"alpha_{label}")

@@ -5,10 +5,9 @@ fourth-order Runge-Kutta.  The right-hand side is the nonholonomic vector
 field X_nh = -pi#(dH) as ``bracket._field`` writes it out componentwise,
 with H and dH from ``bracket._energy`` -- the same code behind
 :func:`nhk.bracket.nh_vector_field` -- from one base evaluation per stage.
-That evaluation is only the D-frame stage of ``manifold.base_at``
-(``_d_stage``), so no RK4 stage evaluates the complement W.  A test pins
-the right-hand side against the block form ``-Pi . dH`` of the chart
-tensors.
+That evaluation is ``manifold.base_at``, which reads no complement, so
+no RK4 stage evaluates W.  A test pins the right-hand side against the
+block form ``-Pi . dH`` of the chart tensors.
 Each recorded sample carries the Hamiltonian and the constraint residual
 max_a |eps^a(qdot)|; both are conserved/zero in exact arithmetic, so the
 recorded values measure integrator and floating-point error only.
@@ -24,7 +23,7 @@ import numpy as np
 from .bracket import _energy, _field
 from .errors import (DomainError, EvalError, GeometryError, check_integer,
                      check_one_point, check_real)
-from .manifold import NonholonomicSystem, PointM, _d_stage
+from .manifold import NonholonomicSystem, PointM, base_at
 
 __all__ = ["Trajectory", "integrate", "trajectory_csv"]
 
@@ -74,7 +73,7 @@ def _rhs(system: NonholonomicSystem, u: np.ndarray):
     constraint forms' values eps(q), for ``_residual``."""
     n = system.n
     q, pt = u[:n], u[n:]
-    bd = _d_stage(system, q, 1)
+    bd = base_at(system, q, 1)
     try:
         energy, _, dHq, vel = _energy(system, q, pt, bd)
     except EvalError:

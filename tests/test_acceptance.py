@@ -24,6 +24,7 @@ from nhk import (
     base_at,
     builtin,
     chart_tensors,
+    complement_at,
     cross_validate,
     curvature_KW_M,
     curvature_KW_Q,
@@ -197,7 +198,9 @@ def test_criterion_5_bracket_table_on_adapted_builtins(capsys):
             B = nh_bivector(system, p, order=0).bracket_matrix()
             ad = adapted_data(system, p.q)
             A_val = ad.A.val
-            P = base_at(system, p.q, order=0).J.val @ p.ptilde
+            bd = base_at(system, p.q, order=0)
+            J = (bd.mu.val @ complement_at(system, bd)[0].val).T
+            P = J @ p.ptilde
             worst = max(worst, np.max(np.abs(B[:n, :n])))
             for al, r_i in enumerate(ad.r_indices):
                 for be in range(n - k):

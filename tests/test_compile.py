@@ -51,14 +51,17 @@ def _assert_system_exact(system, count, seed):
     comp = get_compiled(system)
     names = list(system.coord_names)
     # the one complement grid: the declared w_frame, else in adapted
-    # coordinates d/ds, whose coframe rows chi are dr
-    w_frame, chi = system.w_frame, None
+    # coordinates d/ds, whose coframe rows chi are dr, a constant array
+    w_frame = system.w_frame
     if system.adapted is not None and w_frame is None:
         w_frame = _unit_grid(system.s_indices, names)
-        chi = _unit_grid(system.r_indices, names)
+        chi = comp.adapted_chi
+        assert np.array_equal(chi, np.eye(system.n)[list(system.r_indices)])
+        assert not chi.flags.writeable
+    else:
+        assert comp.adapted_chi is None
     pairs = [(comp.metric, system.metric), (comp.eps, system.constraints),
              (comp.w, w_frame), (comp.d, system.d_frame),
-             (comp.adapted_chi, chi),
              (comp.potential._grid, [[system.potential]])]
     assert all((k is None) == (g is None) for k, g in pairs)
     grids = [(k, g) for k, g in pairs if k is not None]

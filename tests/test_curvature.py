@@ -9,6 +9,7 @@ from nhk import (
     PointM,
     adapted_data,
     base_at,
+    complement_at,
     curvature_KW_M,
     curvature_KW_Q,
     curvature_coeffs,
@@ -76,7 +77,8 @@ def _curvature_pair_assembled(system, p, u, v, lift=None):
     extensions, and evaluate -P_W([P_C U, P_C V]) directly."""
     n = system.n
     bd = base_at(system, p, order=1)
-    Zl, dZl, _, P_W, P_C, dP_C = _splitting(system, bd, lift)
+    Z, _ = complement_at(system, bd, 1)
+    Zl, dZl, _, P_W, P_C, dP_C = _splitting(system, bd, Z, lift)
     # assembled frame B = [C | Zl] and its q-derivatives
     C = _c_basis(system, bd, 1)
     B = np.concatenate([C.val, Zl], axis=-1)
@@ -204,7 +206,7 @@ def test_particle_curvature_analytic(particle):
     rng = np.random.default_rng(37)
     for p in sample_points(particle, 10, seed=263):
         bd = base_at(particle, p.q, order=0)
-        P = np.eye(3) - bd.Z.val @ bd.eps.val
+        P = np.eye(3) - complement_at(particle, bd)[0].val @ bd.eps.val
         v, w = rng.normal(size=(2, 3))
         pv, pw = P @ v, P @ w
         expected = pv[0] * pw[1] - pv[1] * pw[0]
@@ -222,7 +224,7 @@ def test_disk_curvature_analytic(disk):
     for p in sample_points(disk, 10, seed=269):
         th = p.q[3]
         bd = base_at(disk, p.q, order=0)
-        P = np.eye(4) - bd.Z.val @ bd.eps.val
+        P = np.eye(4) - complement_at(disk, bd)[0].val @ bd.eps.val
         v, w = rng.normal(size=(2, 4))
         pv, pw = P @ v, P @ w
         wedge = pv[3] * pw[2] - pv[2] * pw[3]  # (dtheta ^ dphi)(pv, pw)

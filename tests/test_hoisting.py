@@ -27,7 +27,8 @@ import pytest
 
 import nhk
 from expr_corpus import nested_system
-from nhk import base_at, builtin_definition, load_system, sample_points
+from nhk import (base_at, builtin_definition, complement_at, load_system,
+                 sample_points)
 from nhk import _compile, manifold, sim
 from nhk._compile import get_compiled
 from nhk._rng import Lcg64
@@ -129,15 +130,15 @@ def test_adapted_coframe_is_the_inverse_of_the_frame_matrix(request):
         n, nk = system.n, system.n - system.k
         for p in sample_points(system, 6, seed=23):
             bd = base_at(system, p.q, order=2)
-            Finv = np.linalg.inv(np.hstack([bd.X.val, bd.Z.val]))
+            Z, chi = complement_at(system, bd, 2)
+            Finv = np.linalg.inv(np.hstack([bd.X.val, Z.val]))
             tol = 1e-15 * max(1.0, float(np.abs(Finv).max()))
-            assert np.abs(bd.chi.val - Finv[:nk]).max() <= tol, system.name
+            assert np.abs(chi - Finv[:nk]).max() <= tol, system.name
             # the eps-hat rows: the constraint forms (identity s-block)
             assert np.abs(bd.eps.val - Finv[nk:]).max() <= tol, system.name
             dr = np.eye(n)[list(system.r_indices)]
-            assert np.array_equal(bd.chi.val, dr)
-            assert not bd.chi.d1.any() and not bd.chi.d2.any()
-            assert not bd.Z.d1.any() and not bd.Z.d2.any()
+            assert np.array_equal(chi, dr)
+            assert not Z.d1.any() and not Z.d2.any()
 
 
 def test_the_identity_block_certifies_the_adapted_frames(request):
@@ -145,11 +146,12 @@ def test_the_identity_block_certifies_the_adapted_frames(request):
         k, s_idx = system.k, list(system.s_indices)
         for p in sample_points(system, 20, seed=29):
             bd = base_at(system, p.q, order=0)
+            Z = complement_at(system, bd)[0].val
             # the complement is d/ds
-            assert np.array_equal(bd.Z.val, np.eye(system.n)[:, s_idx])
-            frame = np.hstack([bd.X.val, bd.Z.val])
+            assert np.array_equal(Z, np.eye(system.n)[:, s_idx])
+            frame = np.hstack([bd.X.val, Z])
             assert abs(abs(np.linalg.det(frame)) - 1.0) <= 1e-12, system.name
-            assert np.array_equal(bd.eps.val @ bd.Z.val, bd.eps.val[:, s_idx])
+            assert np.array_equal(bd.eps.val @ Z, bd.eps.val[:, s_idx])
             smin = np.linalg.svd(bd.eps.val, compute_uv=False).min(
                 initial=np.inf)
             assert smin >= 1.0 - k * manifold.ADAPTED_TOL, system.name
@@ -270,8 +272,8 @@ def test_value_checks_per_rk4_stage(name, entry, per_stage, monkeypatch):
 def test_hoisted_arrays_are_read_only(particle, snakeboard):
     q = [0.1, 0.2, 0.3]
     bd = base_at(particle, q, order=2)
-    shared = [bd.kappa.val, bd.kappa.d1, bd.kappa.d2, bd.chi.val,
-              bd.chi.d1, bd.Z.val, bd.Z.d2]
+    Z, chi = complement_at(particle, bd, 2)
+    shared = [bd.kappa.val, bd.kappa.d1, bd.kappa.d2, chi, Z.val, Z.d2]
     _, grad, hess = get_compiled(particle).potential.evaluate(q, 2)
     shared += [grad, hess]
     sb = base_at(snakeboard, sample_points(snakeboard, 1, seed=4)[0].q, 1)
@@ -288,9 +290,9 @@ def test_hoisted_arrays_are_read_only(particle, snakeboard):
 def test_stacked_constants_are_private_contiguous_copies(particle):
     qs = sample_points(particle, 3, seed=9).q
     bd = base_at(particle, qs, order=1)
-    for pk in (bd.kappa, bd.chi):
-        for a in (pk.val, pk.d1):
-            assert a.flags.c_contiguous and a.flags.writeable
+    _, chi = complement_at(particle, bd, 1)
+    for a in (bd.kappa.val, bd.kappa.d1, chi):
+        assert a.flags.c_contiguous and a.flags.writeable
 
 
 # --------------------------------------------------------- compile once
@@ -433,7 +435,7 @@ def test_integrate_work_counts_on_a_constant_metric(name, monkeypatch):
     # the load-time probes are one stack, which passes the metric checks
     assert eigvalsh.calls == 1
     assert get_compiled(system).metric.constant
-    base = _count(monkeypatch, sim, "_d_stage")
+    base = _count(monkeypatch, sim, "base_at")
     residual = _count(monkeypatch, sim, "_residual")
     init = sample_points(system, 1, seed=3)[0]
     tr = nhk.integrate(system, init, 0.01, steps)
@@ -446,7 +448,7 @@ def test_integrate_work_counts_on_a_constant_metric(name, monkeypatch):
 def test_integrate_work_counts_on_a_q_dependent_metric(twist5, monkeypatch):
     steps = 4
     eigvalsh = _count(monkeypatch, np.linalg, "eigvalsh")
-    base = _count(monkeypatch, sim, "_d_stage")
+    base = _count(monkeypatch, sim, "base_at")
     residual = _count(monkeypatch, sim, "_residual")
     init = sample_points(twist5, 1, seed=3)[0]
     tr = nhk.integrate(twist5, init, 0.01, steps)

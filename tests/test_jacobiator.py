@@ -22,6 +22,7 @@ from nhk import (
     base_at,
     builtin_definition,
     chart_tensors,
+    complement_at,
     cross_validate,
     curvature_KW_M,
     curvature_KW_Q,
@@ -42,9 +43,11 @@ from nhk import (
     snakeboard_reduced_sharp,
     splitting_at,
 )
+from nhk._linalg import Packed, pk_add, pk_const, pk_matmul
+from nhk.curvature import _curvature_coeffs
 from nhk.errors import NhkError, ParameterError, UnsupportedOperationError
 from nhk.jet import NONFINITE
-from nhk.jacobiator import _km_point_data
+from nhk.jacobiator import _global_tensor, _km_point_data, _trivector_brute
 from nhk.systems import _perm_sign, snakeboard_expected
 
 from expr_corpus import nested_system
@@ -64,6 +67,30 @@ def test_bruteforce_and_global_tensors_agree(system):
         tg = jacobiator_tensor(system, p, method="global")
         scale = max(1.0, np.max(np.abs(tb)))
         np.testing.assert_allclose(tg, tb, atol=1e-9 * scale)
+
+
+def test_the_global_route_does_not_depend_on_the_complement(system):
+    # a second complement Z' = Z + X C, C a constant (n-k) x k matrix:
+    # eps(Z') = 1 still, and its curvature K_W' differs from K_W, yet the
+    # curvature formula gives the brute-force route's Jacobiator
+    n, k = system.n, system.k
+    C = pk_const(np.random.default_rng(4).normal(size=(n - k, k)), n, 1)
+    for p in sample_points(system, 8, seed=4):
+        bd = base_at(system, p.q, order=2)
+        Z, _ = complement_at(system, bd, 1)
+        Zp = pk_add(Z, pk_matmul(Packed(bd.X.val, bd.X.d1), C))
+        assert np.abs(bd.eps.val @ Zp.val - np.eye(k)).max(initial=0.0) \
+            <= 1e-14
+        T = _trivector_brute(system, p, bd)
+        assert np.abs(_global_tensor(system, p, bd, Zp) - T).max() <= \
+            1e-14 * max(1.0, np.abs(T).max())
+        K, Kp = (_curvature_coeffs(system, bd, z).coeffs for z in (Z, Zp))
+        if k == 0 or system.name == "holonomic":
+            # no complement, or an integrable D: K_W = 0 for every W
+            assert np.abs(K).max(initial=0.0) <= 1e-12
+            assert np.abs(Kp).max(initial=0.0) <= 1e-12
+        else:
+            assert np.abs(Kp - K).max() > 0.1
 
 
 def test_bruteforce_route_makes_no_scalar_jet_calls(request, monkeypatch):

@@ -16,11 +16,15 @@ from nhk import (
     base_at,
     builtin_definition,
     chart_tensors,
+    complement_at,
     cross_validate,
+    curvature_KW_M,
+    curvature_KW_Q,
     curvature_coeffs,
     embed,
     hamiltonian_M,
     integrate,
+    jacobiator_global,
     jacobiator_tensor,
     load_system,
     nh_bivector,
@@ -225,12 +229,53 @@ def test_base_at_refuses_a_derived_block_before_inverting_it(monkeypatch):
 
 def test_base_at_refuses_an_overflowing_complement_gram(kernel_path):
     # no adapted declaration: the constraint Gram matrix eps kappa^-1
-    # eps^T of the kappa-orthogonal complement overflows first
+    # eps^T of the kappa-orthogonal complement overflows, where the
+    # D-frame data is finite.  The operations that do not read the
+    # complement succeed there; every one that reads it refuses the point.
     s = load_system(_exp_form(kernel_path.definition))
+    q = [460.5, 1.5, 0.0]
+    p = PointM(q, [0.3, -0.2])
+    e = np.eye(s.dimM)
     for order in (0, 1, 2):
+        bd = base_at(s, q, order)
         with pytest.raises(EvalError) as err:
-            base_at(s, [460.5, 1.5, 0.0], order)
+            complement_at(s, bd, order)
         assert str(err.value) == NONFINITE
+    for order in (0, 1):
+        nh_bivector(s, p, order)
+        chart_tensors(s, p, order)
+        omega_M(s, p, order)
+    jacobiator_tensor(s, p, "bruteforce")
+    assert integrate(s, p, 0.01, 3).completed
+    readers = [
+        lambda: jacobiator_tensor(s, p, "global"),
+        lambda: jacobiator_global(s, p, *e[:3]),
+        lambda: nh_vector_field(s, p),
+        lambda: hamiltonian_M(s, p),
+        lambda: embed(s, p),
+        lambda: curvature_coeffs(s, p),
+        lambda: curvature_KW_M(s, p, *e[:2]),
+        lambda: curvature_KW_Q(s, q, *np.eye(s.n)[:2]),
+        lambda: pick_default_W(s, q),
+        lambda: splitting_at(s, p),
+        lambda: adapted_coframe(s, q),
+    ]
+    for read in readers:
+        with pytest.raises(EvalError) as err:
+            read()
+        assert str(err.value) == NONFINITE
+
+
+def test_load_probes_the_complement(snakeboard):
+    # a declared complement twice too long: eps(Z) = 2 everywhere, which
+    # only the complement's own check sees
+    doc = builtin_definition("snakeboard")
+    doc["w_frame"] = [[f"2*({e})" for e in row] for row in doc["w_frame"]]
+    with pytest.raises(LoadError) as err:
+        load_system(doc)
+    assert len(err.value.violations) == 1
+    assert "complement frame not dual to constraints" in \
+        err.value.violations[0]
 
 
 def test_load_accepts_an_empty_complement_frame(free):
@@ -240,9 +285,10 @@ def test_load_accepts_an_empty_complement_frame(free):
     q = sample_points(s, 1, seed=3)[0].q
     for order in (0, 1, 2):
         bd = base_at(s, q, order)
-        assert bd.Z.val.shape == (s.n, 0) and bd.eps.val.shape == (0, s.n)
+        Z, chi = complement_at(s, bd, order)
+        assert Z.val.shape == (s.n, 0) and bd.eps.val.shape == (0, s.n)
         assert np.array_equal(bd.X.val, np.eye(s.n))
-        assert np.array_equal(bd.chi.val, np.eye(s.n))
+        assert np.array_equal(chi, np.eye(s.n))
 
 
 def test_loads_are_distinct_objects():
@@ -333,9 +379,10 @@ def test_points_take_integers_and_refuse_non_finite_values(particle):
 def test_frame_duality_everywhere(system):
     for pt in sample_points(system, 40, seed=7):
         bd = base_at(system, pt.q, order=0)
+        Z, chi = complement_at(system, bd)
         n, k = system.n, system.k
-        F = np.hstack([bd.X.val, bd.Z.val])
-        co = np.vstack([bd.chi.val, bd.eps.val])
+        F = np.hstack([bd.X.val, Z.val])
+        co = np.vstack([chi, bd.eps.val])
         np.testing.assert_allclose(co @ F, np.eye(n), atol=1e-10)
         if k:
             # D-frame lies in the constraint kernel
@@ -358,17 +405,22 @@ def test_base_at_jets_match_finite_differences(system):
     # first derivative route vs central differences of the value route
     q0 = sample_points(system, 1, seed=11)[0].q
     h = 1e-6
-    bd = base_at(system, q0, order=1)
-    for field in ("X", "Z", "chi", "J", "mu", "kD_inv"):
-        fd = np.empty_like(getattr(bd, field).d1)
+
+    def at(field, q, order):
+        bd = base_at(system, q, order)
+        if field == "Z":
+            return complement_at(system, bd, order)[0]
+        return getattr(bd, field)
+
+    for field in ("X", "Z", "mu", "kD_inv"):
+        d1 = at(field, q0, 1).d1
+        fd = np.empty_like(d1)
         for i in range(system.n):
             up, dn = q0.copy(), q0.copy()
             up[i] += h
             dn[i] -= h
-            fd[i] = (getattr(base_at(system, up, 0), field).val
-                     - getattr(base_at(system, dn, 0), field).val) / (2 * h)
-        np.testing.assert_allclose(getattr(bd, field).d1, fd,
-                                   rtol=1e-5, atol=1e-6)
+            fd[i] = (at(field, up, 0).val - at(field, dn, 0).val) / (2 * h)
+        np.testing.assert_allclose(d1, fd, rtol=1e-5, atol=1e-6)
 
 
 def test_elimination_coefficients_match_their_definition(system):
@@ -376,12 +428,14 @@ def test_elimination_coefficients_match_their_definition(system):
         pytest.skip("no constraints")
     for pt in sample_points(system, 10, seed=3):
         bd = base_at(system, pt.q, order=0)
+        Z = complement_at(system, bd)[0].val
         kD = bd.X.val.T @ bd.kappa.val @ bd.X.val
-        J = bd.Z.val.T @ bd.kappa.val @ bd.X.val @ np.linalg.inv(kD)
-        np.testing.assert_allclose(bd.J.val, J, atol=1e-10)
+        J = Z.T @ bd.kappa.val @ bd.X.val @ np.linalg.inv(kD)
+        # J = (mu Z)^T, so that p(Z_a) = J[a, beta] ptilde_beta
+        np.testing.assert_allclose((bd.mu.val @ Z).T, J, atol=1e-10)
         # and the eliminated momenta reproduce the embedding on Z
         p = embed(system, pt)
-        np.testing.assert_allclose(bd.Z.val.T @ p, J @ pt.ptilde, atol=1e-10)
+        np.testing.assert_allclose(Z.T @ p, J @ pt.ptilde, atol=1e-10)
 
 
 def test_default_complement_is_metric_orthogonal(kernel_path):
@@ -390,7 +444,7 @@ def test_default_complement_is_metric_orthogonal(kernel_path):
     for pt in sample_points(kernel_path, 10, seed=5):
         bd = base_at(kernel_path, pt.q, order=0)
         W = pick_default_W(kernel_path, pt.q)
-        np.testing.assert_allclose(W, bd.Z.val, atol=1e-14)
+        np.testing.assert_array_equal(W, complement_at(kernel_path, bd)[0].val)
         np.testing.assert_allclose(bd.eps.val @ W,
                                    np.eye(kernel_path.k), atol=1e-10)
         gram = bd.X.val.T @ bd.kappa.val @ W

@@ -14,11 +14,16 @@ from nhk import (
     base_at,
     builtin_definition,
     chart_tensors,
+    complement_at,
+    cross_validate,
+    curvature_coeffs,
     hamiltonian_M,
     integrate,
     jacobiator_tensor,
     load_system,
+    nh_bivector,
     nh_vector_field,
+    omega_M,
     pick_default_W,
     sample_points,
     trajectory_csv,
@@ -70,15 +75,35 @@ def test_the_dynamics_and_the_brute_force_route_read_no_complement():
 
 
 def test_an_rk4_stage_evaluates_no_complement(system, monkeypatch):
+    # the complement frame is built only by the operations that read W:
+    # once per call, and once per stack of a cross-validation
     calls = []
     real = nhk.manifold._w_frame_at
     monkeypatch.setattr(nhk.manifold, "_w_frame_at",
                         lambda *args: calls.append(1) or real(*args))
     p = sample_points(system, 1, seed=3)[0]
-    base_at(system, p.q, 1)
-    assert len(calls) == 1
-    assert integrate(system, p, 0.01, 3).times.size > 1
-    assert len(calls) == 1
+    free = [lambda order=order: base_at(system, p.q, order)
+            for order in (0, 1, 2)]
+    free += [lambda: nh_bivector(system, p, 1),
+             lambda: chart_tensors(system, p, 1),
+             lambda: omega_M(system, p, 1),
+             lambda: jacobiator_tensor(system, p, "bruteforce"),
+             lambda: integrate(system, p, 0.01, 3)]
+    if system.adapted is not None:
+        free.append(lambda: jacobiator_tensor(system, p, "km"))
+    for op in free:
+        op()
+        assert calls == []
+    readers = [lambda: jacobiator_tensor(system, p, "global"),
+               lambda: curvature_coeffs(system, p),
+               lambda: complement_at(system, base_at(system, p.q, 2), 2)]
+    for op in readers:
+        calls.clear()
+        op()
+        assert len(calls) == 1
+    calls.clear()
+    report = cross_validate(system, samples=70, seed=5)
+    assert report.skipped == [] and len(calls) == 2    # stacks of 64 and 6
 
 
 # ------------------------------------------------------------- conservation
@@ -257,7 +282,7 @@ def test_initial_point_must_be_valid(snakeboard):
 
 def test_frame_singularity_is_fatal(particle, monkeypatch):
     calls = {"n": 0}
-    real = nhk.sim._d_stage
+    real = nhk.sim.base_at
 
     def failing(system, q, order):
         calls["n"] += 1
@@ -265,7 +290,7 @@ def test_frame_singularity_is_fatal(particle, monkeypatch):
             raise GeometryError("constraint frame lost rank")
         return real(system, q, order)
 
-    monkeypatch.setattr(nhk.sim, "_d_stage", failing)
+    monkeypatch.setattr(nhk.sim, "base_at", failing)
     with pytest.raises(GeometryError, match=r"frame singularity at step \d"):
         integrate(particle, PointM([0, 0, 0], [1.0, 0.5]), dt=1e-3, steps=10)
 
@@ -274,7 +299,7 @@ def test_frame_singularity_at_start(particle, monkeypatch):
     def failing(system, q, order):
         raise GeometryError("constraint frame lost rank")
 
-    monkeypatch.setattr(nhk.sim, "_d_stage", failing)
+    monkeypatch.setattr(nhk.sim, "base_at", failing)
     with pytest.raises(GeometryError, match="frame singularity at step 0"):
         integrate(particle, PointM([0, 0, 0], [1.0, 0.5]), dt=1e-3, steps=10)
 

@@ -6,6 +6,8 @@ the one container of many points, and the operations on one point
 refuse it; on a stack of no points the stack operations return arrays
 whose stack axis has length 0."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from nhk import (
     PointM,
     base_at,
     builtin_definition,
+    complement_at,
     cross_validate,
     integrate,
     jacobiator_bruteforce,
@@ -40,7 +43,7 @@ from nhk.jacobiator import (_global_tensor, _km_point_data, _km_value,
                             _trivector_brute)
 from nhk.manifold import _c_basis, _inv, _sample_q, _splitting
 
-FIELDS = ("kappa", "eps", "X", "Z", "chi", "J", "mu", "kD", "kD_inv")
+FIELDS = ("kappa", "eps", "X", "mu", "kD", "kD_inv")
 
 
 def assert_packed_equal(a: Packed, b: Packed, what=""):
@@ -119,13 +122,12 @@ def test_the_guarded_inverse_rejects_a_stack_with_one_singular_matrix():
 
 
 # ------------------------------------------------------------ base data
-@pytest.mark.parametrize("order", [0, 1, 2])
-@pytest.mark.parametrize("size", [1, 2, 7, 70])
-def test_base_at_on_a_stack_equals_base_at_per_point(system, order, size):
-    qs = sample_points(system, size, seed=71).q
+def assert_stack_equals_points(system, qs, order):
+    """base_at and complement_at on the stack qs equal them at each point
+    alone, bit for bit, field by field."""
     stacked = base_at(system, qs, order)
-    assert stacked.q.shape == (size, system.n)
-    assert stacked.order == order
+    Z, chi = complement_at(system, stacked, order)
+    assert chi.shape == (len(qs), system.n - system.k, system.n)
     for i, q in enumerate(qs):
         single = base_at(system, q, order)
         assert np.array_equal(stacked.q[i], single.q)
@@ -134,6 +136,20 @@ def test_base_at_on_a_stack_equals_base_at_per_point(system, order, size):
             assert getattr(single, f).order == order, (f, i)
             assert_packed_equal(pk_at(getattr(stacked, f), i),
                                 getattr(single, f), (f, i))
+        Z1, chi1 = complement_at(system, single, order)
+        assert Z1.order == order, i
+        assert_packed_equal(pk_at(Z, i), Z1, ("Z", i))
+        assert np.array_equal(chi[i], chi1), ("chi", i)
+    return stacked
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("size", [1, 2, 7, 70])
+def test_base_at_on_a_stack_equals_base_at_per_point(system, order, size):
+    qs = sample_points(system, size, seed=71).q
+    stacked = assert_stack_equals_points(system, qs, order)
+    assert stacked.q.shape == (size, system.n)
+    assert stacked.order == order
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
@@ -142,12 +158,7 @@ def test_kernel_frame_stack_mixing_pivot_patterns_equals_per_point(
     # eps = -y dx + dz: pivot on x where y != 0, on z where y = 0
     qs = np.array([[0.3, 0.7, -0.2], [0.1, 0.0, 0.5], [-1.2, -0.4, 1.0],
                    [0.9, 0.0, -1.5], [1.1, 1.3, 0.2]])
-    stacked = base_at(kernel_path, qs, order)
-    for i, q in enumerate(qs):
-        single = base_at(kernel_path, q, order)
-        for f in FIELDS:
-            assert_packed_equal(pk_at(getattr(stacked, f), i),
-                                getattr(single, f), (f, i))
+    stacked = assert_stack_equals_points(kernel_path, qs, order)
     for i in (1, 3):
         assert np.array_equal(stacked.X.val[i], np.eye(3)[:, :2])
     np.testing.assert_allclose(stacked.X.val[0, 0], [0.0, 1 / 0.7],
@@ -190,10 +201,14 @@ def test_splitting_on_a_stack_equals_the_splitting_per_point(system, order,
     for i, q in enumerate(qs):
         assert_packed_equal(pk_at(C, i),
                             _c_basis(system, base_at(system, q, order), order))
+    Z, _ = complement_at(system, bd, order)
     for lf in (None, lift):
-        stacked = _splitting(system, bd, lf)
-        alone = [_splitting(system, base_at(system, q, order), lf)
-                 for q in qs]
+        stacked = _splitting(system, bd, Z, lf)
+        alone = []
+        for q in qs:
+            bd1 = base_at(system, q, order)
+            alone.append(_splitting(system, bd1,
+                                    complement_at(system, bd1, order)[0], lf))
         for part, got in enumerate(stacked):
             if got is None:             # a derivative at order 0
                 assert order == 0 and all(a[part] is None for a in alone)
@@ -208,7 +223,7 @@ def test_stacked_routes_equal_the_public_tensors(system):
     pts = ps = sample_points(system, 4, seed=13)
     bd = base_at(system, ps.q, order=2)
     brute = _trivector_brute(system, ps, bd)
-    glob = _global_tensor(system, ps, bd)
+    glob = _global_tensor(system, ps, bd, complement_at(system, bd, 1)[0])
     for i, p in enumerate(pts):
         assert np.array_equal(brute[i], jacobiator_tensor(system, p,
                                                           "bruteforce"))
@@ -452,9 +467,24 @@ def test_a_one_point_operation_refuses_a_stack(request, name, op):
     s = request.getfixturevalue(name)
     if op == "adapted_data" and s.adapted is None:
         pytest.skip("adapted_data needs an adapted declaration")
-    with pytest.raises(ParameterError,
-                       match="^expected one point, got a stack of 3$"):
-        ONE_POINT_ONLY[op](s, _three(s))
+    stacks = [_three(s)]
+    # a last member outside the declared domain, or given as coordinates
+    # with a NaN: the stack is refused before any point is evaluated (a
+    # method reads a stack operation's result, which refuses that member
+    # itself)
+    if s.domain and "." not in op:
+        q = _three(s).q.copy()
+        coord, (_, hi) = next(iter(s.domain.items()))
+        q[-1, s.coord_names.index(coord)] = hi + 1.0
+        stacks.append(PointM(q, _three(s).ptilde))
+    if op in ("curvature_KW_Q", "adapted_coframe", "adapted_data"):
+        q = _three(s).q.copy()
+        q[-1, 0] = np.nan
+        stacks.append(SimpleNamespace(q=q))
+    for stack in stacks:
+        with pytest.raises(ParameterError,
+                           match="^expected one point, got a stack of 3$"):
+            ONE_POINT_ONLY[op](s, stack)
 
 
 # the public operations that take a stack: their arrays lead with it
