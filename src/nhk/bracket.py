@@ -76,11 +76,12 @@ class BivectorAtPoint:
     def sharp(self, alpha) -> np.ndarray:
         return self.mat @ check_array("alpha", alpha, self.mat.shape[-1:])
 
-    def pairing(self, alpha, beta) -> float:
-        """pi(alpha, beta) = beta(pi#(alpha))."""
-        check_one_point(self.mat, 2)
-        return float(check_array("beta", beta, self.mat.shape[-1:])
-                     @ self.sharp(alpha))
+    def pairing(self, alpha, beta):
+        """pi(alpha, beta) = beta(pi#(alpha)): one dot product per point,
+        as at a lone point, where [()] reads it as a scalar."""
+        beta = check_array("beta", beta, self.mat.shape[-1:])
+        v = self.sharp(alpha)[..., None, :] @ beta[:, None]
+        return v[..., 0, 0][()]
 
     def bracket_matrix(self) -> np.ndarray:
         """B[I, J] = {u^I, u^J} of the chart functions."""
@@ -185,7 +186,8 @@ def hamiltonian_M(system: NonholonomicSystem, p: PointM):
     matrix of the kinetic metric.  The value is cross-checked against
     the ambient route (1/2) p . kappa^{-1} p with p the momenta embedded
     by the elimination through the complement (``manifold``'s
-    _eliminated_mu).  Returns (value, dH) with dH a chart covector."""
+    _eliminated_mu).  Returns (value, dH) with dH a chart covector.  One
+    point only: a stack-aware ``_energy`` would slow every RK4 stage."""
     check_one_point(p.q)
     return _hamiltonian(system, p, base_at(system, p, order=1))
 
@@ -236,7 +238,8 @@ def _hamiltonian(system: NonholonomicSystem, p: PointM, bd: BaseData):
 
 def nh_vector_field(system: NonholonomicSystem, p: PointM) -> np.ndarray:
     """Evolution vector field X_nh = -pi#(dH) in chart components (see
-    ``_field``), from one base evaluation shared with the Hamiltonian."""
+    ``_field``), from one base evaluation shared with the Hamiltonian;
+    one point only, like ``hamiltonian_M`` (``_field`` is RK4's too)."""
     check_one_point(p.q)
     bd = base_at(system, p, order=1)
     _, dH = _hamiltonian(system, p, bd)

@@ -31,9 +31,9 @@ import numpy as np
 
 from ._compile import get_compiled
 from ._linalg import Packed
-from .errors import UnsupportedOperationError, check_array, check_one_point
-from .manifold import (BaseData, NonholonomicSystem, PointM, _check_one_q,
-                       _splitting, base_at, complement_at)
+from .errors import UnsupportedOperationError, check_array
+from .manifold import (BaseData, NonholonomicSystem, PointM, _splitting,
+                       base_at, complement_at)
 
 __all__ = ["CurvatureAtPoint", "AdaptedData", "curvature_coeffs",
            "curvature_KW_M", "curvature_KW_Q", "adapted_data"]
@@ -55,10 +55,10 @@ class CurvatureAtPoint:
 
     def pair(self, u, v) -> np.ndarray:
         """Vector K_W(u, v) in chart components."""
-        check_one_point(self.P_C, 2)
         u = check_array("u", u, self.P_C.shape[-1:])
         v = check_array("v", v, self.P_C.shape[-1:])
-        return self.W_lift @ np.einsum("aij,i,j->a", self.coeffs, u, v)
+        w = np.einsum("...aij,i,j->...a", self.coeffs, u, v)
+        return (self.W_lift @ w[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -104,7 +104,6 @@ def _curvature_coeffs(system: NonholonomicSystem, bd: BaseData, Z: Packed,
 def curvature_KW_M(system: NonholonomicSystem, p: PointM, X, Y,
                    lift=None) -> np.ndarray:
     """The vector K_W(X, Y) at p, chart components."""
-    check_one_point(p.q)
     return curvature_coeffs(system, p, lift=lift).pair(X, Y)
 
 
@@ -112,7 +111,6 @@ def curvature_KW_Q(system: NonholonomicSystem, q, v, w) -> np.ndarray:
     """Curvature of the constraint distribution on Q itself:
     K(v, w) = dps^a(P_D v, P_D w) Z_a with P_D = id - Z eps the
     projection onto D along the complement."""
-    _check_one_q(q)
     bd = base_at(system, q, order=1)
     Z = complement_at(system, bd)[0].val
     v = check_array("v", v, (system.n,))
@@ -121,9 +119,9 @@ def curvature_KW_Q(system: NonholonomicSystem, q, v, w) -> np.ndarray:
     pv, pw = P_D @ v, P_D @ w
     # d eps^a (u1, u2) = (d_i eps^a_j - d_j eps^a_i) u1^i u2^j
     deps = bd.eps.d1
-    vals = (np.einsum("iaj,i,j->a", deps, pv, pw)
-            - np.einsum("jai,i,j->a", deps, pv, pw))
-    return Z @ vals
+    vals = (np.einsum("...iaj,...i,...j->...a", deps, pv, pw)
+            - np.einsum("...jai,...i,...j->...a", deps, pv, pw))
+    return (Z @ vals[..., None])[..., 0]
 
 
 def adapted_data(system: NonholonomicSystem, q) -> AdaptedData:
@@ -131,12 +129,11 @@ def adapted_data(system: NonholonomicSystem, q) -> AdaptedData:
     if system.adapted is None:
         raise UnsupportedOperationError(
             f"system {system.name!r} has no adapted declaration")
-    _check_one_q(q)
     bd = base_at(system, q, order=2)
     A, dA, C, Kcoef = _nonholonomy(system, bd)
     r_idx = list(system.r_indices)
     return AdaptedData(r_indices=tuple(r_idx), s_indices=system.s_indices,
-                       A=Packed(A, dA, bd.eps.d2[:, :, :, r_idx]), C=C,
+                       A=Packed(A, dA, bd.eps.d2[..., r_idx]), C=C,
                        Kcoef=Kcoef)
 
 

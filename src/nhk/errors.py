@@ -148,7 +148,7 @@ def check_array(name: str, value, shape: tuple) -> np.ndarray:
     return a.astype(float)
 
 
-def check_one_point(a: np.ndarray, ndim: int = 1) -> None:
-    """ParameterError if ``a``, with ``ndim`` axes per point, is a stack."""
-    if a.ndim > ndim:
+def check_one_point(a: np.ndarray) -> None:
+    """ParameterError if the coordinates (or momenta) ``a`` are a stack."""
+    if a.ndim > 1:
         raise ParameterError(f"expected one point, got a stack of {len(a)}")

@@ -327,8 +327,8 @@ def eval_expr(e: Expr, coords: dict, params: dict, active, order: int = 2) -> Je
     """Evaluate to a Jet2 differentiated w.r.t. the ordered `active`
     coordinate names, each bound in `coords` and named once (else
     EvalError).  Internal entry point with selectable order.  A
-    non-finite value or derivative raises EvalError (``jet.NONFINITE``),
-    as in the compiled kernels."""
+    non-finite value or derivative, or numpy's warning of one where
+    warnings are errors, raises EvalError (``jet.NONFINITE``)."""
     active = list(active)
     for a in active:
         if a not in coords:
@@ -369,7 +369,10 @@ def eval_expr(e: Expr, coords: dict, params: dict, active, order: int = 2) -> Je
             raise
         raise TypeError(f"not an Expr node: {node!r}")
 
-    jet = ev(e)
+    try:
+        jet = ev(e)
+    except RuntimeWarning:
+        raise EvalError(NONFINITE) from None
     if not all(np.isfinite(m).all() for m in (jet.value, jet.grad, jet.hess)
                if m is not None):
         raise EvalError(NONFINITE)

@@ -56,7 +56,7 @@ from .curvature import _curvature_coeffs, _nonholonomy
 from ._linalg import pk_matmul, Packed
 from .errors import (EvalError, NhkError, ParameterError,
                      UnsupportedOperationError, check_array, check_integer,
-                     check_one_point, check_real)
+                     check_real)
 from .manifold import (BaseData, NonholonomicSystem, PointM, base_at,
                        complement_at, sample_points)
 
@@ -85,12 +85,12 @@ def _trivector_brute(system: NonholonomicSystem, p: PointM,
 
 
 def jacobiator_bruteforce(system: NonholonomicSystem, p: PointM,
-                          triple) -> float:
+                          triple):
     """Jacobiator on three chart basis covectors by direct
-    differentiation of the bracket coefficients (reference route)."""
+    differentiation of the bracket coefficients (reference route): one
+    value per point, a numpy scalar at a lone point."""
     t = _check_triple(system.dimM, triple)
-    check_one_point(p.q)
-    return float(jacobiator_tensor(system, p, "bruteforce")[t])
+    return jacobiator_tensor(system, p, "bruteforce")[(..., *t)][()]
 
 
 def _check_triple(dim: int, triple):
@@ -103,13 +103,13 @@ def _check_triple(dim: int, triple):
 
 # ----------------------------------------------------------- global route
 def jacobiator_global(system: NonholonomicSystem, p: PointM,
-                      alpha, beta, gamma, lift=None) -> float:
-    """Jacobiator of three chart covectors via the curvature formula."""
+                      alpha, beta, gamma, lift=None):
+    """Jacobiator of three chart covectors via the curvature formula;
+    one value per point."""
     covectors = [check_array(name, c, (system.dimM,)) for name, c in
                  (("alpha", alpha), ("beta", beta), ("gamma", gamma))]
-    check_one_point(p.q)
     T = jacobiator_tensor(system, p, "global", lift=lift)
-    return float(np.einsum("ijk,i,j,k->", T, *covectors))
+    return np.einsum("...ijk,i,j,k->...", T, *covectors)
 
 
 def _global_tensor(system: NonholonomicSystem, p: PointM, bd: BaseData,
@@ -221,12 +221,11 @@ def _km_value(data: dict) -> np.ndarray:
     return T.reshape(lead + (data["n"] + nk,) * 3)
 
 
-def jacobiator_km(system: NonholonomicSystem, p: PointM, triple) -> float:
-    """Jacobiator on three chart basis covectors from the closed
-    adapted-coordinate expressions (adapted systems only)."""
+def jacobiator_km(system: NonholonomicSystem, p: PointM, triple):
+    """Jacobiator on three chart basis covectors, one value per point,
+    from the closed adapted-coordinate expressions (adapted systems)."""
     t = _check_triple(system.dimM, triple)
-    check_one_point(p.q)
-    return float(jacobiator_tensor(system, p, "km")[t])
+    return jacobiator_tensor(system, p, "km")[(..., *t)][()]
 
 
 def jacobiator_tensor(system: NonholonomicSystem, p: PointM,
@@ -252,12 +251,21 @@ def _route_tensor(system: NonholonomicSystem, p: PointM, bd: BaseData,
     """The tensor of route ``method`` at p from base data ``bd`` at p.q
     (order 2 for the brute-force route, else at least 1) and, for the
     global route only, the complement frame Z there of order at least 1;
-    p, bd and Z may be stacked alike, and so is the tensor."""
-    if method == "bruteforce":
-        return _trivector_brute(system, p, bd)
-    if method == "global":
-        return _global_tensor(system, p, bd, Z, lift)
-    return _km_value(_km_point_data(system, p, bd))
+    p, bd and Z may be stacked alike, and so is the tensor.  A non-finite
+    entry raises EvalError naming the route, and so does numpy's overflow
+    warning where warnings are errors (as in ``manifold._finite``)."""
+    try:
+        if method == "bruteforce":
+            T = _trivector_brute(system, p, bd)
+        elif method == "global":
+            T = _global_tensor(system, p, bd, Z, lift)
+        else:
+            T = _km_value(_km_point_data(system, p, bd))
+        if np.count_nonzero(np.isfinite(T)) == T.size:
+            return T
+    except RuntimeWarning:
+        pass
+    raise EvalError(f"the {method} route has a non-finite value")
 
 
 # --------------------------------------------------------- cross-validate
@@ -321,13 +329,8 @@ def _stack_values(system: NonholonomicSystem, pts: PointM, methods: tuple,
     d = system.dimM
     bd = base_at(system, pts, order=2)
     Z, _ = complement_at(system, bd, 1)
-    out = []
-    for m in methods:
-        v = _route_tensor(system, pts, bd, m, Z).reshape(-1, d, d, d)[tri]
-        if np.count_nonzero(np.isfinite(v)) < v.size:
-            raise EvalError(f"the {m} route has a non-finite value")
-        out.append(v)
-    return np.stack(out, axis=-1)
+    return np.stack([_route_tensor(system, pts, bd, m, Z)
+                     .reshape(-1, d, d, d)[tri] for m in methods], axis=-1)
 
 
 def cross_validate(system: NonholonomicSystem, samples: int = 100,

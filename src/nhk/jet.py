@@ -1,11 +1,12 @@
 """Second-order forward-mode differential arithmetic.
 
 A :class:`Jet2` bundles a scalar value with its gradient and Hessian with
-respect to an ordered list of active variables.  All smooth data in the
-package (metric entries, constraint coefficients, frames, momenta) is
-evaluated in this arithmetic, so every first and second derivative used
-downstream is exact to machine precision — no finite differences anywhere
-in the library.
+respect to an ordered list of active variables: the reference evaluator
+behind ``nhk eval``.  The library's smooth data (metric entries,
+constraint coefficients, frames) comes from compiled kernels that call
+this module's rules and guards, carried as ``Packed`` arrays, so every
+first and second derivative used downstream is exact to machine
+precision — no finite differences anywhere in the library.
 
 Orders:
     order 0  — value only (grad is None, hess is None)
@@ -64,7 +65,8 @@ class Jet2:
     def __post_init__(self):
         # Every construction below is symmetric by design; keep it honest.
         if __debug__ and self.hess is not None:
-            assert np.array_equal(self.hess, self.hess.T), "asymmetric Hessian"
+            assert np.array_equal(self.hess, self.hess.T, equal_nan=True), \
+                "asymmetric Hessian"
 
     @property
     def nvars(self) -> int:

@@ -102,13 +102,6 @@ def _real(value, what: str) -> np.ndarray:
     return a
 
 
-def _check_one_q(q) -> None:
-    """ParameterError if the coordinates q (an array-like or a PointM)
-    are a stack, before anything is evaluated; DomainError if they are
-    not real numbers."""
-    check_one_point(q.q if isinstance(q, PointM) else _real(q, "coordinates"))
-
-
 # ------------------------------------------------------------------ types
 @dataclass(frozen=True, eq=False)
 class PointM:
@@ -164,7 +157,7 @@ class TwoFormAtPoint:
     mat: np.ndarray
     d1: np.ndarray | None
     order: int
-    restricted_abs_det: float
+    restricted_abs_det: float | np.ndarray      # one value per point
 
 
 @dataclass(frozen=True, eq=False)
@@ -752,15 +745,15 @@ def embed(system: NonholonomicSystem, p: PointM) -> np.ndarray:
     p = ptilde_alpha mu^alpha, the metric image kappa-flat(v) of the
     velocity v in D with X-momenta ptilde.  Internally cross-checked
     against the elimination through the complement (_eliminated_mu)."""
-    check_one_point(p.q)
     bd = base_at(system, p, order=0)
-    pi = bd.mu.val.T @ p.ptilde
-    p2 = _eliminated_mu(system, bd).T @ p.ptilde
-    err = float(np.max(np.abs(pi - p2), initial=0.0))
-    if err > DUALITY_TOL:
-        raise GeometryError(
-            f"embedding routes disagree by {err:.3e} (internal invariant)")
-    return pi
+    pt = p.ptilde[..., None, :]
+    pi = pt @ bd.mu.val
+    err = _max_dev(pi, pt @ _eliminated_mu(system, bd))
+    i = _first(err > DUALITY_TOL)
+    if i is not None:
+        raise GeometryError(f"embedding routes disagree by "
+                            f"{err.reshape(-1)[i]:.3e} (internal invariant)")
+    return pi[..., 0, :]
 
 
 def _omega_arrays(system: NonholonomicSystem, pt, bd: BaseData,
@@ -899,11 +892,10 @@ def omega_M(system: NonholonomicSystem, p: PointM, order: int = 0) -> TwoFormAtP
     the chart variables (one more derivative level, for bracket use).
     """
     order = check_integer("order", order, 0, 2)
-    check_one_point(p.q)
     om, _, _, det = _omega_packed(system, p, base_at(system, p, order + 1),
                                   order)
     return TwoFormAtPoint(mat=om.val, d1=om.d1, order=order,
-                          restricted_abs_det=float(det))
+                          restricted_abs_det=det)
 
 
 def splitting_at(system: NonholonomicSystem, p: PointM) -> SplittingAtPoint:
@@ -913,7 +905,6 @@ def splitting_at(system: NonholonomicSystem, p: PointM) -> SplittingAtPoint:
     all d/dptilde; the W-lift takes Z_a with zero momentum components.
     Projections come from the dual coframe of the assembled basis, which
     here collapses to P_W = Z-lift (x) pulled-back eps (``_splitting``)."""
-    check_one_point(p.q)
     bd = base_at(system, p, order=0)
     Z, _ = complement_at(system, bd)
     Zl, _, _, P_W, P_C, _ = _splitting(system, bd, Z)
@@ -930,8 +921,9 @@ def adapted_coframe(system: NonholonomicSystem, q):
     Returns (names, rows) with rows[i] the chart components of the i-th
     basis covector.  A chi row that coincides with a coordinate
     differential named like its frame label keeps the bare label (for
-    the snakeboard, chi^psi = dpsi); otherwise it is alpha_<label>."""
-    _check_one_q(q)
+    the snakeboard, chi^psi = dpsi); otherwise it is alpha_<label>.
+    One point only: the names depend on the values of chi at it."""
+    check_one_point(q.q if isinstance(q, PointM) else _real(q, "coordinates"))
     bd = base_at(system, q, order=0)
     _, chi = complement_at(system, bd)
     n, k = system.n, system.k

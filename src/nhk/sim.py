@@ -98,8 +98,8 @@ def integrate(system: NonholonomicSystem, init: PointM, dt: float,
 
     Leaving the declared domain truncates the trajectory (flagged via
     ``completed`` / ``exit_reason``); a frame singularity is fatal and
-    raises :class:`GeometryError` with the step index.
-    """
+    raises :class:`GeometryError` with the step index.  ``init`` is one
+    point: members of a stack would each need their own truncation."""
     dt = check_real("dt", dt, 0.0, strict=True)
     steps = check_integer("steps", steps, 1)
     check_one_point(init.q)

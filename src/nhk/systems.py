@@ -236,8 +236,8 @@ def snakeboard_expected(name: str, p, params=None) -> float:
 
     ``p`` may be a PointM or a bare coordinate array (x, y, theta, psi,
     phi), held to PointM's rule, and is one point (a stack raises
-    ParameterError); only the steering angle phi enters.  An unknown
-    name raises ParameterError.
+    ParameterError: the closed forms use ``math``); only the steering
+    angle phi enters.  An unknown name raises ParameterError.
     Available names:
 
     * ``J1``, ``J2`` -- momentum coupling functions of phi;

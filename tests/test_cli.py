@@ -3,6 +3,7 @@ separation, determinism, and error reporting."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -442,6 +443,27 @@ def test_eval_of_arithmetic_beyond_the_float_range_is_an_eval_error():
                         expect_code=3)
     assert doc["error"] == {"type": "EvalError", "message": NONFINITE}
     assert out.summary == f"error: {NONFINITE}"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--expr", "x*x*x", "--at", "x=1e200", "--wrt", "x"],
+     NONFINITE),
+    (["eval", "--expr", "exp(x)*exp(x)", "--at", "x=400", "--wrt", "x"],
+     NONFINITE),
+    (["jacobiator", "--system", "nh_particle", "--triple", "x,y,z",
+      "--point", "ptilde_x=1e308"],
+     "the bruteforce route has a non-finite value"),
+], ids=["eval-cube", "eval-exp", "jacobiator"])
+def test_a_derivative_beyond_the_float_range_is_an_eval_error(argv, message):
+    # exit 3 with the error payload, not exit 1 with a traceback, whether
+    # numpy's overflow warning is an error (as in this suite) or not, when
+    # the derivatives hold an inf or NaN
+    for action in ("error", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            doc, out = run_json(argv, expect_code=3)
+        assert doc["error"] == {"type": "EvalError", "message": message}
+        assert out.summary == f"error: {message}"
 
 
 @pytest.mark.parametrize("argv", [

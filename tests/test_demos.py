@@ -1,4 +1,5 @@
-"""The demos run end to end: each exits 0 and prints its walkthrough.
+"""The demos run end to end under ``-W error``: each exits 0 and prints
+its walkthrough with no warning.
 
 Demo 03 (integration diagnostics) takes about 15 s on 2 cores, so it is
 left out of this suite; run it with
@@ -20,7 +21,8 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    out = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+    out = subprocess.run([sys.executable, "-W", "error",
+                          str(ROOT / "demos" / demo)],
                          cwd=ROOT, env=env, capture_output=True, text=True,
                          timeout=120)
     assert out.returncode == 0, out.stderr

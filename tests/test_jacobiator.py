@@ -5,6 +5,7 @@ import itertools
 import json
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -45,7 +46,8 @@ from nhk import (
 )
 from nhk._linalg import Packed, pk_add, pk_const, pk_matmul
 from nhk.curvature import _curvature_coeffs
-from nhk.errors import NhkError, ParameterError, UnsupportedOperationError
+from nhk.errors import (EvalError, NhkError, ParameterError,
+                        UnsupportedOperationError)
 from nhk.jet import NONFINITE
 from nhk.jacobiator import _global_tensor, _km_point_data, _trivector_brute
 from nhk.systems import _perm_sign, snakeboard_expected
@@ -380,6 +382,19 @@ def test_snakeboard_jacobiator_closed_forms(snakeboard):
                 expected, rel=1e-9, abs=1e-12), key
 
 
+@pytest.mark.parametrize("delta", [1e-1, 1e-3, 1e-5])
+def test_bruteforce_meets_the_closed_form_near_the_snakeboard_pole(
+        snakeboard, delta):
+    # phi = pi/2 - delta: the closed form shrinks like cos(phi)^2, and the
+    # brute-force route keeps its relative accuracy (the global route's
+    # relative loss grows like 1/delta^2 and is not pinned here)
+    p = PointM([0.3, -0.2, 0.7, 0.4, np.pi / 2 - delta], [0.6, -0.3, 0.9])
+    T = jacobiator_tensor(snakeboard, p, "bruteforce")
+    expected = snakeboard_expected("jac_ppsi", p)
+    # (ptilde_phi, ptilde_S, dpsi): dpsi is chi^psi on the snakeboard
+    assert abs(T[6, 7, 3] - expected) <= 1e-15 * abs(expected)
+
+
 def test_snakeboard_all_other_adapted_triples_vanish(snakeboard):
     # in the frame-adapted coframe the four identities above exhaust the
     # nonzero patterns containing (ptilde_phi, ptilde_S); triples without
@@ -531,6 +546,22 @@ def test_cross_validate_skips_a_point_with_a_non_finite_value(
     assert report.compared == 0 and not report.passed
     assert report.to_json_dict()["compared"] == 0
     assert report.to_json_dict()["pass"] is False
+
+
+def test_a_route_with_a_non_finite_value_raises_under_either_filter(
+        particle):
+    # ptilde_x = 1e308 overflows the brute-force route's products.  Where
+    # warnings are errors (as in this suite) numpy's warning stands for
+    # the failed test; elsewhere the route's tensor holds an inf or NaN.
+    # Either way the route raises the error that cross_validate skips on.
+    p = PointM([0.0, 0.0, 0.0], [1e308, 0.0])
+    message = "^the bruteforce route has a non-finite value$"
+    with pytest.raises(EvalError, match=message):
+        jacobiator_tensor(particle, p, "bruteforce")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(EvalError, match=message):
+            jacobiator_tensor(particle, p, "bruteforce")
 
 
 def test_cross_validate_values_are_the_public_tensors(system):

@@ -1,11 +1,14 @@
 """Stacked evaluation: a stack of points gives, at every point, exactly
 the arrays that evaluating that point alone gives (np.array_equal, not a
 tolerance), for the packed linear algebra, the base pipeline, the
-Jacobiator routes and the cross-validation sweep.  A stacked PointM is
-the one container of many points, and the operations on one point
-refuse it; on a stack of no points the stack operations return arrays
-whose stack axis has length 0."""
+Jacobiator routes, the cross-validation sweep and every public
+per-point operation.  A stacked PointM is the one container of many
+points; the four operations that take one point refuse it, and on a
+stack of no points the others return arrays whose stack axis has
+length 0."""
 
+import inspect
+from operator import attrgetter
 from types import SimpleNamespace
 
 import numpy as np
@@ -38,7 +41,8 @@ from nhk._linalg import (
     pk_transpose,
 )
 from nhk._rng import Lcg64
-from nhk.errors import LoadError, NhkError, ParameterError
+from nhk.errors import (LoadError, NhkError, ParameterError,
+                        UnsupportedOperationError)
 from nhk.jacobiator import (_global_tensor, _km_point_data, _km_value,
                             _trivector_brute)
 from nhk.manifold import _c_basis, _inv, _sample_q, _splitting
@@ -435,28 +439,14 @@ def _three(s):
     return sample_points(s, 3, seed=61)
 
 
-# the public operations on one point, each applied to a 3-point stack
+# the public operations that take one point, each applied to a 3-point
+# stack: the Hamiltonian and the field share their core with every RK4
+# stage, integrate would need a truncation per member, and the coframe's
+# names depend on the point
 ONE_POINT_ONLY = {
     "hamiltonian_M": lambda s, p: nhk.hamiltonian_M(s, p),
     "nh_vector_field": lambda s, p: nhk.nh_vector_field(s, p),
-    "omega_M": lambda s, p: nhk.omega_M(s, p),
-    "embed": lambda s, p: nhk.embed(s, p),
-    "splitting_at": lambda s, p: nhk.splitting_at(s, p),
-    "jacobiator_bruteforce": lambda s, p: nhk.jacobiator_bruteforce(
-        s, p, (0, 1, 2)),
-    "jacobiator_km": lambda s, p: nhk.jacobiator_km(s, p, (0, 1, 2)),
-    "jacobiator_global": lambda s, p: nhk.jacobiator_global(
-        s, p, *np.eye(s.dimM)[:3]),
-    "BivectorAtPoint.pairing": lambda s, p: nhk.nh_bivector(s, p).pairing(
-        *np.eye(s.dimM)[:2]),
-    "CurvatureAtPoint.pair": lambda s, p: nhk.curvature_coeffs(s, p).pair(
-        *np.eye(s.dimM)[:2]),
-    "curvature_KW_M": lambda s, p: nhk.curvature_KW_M(
-        s, p, *np.eye(s.dimM)[:2]),
-    "curvature_KW_Q": lambda s, p: nhk.curvature_KW_Q(
-        s, p.q, *np.eye(s.n)[:2]),
     "adapted_coframe": lambda s, p: nhk.adapted_coframe(s, p.q),
-    "adapted_data": lambda s, p: nhk.adapted_data(s, p.q),
     "integrate": lambda s, p: integrate(s, p, 0.01, 2),
 }
 
@@ -465,19 +455,15 @@ ONE_POINT_ONLY = {
 @pytest.mark.parametrize("op", list(ONE_POINT_ONLY))
 def test_a_one_point_operation_refuses_a_stack(request, name, op):
     s = request.getfixturevalue(name)
-    if op == "adapted_data" and s.adapted is None:
-        pytest.skip("adapted_data needs an adapted declaration")
     stacks = [_three(s)]
     # a last member outside the declared domain, or given as coordinates
-    # with a NaN: the stack is refused before any point is evaluated (a
-    # method reads a stack operation's result, which refuses that member
-    # itself)
-    if s.domain and "." not in op:
+    # with a NaN: the stack is refused before any point is evaluated
+    if s.domain:
         q = _three(s).q.copy()
         coord, (_, hi) = next(iter(s.domain.items()))
         q[-1, s.coord_names.index(coord)] = hi + 1.0
         stacks.append(PointM(q, _three(s).ptilde))
-    if op in ("curvature_KW_Q", "adapted_coframe", "adapted_data"):
+    if op == "adapted_coframe":
         q = _three(s).q.copy()
         q[-1, 0] = np.nan
         stacks.append(SimpleNamespace(q=q))
@@ -487,7 +473,12 @@ def test_a_one_point_operation_refuses_a_stack(request, name, op):
             ONE_POINT_ONLY[op](s, stack)
 
 
-# the public operations that take a stack: their arrays lead with it
+def _covectors(s, count):
+    return np.random.default_rng(s.dimM).standard_normal((count, s.dimM))
+
+
+# the public operations that take a stack, each reduced to its arrays:
+# they lead with the stack axis
 STACK_OPS = {
     "base_at": lambda s, p: base_at(s, p, 1).X.val,
     "check_domain": lambda s, p: s.check_domain(p.q),
@@ -500,20 +491,71 @@ STACK_OPS = {
     "pick_default_W": lambda s, p: nhk.pick_default_W(s, p.q),
     "nh_bivector(order=1)": lambda s, p: nhk.nh_bivector(s, p, order=1).d1,
     "jacobiator_tensor(km)": lambda s, p: jacobiator_tensor(s, p, "km"),
+    "omega_M": lambda s, p: attrgetter("mat", "d1", "restricted_abs_det")(
+        nhk.omega_M(s, p, order=1)),
+    "embed": lambda s, p: nhk.embed(s, p),
+    "splitting_at": lambda s, p: attrgetter("C_basis", "W_basis", "P_C",
+                                            "P_W")(nhk.splitting_at(s, p)),
+    "jacobiator_bruteforce": lambda s, p: nhk.jacobiator_bruteforce(
+        s, p, (0, s.dimM - 2, s.dimM - 1)),
+    "jacobiator_km": lambda s, p: nhk.jacobiator_km(
+        s, p, (0, s.dimM - 2, s.dimM - 1)),
+    "jacobiator_global": lambda s, p: nhk.jacobiator_global(
+        s, p, *_covectors(s, 3)),
+    "BivectorAtPoint.pairing": lambda s, p: nhk.nh_bivector(s, p).pairing(
+        *_covectors(s, 2)),
+    "CurvatureAtPoint.pair": lambda s, p: nhk.curvature_coeffs(s, p).pair(
+        *_covectors(s, 2)),
+    "curvature_KW_M": lambda s, p: nhk.curvature_KW_M(
+        s, p, *_covectors(s, 2)),
+    "curvature_KW_Q": lambda s, p: nhk.curvature_KW_Q(
+        s, p.q, *_covectors(s, 2)[:, :s.n]),
+    "adapted_data": lambda s, p: attrgetter("A.val", "A.d1", "A.d2", "C",
+                                            "Kcoef")(nhk.adapted_data(s, p.q)),
 }
+
+
+def _arrays(out):
+    return out if isinstance(out, tuple) else (out,)
 
 
 @pytest.mark.parametrize("name", ["snakeboard", "particle"])
 @pytest.mark.parametrize("op", list(STACK_OPS))
 def test_a_stack_operation_takes_a_stack(request, name, op):
     s = request.getfixturevalue(name)
-    if op == "jacobiator_tensor(km)" and s.adapted is None:
-        pytest.skip("the km route needs an adapted declaration")
-    stack = _three(s)
-    out = STACK_OPS[op](s, stack)
-    assert len(out) == 3
-    one = STACK_OPS[op](s, stack[1])
-    assert np.array_equal(out[1], one)
+    if s.adapted is None and op in ("jacobiator_tensor(km)", "jacobiator_km",
+                                    "adapted_data"):
+        # refused on a stack as on one point
+        for p in (_three(s), _three(s)[1]):
+            with pytest.raises(UnsupportedOperationError):
+                STACK_OPS[op](s, p)
+        return
+    for size in (1, 2, 7, 70):
+        stack = sample_points(s, size, seed=61)
+        out = _arrays(STACK_OPS[op](s, stack))
+        for i, p in enumerate(stack):
+            one = _arrays(STACK_OPS[op](s, p))
+            for got, want in zip(out, one, strict=True):
+                assert got.shape == (size,) + np.shape(want), (size, i)
+                assert np.array_equal(got[i], want), (size, i)
+    # a lone scalar is a numpy float64 (a float), not a 0-d array
+    assert all(np.ndim(a) > 0 or type(a) is np.float64 for a in one)
     # a stack of no points: a leading axis of length 0
-    assert STACK_OPS[op](s, sample_points(s, 0, seed=61)).shape == \
-        (0,) + one.shape
+    empty = _arrays(STACK_OPS[op](s, sample_points(s, 0, seed=61)))
+    assert [a.shape for a in empty] == [(0,) + np.shape(a) for a in one]
+
+
+def test_every_point_operation_follows_the_point_rule():
+    # each public function of (system, p | q | init, ...) takes a stack or
+    # refuses one, and is listed as doing so: a new one cannot skip the rule
+    def names(ops):
+        return {key.split("(")[0] for key in ops}
+
+    ops = [name for name in nhk.__all__
+           if inspect.isfunction(getattr(nhk, name))
+           and list(inspect.signature(getattr(nhk, name)).parameters)[:2]
+           in (["system", "p"], ["system", "q"], ["system", "init"])]
+    assert len(ops) >= 19
+    for name in ops:
+        assert (name in names(ONE_POINT_ONLY)) != (name in names(STACK_OPS)), \
+            name
