@@ -24,11 +24,12 @@ Two independent constructions live here:
   packed arithmetic whose derivatives run along the chart variables.
   At order 1 the result carries them as an array beside the matrix.
   The brute-force Jacobiator route differentiates it.
-* ``chart_tensors`` -- the closed block form and its chart-direction
-  derivatives assembled with numpy; the global Jacobiator route reads
-  it.
+* ``chart_tensors`` -- the closed block form at a point, assembled
+  with numpy; the global Jacobiator route reads it.
 
-The two are pinned against each other in the test suite.
+The two are pinned against each other in the test suite.  Each
+derivative has one construction: dPi is ``nh_bivector``'s d1 at order
+1, and dOmega is ``omega_M``'s.
 
 Dynamics: the Hamiltonian is H = (1/2) ptilde . kD^{-1} ptilde + U with
 kD the D-frame Gram matrix of the kinetic metric, and the evolution
@@ -66,8 +67,8 @@ class BivectorAtPoint:
 
     mat holds the float matrix of the sharp map -- components of
     pi#(alpha) are mat @ alpha.  At order 1, d1[l] is its derivative
-    along chart variable l, laid out as ``ChartTensors.dPi``; at order 0,
-    d1 is None."""
+    along chart variable l (q first, then the momenta), so that
+    d1[l, i, j] = d_l mat[i, j]; at order 0, d1 is None."""
     mat: np.ndarray
     d1: np.ndarray | None
     order: int
@@ -90,64 +91,38 @@ class BivectorAtPoint:
 
 @dataclass(frozen=True)
 class ChartTensors:
-    """Packed chart-basis tensors at a point (fast numpy route).
-
-    Derivative arrays carry the chart direction in axis 0; q-directions
-    first, then the momenta."""
-    system: NonholonomicSystem
-    point: PointM
-    bd: BaseData
-    order: int
+    """The closed block form at a point (fast numpy route): E, the
+    base block S = X^T E X, Omega_M and the sharp matrix Pi, each
+    leading with the point's stack axis, if it has one."""
     E: np.ndarray
     S: np.ndarray
     Omega: np.ndarray
     Pi: np.ndarray
-    dOmega: np.ndarray | None
-    dPi: np.ndarray | None
 
 
-def chart_tensors(system: NonholonomicSystem, p: PointM,
-                  order: int = 1) -> ChartTensors:
-    """Assemble Omega_M, the sharp matrix Pi, and (order >= 1) their
-    chart-direction derivatives from the packed base pipeline."""
-    order = check_integer("order", order, 0, 2)
-    return _chart_tensors(system, p, base_at(system, p, order + 1), order)
+def chart_tensors(system: NonholonomicSystem, p: PointM) -> ChartTensors:
+    """Assemble Omega_M and the sharp matrix Pi in closed block form.
+    Their chart-direction derivatives are ``omega_M``'s and
+    ``nh_bivector``'s at order 1."""
+    return _chart_tensors(system, p, base_at(system, p, 1))
 
 
-def _chart_tensors(system: NonholonomicSystem, p: PointM, bd: BaseData,
-                   order: int) -> ChartTensors:
-    """chart_tensors from base data ``bd`` at p.q of order at least
-    order + 1.  p and bd may carry the same leading stack axis, and so
-    does every array of the result."""
+def _chart_tensors(system: NonholonomicSystem, p: PointM,
+                   bd: BaseData) -> ChartTensors:
+    """chart_tensors from base data ``bd`` at p.q of order at least 1.
+    p and bd may carry the same leading stack axis, and so does every
+    array of the result."""
     n = system.n
-    dim = system.dimM
-    lead = bd.q.shape[:-1]
     Xv = bd.X.val
     XvT = Xv.swapaxes(-1, -2)
-    E, dE_q, dE_p, Omega, dOmega = _omega_arrays(system, p.ptilde, bd, order)
+    E, Omega, _ = _omega_arrays(system, p.ptilde, bd, 0)
     S = XvT @ E @ Xv
 
-    Pi = np.zeros(lead + (dim, dim))
+    Pi = np.zeros(Omega.shape)
     Pi[..., :n, n:] = -Xv
     Pi[..., n:, :n] = XvT
     Pi[..., n:, n:] = S
-
-    dPi = None
-    if order >= 1:
-        dX = bd.X.d1
-        dS_q = (np.einsum("...lji,...jk,...km->...lim", dX, E, Xv)
-                + np.einsum("...ji,...ljk,...km->...lim", Xv, dE_q, Xv)
-                + np.einsum("...ji,...jk,...lkm->...lim", Xv, E, dX))
-        dS_p = np.einsum("...ji,...ajk,...km->...aim", Xv, dE_p, Xv)
-
-        dPi = np.zeros(lead + (dim, dim, dim))
-        dPi[..., :n, :n, n:] = -dX
-        dPi[..., :n, n:, :n] = dX.swapaxes(-1, -2)
-        dPi[..., :n, n:, n:] = dS_q
-        dPi[..., n:, n:, n:] = dS_p
-    return ChartTensors(system=system, point=p, bd=bd, order=order,
-                        E=E, S=S, Omega=Omega, Pi=Pi,
-                        dOmega=dOmega, dPi=dPi)
+    return ChartTensors(E=E, S=S, Omega=Omega, Pi=Pi)
 
 
 def _bivector_packed(system: NonholonomicSystem, p: PointM, bd: BaseData,
@@ -196,17 +171,21 @@ def _energy(system: NonholonomicSystem, q, pt, bd: BaseData):
     """H and its differential at (q, ptilde), from base data ``bd`` at q
     of order at least 1: returns (H, U, dH_q, v), where v = kD^{-1}
     ptilde is both dH_ptilde and the D-frame velocity.  A non-finite H
-    or dH raises EvalError."""
+    or dH raises EvalError, and so does numpy's overflow warning where
+    warnings are errors (as in ``jacobiator._route_tensor``)."""
     uval, ugrad, _ = get_compiled(system).potential.evaluate(q, 1)
-    vel = bd.kD_inv.val @ pt
-    value = 0.5 * float(pt @ vel) + uval
-    dHq = 0.5 * np.einsum("a,lab,b->l", pt, bd.kD_inv.d1, pt) + ugrad
-    # v needs no check: a non-finite entry makes pt . v non-finite
-    if not math.isfinite(value) or \
-            np.count_nonzero(np.isfinite(dHq)) < len(dHq):
-        raise EvalError("the Hamiltonian or its differential has no "
-                        "finite value")
-    return value, uval, dHq, vel
+    try:
+        vel = bd.kD_inv.val @ pt
+        value = 0.5 * float(pt @ vel) + uval
+        dHq = 0.5 * np.einsum("a,lab,b->l", pt, bd.kD_inv.d1, pt) + ugrad
+        # v needs no check: a non-finite entry makes pt . v non-finite
+        if math.isfinite(value) and \
+                np.count_nonzero(np.isfinite(dHq)) == len(dHq):
+            return value, uval, dHq, vel
+    except RuntimeWarning:
+        pass
+    raise EvalError("the Hamiltonian or its differential has no finite "
+                    "value")
 
 
 def _field(bd: BaseData, pt, dHq, vel):

@@ -119,7 +119,7 @@ def _global_tensor(system: NonholonomicSystem, p: PointM, bd: BaseData,
     as ``complement_at`` builds it), each of order at least 1 (p, bd and
     Z may be stacked alike; the tensor then leads with the stack axis).
     The value does not depend on the complement."""
-    ct = _chart_tensors(system, p, bd, 0)
+    ct = _chart_tensors(system, p, bd)
     cv = _curvature_coeffs(system, bd, Z, lift)
     Pi, Om = ct.Pi, ct.Omega
     d, k = system.dimM, system.k

@@ -149,8 +149,8 @@ class TwoFormAtPoint:
     """Matrix of a 2-form on M in the chart basis {dq^i, dptilde_alpha}.
 
     mat is the float matrix.  At order 1, d1[l] is its derivative along
-    chart variable l (q first, then the momenta), laid out as
-    ``ChartTensors.dOmega``; at order 0, d1 is None.  restricted_abs_det
+    chart variable l (q first, then the momenta), so that
+    d1[l, i, j] = d_l mat[i, j]; at order 0, d1 is None.  restricted_abs_det
     is |det| of the restriction to C in the C-basis (nondegeneracy
     certificate).
     """
@@ -744,12 +744,14 @@ def embed(system: NonholonomicSystem, p: PointM) -> np.ndarray:
     """Canonical momenta p_i on T*Q of the point (q, ptilde):
     p = ptilde_alpha mu^alpha, the metric image kappa-flat(v) of the
     velocity v in D with X-momenta ptilde.  Internally cross-checked
-    against the elimination through the complement (_eliminated_mu)."""
+    against the elimination through the complement (_eliminated_mu),
+    relative to max(1, max|p|) at each point, as the rounding of p
+    grows with the momenta."""
     bd = base_at(system, p, order=0)
     pt = p.ptilde[..., None, :]
     pi = pt @ bd.mu.val
     err = _max_dev(pi, pt @ _eliminated_mu(system, bd))
-    i = _first(err > DUALITY_TOL)
+    i = _first(err > DUALITY_TOL * np.maximum(1.0, _max_dev(pi)))
     if i is not None:
         raise GeometryError(f"embedding routes disagree by "
                             f"{err.reshape(-1)[i]:.3e} (internal invariant)")
@@ -759,11 +761,10 @@ def embed(system: NonholonomicSystem, p: PointM) -> np.ndarray:
 def _omega_arrays(system: NonholonomicSystem, pt, bd: BaseData,
                   order: int):
     """Omega_M at momenta pt over bd.q in the chart basis, with its parts:
-    returns (E, dE_q, dE_p, Omega, dOmega).  E is the momentum-weighted
+    returns (E, Omega, dOmega).  E is the momentum-weighted
     antisymmetrized derivative of mu (the q-q block of Omega).  At order
-    1, dE_q and dE_p are E's derivatives along q and along the momenta,
-    and dOmega is Omega's along the chart directions, q first; else they
-    are None.  ``bd`` has order at least order + 1; pt and bd may carry
+    1, dOmega is Omega's derivative along the chart directions, q first;
+    else it is None.  ``bd`` has order at least order + 1; pt and bd may carry
     the same leading stack axis.  No checks."""
     n = system.n
     dim = system.dimM
@@ -775,7 +776,7 @@ def _omega_arrays(system: NonholonomicSystem, pt, bd: BaseData,
     Omega[..., :n, :n] = E
     Omega[..., :n, n:] = bd.mu.val.swapaxes(-1, -2)
     Omega[..., n:, :n] = -bd.mu.val
-    dE_q = dE_p = dOmega = None
+    dOmega = None
     if order >= 1:
         d2Mu = bd.mu.d2                 # (..., n, n, nk, n)
         dE_q = np.einsum("...a,...ljai->...lij", pt, d2Mu)
@@ -787,7 +788,7 @@ def _omega_arrays(system: NonholonomicSystem, pt, bd: BaseData,
         dOmega[..., n:, :n, :n] = dE_p
         dOmega[..., :n, :n, n:] = dMu.swapaxes(-1, -2)
         dOmega[..., :n, n:, :n] = -dMu
-    return E, dE_q, dE_p, Omega, dOmega
+    return E, Omega, dOmega
 
 
 def _c_basis(system: NonholonomicSystem, bd: BaseData, order: int) -> Packed:
@@ -868,7 +869,7 @@ def _omega_packed(system: NonholonomicSystem, p: PointM, bd: BaseData,
     Returns (Omega, C, G, |det G|): the matrix, the C basis (``_c_basis``)
     and the restricted Gram matrix G = C^T Omega C, each to that order,
     and |det G|, which must exceed NONDEG_TOL at every point."""
-    _, _, _, val, d1 = _omega_arrays(system, p.ptilde, bd, order)
+    _, val, d1 = _omega_arrays(system, p.ptilde, bd, order)
     Om = Packed(val, d1)
     C = _c_basis(system, bd, order)
     G = pk_matmul(pk_matmul(pk_transpose(C), Om), C)

@@ -114,7 +114,7 @@ def test_criterion_3_snakeboard_hamiltonian_fields(capsys):
     want_psi = np.eye(8)[5]  # d/dptilde_psi
     worst = 0.0
     for p in sample_points(sb, 20, seed=43):
-        Pi = chart_tensors(sb, p, order=0).Pi
+        Pi = chart_tensors(sb, p).Pi
         worst = max(worst, np.max(np.abs(Pi @ e_psi - want_psi)))
         bd = base_at(sb, p.q, order=0)
         for a in range(sb.k):
@@ -278,7 +278,7 @@ def test_criterion_7_reduced_snakeboard(capsys):
         # to the same reduced tensors
         group = rng.normal(size=3)
         q_full = np.array([*group, psi, phi])
-        Pi = chart_tensors(sb, PointM(q_full, pt), order=0).Pi
+        Pi = chart_tensors(sb, PointM(q_full, pt)).Pi
         worst_rep = max(worst_rep, np.max(np.abs(Pi[idx] - mat)))
     ok = (worst_sharp < 1e-10 and worst_jac_rel < 1e-9
           and worst_rest < 1e-10 and worst_rep < 1e-10)

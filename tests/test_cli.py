@@ -453,7 +453,14 @@ def test_eval_of_arithmetic_beyond_the_float_range_is_an_eval_error():
     (["jacobiator", "--system", "nh_particle", "--triple", "x,y,z",
       "--point", "ptilde_x=1e308"],
      "the bruteforce route has a non-finite value"),
-], ids=["eval-cube", "eval-exp", "jacobiator"])
+    (["simulate", "--system", "nh_particle", "--init", "ptilde_x=1e155",
+      "--dt", "0.01", "--steps", "3"],
+     "the Hamiltonian or its differential has no finite value"),
+    (["simulate", "--system", "nh_particle", "--init", "ptilde_x=1e200",
+      "--dt", "0.01", "--steps", "3"],
+     "the Hamiltonian or its differential has no finite value"),
+], ids=["eval-cube", "eval-exp", "jacobiator", "simulate-1e155",
+        "simulate-1e200"])
 def test_a_derivative_beyond_the_float_range_is_an_eval_error(argv, message):
     # exit 3 with the error payload, not exit 1 with a traceback, whether
     # numpy's overflow warning is an error (as in this suite) or not, when

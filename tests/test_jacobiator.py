@@ -49,7 +49,8 @@ from nhk.curvature import _curvature_coeffs
 from nhk.errors import (EvalError, NhkError, ParameterError,
                         UnsupportedOperationError)
 from nhk.jet import NONFINITE
-from nhk.jacobiator import _global_tensor, _km_point_data, _trivector_brute
+from nhk.jacobiator import (_global_tensor, _km_point_data, _km_value,
+                            _trivector_brute)
 from nhk.systems import _perm_sign, snakeboard_expected
 
 from expr_corpus import nested_system
@@ -71,28 +72,49 @@ def test_bruteforce_and_global_tensors_agree(system):
         np.testing.assert_allclose(tg, tb, atol=1e-9 * scale)
 
 
+def _q_dependent_shift(bd, Cs):
+    """X C(q) as a Packed matrix of order 1, for C(q) = C_0 + sum_l q_l
+    C_l + 0.3 sum_l q_l^2 C_l with Cs = (C_0, C_1, ..., C_n): its exact
+    q-derivative is X_l C + X (1 + 0.6 q_l) C_l."""
+    q, X = bd.q, bd.X
+    C = Cs[0] + np.einsum("l,lab->ab", q + 0.3 * q ** 2, Cs[1:])
+    dC = (1 + 0.6 * q)[:, None, None] * Cs[1:]
+    return Packed(X.val @ C, X.d1 @ C + X.val @ dC)
+
+
 def test_the_global_route_does_not_depend_on_the_complement(system):
-    # a second complement Z' = Z + X C, C a constant (n-k) x k matrix:
-    # eps(Z') = 1 still, and its curvature K_W' differs from K_W, yet the
-    # curvature formula gives the brute-force route's Jacobiator
+    # a second complement Z' = Z + X C, C a constant (n-k) x k matrix,
+    # and a third, Z'' = Z + X C(q) with C(q) varying in q: eps(Z') = 1
+    # still, and its curvature K_W' differs from K_W, yet the curvature
+    # formula gives the brute-force route's Jacobiator, and the km
+    # route's where it applies
     n, k = system.n, system.k
     C = pk_const(np.random.default_rng(4).normal(size=(n - k, k)), n, 1)
+    Cs = np.random.default_rng(5).normal(size=(n + 1, n - k, k))
     for p in sample_points(system, 8, seed=4):
         bd = base_at(system, p.q, order=2)
         Z, _ = complement_at(system, bd, 1)
-        Zp = pk_add(Z, pk_matmul(Packed(bd.X.val, bd.X.d1), C))
-        assert np.abs(bd.eps.val @ Zp.val - np.eye(k)).max(initial=0.0) \
-            <= 1e-14
+        XC = _q_dependent_shift(bd, Cs)
         T = _trivector_brute(system, p, bd)
-        assert np.abs(_global_tensor(system, p, bd, Zp) - T).max() <= \
-            1e-14 * max(1.0, np.abs(T).max())
-        K, Kp = (_curvature_coeffs(system, bd, z).coeffs for z in (Z, Zp))
-        if k == 0 or system.name == "holonomic":
-            # no complement, or an integrable D: K_W = 0 for every W
-            assert np.abs(K).max(initial=0.0) <= 1e-12
-            assert np.abs(Kp).max(initial=0.0) <= 1e-12
-        else:
-            assert np.abs(Kp - K).max() > 0.1
+        scale = max(1.0, np.abs(T).max())
+        K = _curvature_coeffs(system, bd, Z).coeffs
+        for Zp, tol in ((pk_add(Z, pk_matmul(Packed(bd.X.val, bd.X.d1), C)),
+                         1e-14),
+                        (Packed(Z.val + XC.val, Z.d1 + XC.d1), 1e-13)):
+            assert np.abs(bd.eps.val @ Zp.val - np.eye(k)).max(initial=0.0) \
+                <= 1e-14
+            G = _global_tensor(system, p, bd, Zp)
+            assert np.abs(G - T).max() <= tol * scale
+            if system.adapted is not None:
+                km = _km_value(_km_point_data(system, p, bd))
+                assert np.abs(km - G).max() <= tol * scale
+            Kp = _curvature_coeffs(system, bd, Zp).coeffs
+            if k == 0 or system.name == "holonomic":
+                # no complement, or an integrable D: K_W = 0 for every W
+                assert np.abs(K).max(initial=0.0) <= 1e-12
+                assert np.abs(Kp).max(initial=0.0) <= 1e-12
+            else:
+                assert np.abs(Kp - K).max() > 0.1
 
 
 def test_bruteforce_route_makes_no_scalar_jet_calls(request, monkeypatch):
@@ -393,6 +415,57 @@ def test_bruteforce_meets_the_closed_form_near_the_snakeboard_pole(
     expected = snakeboard_expected("jac_ppsi", p)
     # (ptilde_phi, ptilde_S, dpsi): dpsi is chi^psi on the snakeboard
     assert abs(T[6, 7, 3] - expected) <= 1e-15 * abs(expected)
+
+
+def _cy_system(c):
+    """nh_particle's geometry with the constraint dz = c y dx."""
+    return load_system({
+        "name": "cy", "coords": ["x", "y", "z"], "constraints_rank": 1,
+        "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+        "potential": "0", "constraint_forms": [[f"-{c!r}*y", "0", "1"]],
+        "adapted": {"s_indices": [2]}, "domain": {"x": [-1, 1]}})
+
+
+def _cy_oracle(c, p):
+    """Closed-form (Pi, dPi, T) of the -c*y family at p, in w = c y, so
+    that every entry keeps its relative accuracy at any c.  The frame is
+    X_1 = d/dx + w d/dz, X_2 = d/dy, and the momentum block of Pi is
+    [[0, -g], [g, 0]] with g = c w ptilde_1 / (1 + w^2)."""
+    w, p1 = c * p.q[1], p.ptilde[0]
+    g = c * w * p1 / (1 + w * w)
+    Pi = np.zeros((5, 5))
+    Pi[0, 3] = Pi[1, 4] = -1.0
+    Pi[3, 0] = Pi[4, 1] = 1.0
+    Pi[2, 3], Pi[3, 2] = -w, w
+    Pi[3, 4], Pi[4, 3] = -g, g
+    # only y (index 1) and ptilde_1 (index 3) move Pi
+    g_y = c * c * p1 * (1 - w * w) / (1 + w * w) ** 2
+    g_p = c * w / (1 + w * w)
+    dPi = np.zeros((5, 5, 5))
+    dPi[1, 2, 3], dPi[1, 3, 2] = -c, c
+    dPi[1, 3, 4], dPi[1, 4, 3] = -g_y, g_y
+    dPi[3, 3, 4], dPi[3, 4, 3] = -g_p, g_p
+    # T[i, j, k] = sum_cyc sum_l Pi[l, i] d_l Pi[k, j]
+    T = np.einsum("li,lkj->ijk", Pi, dPi)
+    return Pi, dPi, T + T.transpose(1, 2, 0) + T.transpose(2, 0, 1)
+
+
+def test_every_route_meets_the_closed_form_of_the_cy_family():
+    # at c = 1 each route met the oracle exactly (0 at 4 points), the
+    # bivector and its derivative to 4.4e-16; the bounds allow a few
+    # units of rounding.  At large c the routes lose accuracy, which
+    # this test does not pin until it is fixed
+    u = np.finfo(float).eps
+    s = _cy_system(1.0)
+    for p in sample_points(s, 4, seed=1):
+        Pi, dPi, T = _cy_oracle(1.0, p)
+        biv = nh_bivector(s, p, order=1)
+        for got, want in ((biv.mat, Pi), (biv.d1, dPi),
+                          (chart_tensors(s, p).Pi, Pi)):
+            assert np.abs(got - want).max() <= 4 * u
+        for m in ("bruteforce", "global", "km"):
+            assert np.abs(jacobiator_tensor(s, p, m) - T).max() \
+                <= 4 * u * max(1.0, np.abs(T).max()), m
 
 
 def test_snakeboard_all_other_adapted_triples_vanish(snakeboard):

@@ -9,6 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
+import nhk.manifold
+
 from nhk import (
     NonholonomicSystem,
     PointM,
@@ -241,9 +243,9 @@ def test_base_at_refuses_an_overflowing_complement_gram(kernel_path):
         with pytest.raises(EvalError) as err:
             complement_at(s, bd, order)
         assert str(err.value) == NONFINITE
+    chart_tensors(s, p)
     for order in (0, 1):
         nh_bivector(s, p, order)
-        chart_tensors(s, p, order)
         omega_M(s, p, order)
     jacobiator_tensor(s, p, "bruteforce")
     assert integrate(s, p, 0.01, 3).completed
@@ -570,6 +572,37 @@ def test_embedding_two_routes_agree_externally(system):
         route_flat = bd.kappa.val @ (bd.X.val @ (bd.kD_inv.val @ pt.ptilde))
         np.testing.assert_allclose(route_mu, route_flat, atol=1e-10)
         np.testing.assert_allclose(embed(system, pt), route_mu, atol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e7, 1e8, 1e12, 1e100])
+def test_embedding_at_large_momenta(snakeboard, disk, scale):
+    # the routes' rounding grows with p: the check is relative to
+    # max(1, max|p|), so large momenta are no false failure
+    for s in (snakeboard, disk):
+        q = sample_points(s, 1, 3)[0].q
+        pt = np.linspace(0.3, 1.0, s.n - s.k) * scale
+        got = embed(s, PointM(q, pt))
+        ref = base_at(s, q, order=0).mu.val.T @ pt
+        np.testing.assert_allclose(got, ref, rtol=1e-14,
+                                   atol=1e-14 * np.abs(ref).max())
+
+
+def test_embedding_refuses_a_relative_gap(snakeboard, monkeypatch):
+    # a gap of f |p| between the routes, |p| > 1: refused for f above
+    # DUALITY_TOL at every scale of the momenta, accepted below it
+    real = nhk.manifold._eliminated_mu
+    q = sample_points(snakeboard, 1, 3)[0].q
+    for f, refused in ((2e-10, True), (5e-11, False)):
+        monkeypatch.setattr(nhk.manifold, "_eliminated_mu",
+                            lambda *args: real(*args) * (1 + f))
+        for scale in (1e2, 1e7, 1e100):
+            p = PointM(q, np.linspace(0.3, 1.0, 3) * scale)
+            if refused:
+                with pytest.raises(GeometryError,
+                                   match="embedding routes disagree"):
+                    embed(snakeboard, p)
+            else:
+                embed(snakeboard, p)
 
 
 def test_embedding_is_linear_in_momenta(particle):

@@ -4,6 +4,7 @@ closed-form trajectory, domain-exit truncation, failure handling, and
 the CSV export."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ def test_rhs_is_the_nonholonomic_vector_field(system):
     # shares no code with the componentwise field behind _rhs
     for p in sample_points(system, 10, seed=77):
         du, h, eps = _rhs(system, np.concatenate([p.q, p.ptilde]))
-        Pi = chart_tensors(system, p, order=0).Pi
+        Pi = chart_tensors(system, p).Pi
         np.testing.assert_allclose(du, -Pi @ hamiltonian_M(system, p)[1],
                                    rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(du, nh_vector_field(system, p))
@@ -85,7 +86,7 @@ def test_an_rk4_stage_evaluates_no_complement(system, monkeypatch):
     free = [lambda order=order: base_at(system, p.q, order)
             for order in (0, 1, 2)]
     free += [lambda: nh_bivector(system, p, 1),
-             lambda: chart_tensors(system, p, 1),
+             lambda: chart_tensors(system, p),
              lambda: omega_M(system, p, 1),
              lambda: jacobiator_tensor(system, p, "bruteforce"),
              lambda: integrate(system, p, 0.01, 3)]
@@ -185,6 +186,37 @@ def test_particle_run_matches_its_closed_form():
         assert coarse / fine == pytest.approx(16.0, rel=0.2)
 
 
+def test_rolling_disk_run_matches_its_closed_form():
+    # on the vertical disk ptilde is constant, and so are
+    # phidot = ptilde_phi / (Iphi + m R^2) and thetadot = ptilde_theta /
+    # Itheta: (x, y) runs on a circle of radius R phidot / thetadot.
+    # RK4's error at t = 1 falls by 2^4 = 16 per halving of dt (at dt =
+    # 0.0025 it reaches the rounding floor, 2.5e-14)
+    prm = builtin_definition("rolling_disk")["params"]
+    x0, y0, phi0, th0 = 0.3, -0.2, 0.1, 0.4
+    pt = [0.9, 0.35]
+    phidot = pt[0] / (prm["Iphi"] + prm["m"] * prm["R"] ** 2)
+    thdot = pt[1] / prm["Itheta"]
+    radius = prm["R"] * phidot / thdot
+
+    def exact(t):
+        th = th0 + thdot * t
+        return [x0 + radius * (math.sin(th) - math.sin(th0)),
+                y0 - radius * (math.cos(th) - math.cos(th0)),
+                phi0 + phidot * t, th, pt[0], pt[1]]
+
+    errors = []
+    for dt, bound in ((0.04, 2.5e-9), (0.02, 1.6e-10), (0.01, 1e-11),
+                      (0.005, 6.2e-13)):
+        tr = integrate(nhk.builtin("rolling_disk"),
+                       PointM([x0, y0, phi0, th0], pt), dt, round(1 / dt))
+        assert tr.completed and tr.times[-1] == pytest.approx(1.0)
+        errors.append(np.abs(tr.states_array()[-1] - exact(tr.times[-1])).max())
+        assert errors[-1] <= bound, dt
+    for coarse, fine in zip(errors, errors[1:]):
+        assert coarse / fine == pytest.approx(16.0, rel=0.1)
+
+
 # -------------------------------------------------------- domain truncation
 
 
@@ -261,14 +293,18 @@ def test_an_overflowing_hamiltonian_ends_the_trajectory():
 
 
 def test_a_non_finite_initial_hamiltonian_is_an_eval_error(particle):
+    # numpy warns of the overflow in H: the same EvalError whether that
+    # warning is an error (as in this suite) or ignored
     p = PointM([0.0, 0.0, 0.0], [1e200, 0.0])
-    with np.errstate(all="ignore"):
-        with pytest.raises(EvalError, match="the Hamiltonian or its "
-                                            "differential has no finite"):
-            integrate(particle, p, dt=1.0, steps=2)
-        with pytest.raises(EvalError, match="the Hamiltonian or its "
-                                            "differential has no finite"):
-            hamiltonian_M(particle, p)
+    for action in ("error", "ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action, RuntimeWarning)
+            for op in (lambda: integrate(particle, p, dt=1.0, steps=2),
+                       lambda: hamiltonian_M(particle, p),
+                       lambda: nh_vector_field(particle, p)):
+                with pytest.raises(EvalError, match="the Hamiltonian or its "
+                                   "differential has no finite"):
+                    op()
 
 
 def test_initial_point_must_be_valid(snakeboard):

@@ -252,7 +252,7 @@ def test_reduced_sharp_matches_full_model(snakeboard):
     for group in ([0.0, 0.0, 0.0], [1.3, -0.7, 0.9]):
         q = np.array(group + [0.3, 0.25])
         pt = np.array([0.7, -0.2, 1.1])
-        full = chart_tensors(snakeboard, PointM(q, pt), order=0).Pi
+        full = chart_tensors(snakeboard, PointM(q, pt)).Pi
         block = full[np.ix_(idx, idx)]
         p_red = [0.3, 0.25, 0.7, -0.2, 1.1]
         red = np.column_stack([
@@ -265,9 +265,9 @@ def test_reduced_sharp_independent_of_group_variables(snakeboard):
     idx = list(SNAKEBOARD_REDUCED_CHART_INDICES)
     pt = np.array([0.7, -0.2, 1.1])
     a = chart_tensors(snakeboard,
-                      PointM([0.0, 0.0, 0.0, 0.3, 0.25], pt), order=0)
+                      PointM([0.0, 0.0, 0.0, 0.3, 0.25], pt))
     b = chart_tensors(snakeboard,
-                      PointM([1.3, -0.7, 0.9, 0.3, 0.25], pt), order=0)
+                      PointM([1.3, -0.7, 0.9, 0.3, 0.25], pt))
     np.testing.assert_allclose(a.Pi[np.ix_(idx, idx)],
                                b.Pi[np.ix_(idx, idx)], atol=1e-12)
 
