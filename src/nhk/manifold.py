@@ -150,9 +150,9 @@ class TwoFormAtPoint:
 
     mat is the float matrix.  At order 1, d1[l] is its derivative along
     chart variable l (q first, then the momenta), so that
-    d1[l, i, j] = d_l mat[i, j]; at order 0, d1 is None.  restricted_abs_det
-    is |det| of the restriction to C in the C-basis (nondegeneracy
-    certificate).
+    d1[l, i, j] = d_l mat[i, j]; at order 0, d1 is None.
+    restricted_abs_det is |det| of the restriction to C in the C-basis
+    (nondegeneracy certificate).
     """
     mat: np.ndarray
     d1: np.ndarray | None
@@ -764,8 +764,8 @@ def _omega_arrays(system: NonholonomicSystem, pt, bd: BaseData,
     returns (E, Omega, dOmega).  E is the momentum-weighted
     antisymmetrized derivative of mu (the q-q block of Omega).  At order
     1, dOmega is Omega's derivative along the chart directions, q first;
-    else it is None.  ``bd`` has order at least order + 1; pt and bd may carry
-    the same leading stack axis.  No checks."""
+    else it is None.  ``bd`` has order at least order + 1; pt and bd may
+    carry the same leading stack axis.  No checks."""
     n = system.n
     dim = system.dimM
     lead = np.shape(pt)[:-1]

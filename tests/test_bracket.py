@@ -44,13 +44,13 @@ def test_sharp_satisfies_its_defining_property(system):
     rng = np.random.default_rng(5)
     for p in sample_points(system, 8, seed=103):
         ct = chart_tensors(system, p)
+        bd = base_at(system, p.q, order=0)
         sp = splitting_at(system, p)
         for _ in range(3):
             alpha = rng.normal(size=system.dimM)
             v = ct.Pi @ alpha
             # v is tangent to C: base part annihilated by constraint forms
             if system.k:
-                bd = base_at(system, p.q, order=0)
                 assert np.max(np.abs(bd.eps.val @ v[: system.n])) < 1e-9
             # i_v Omega + alpha vanishes on C
             resid = (v @ ct.Omega + alpha) @ sp.C_basis
