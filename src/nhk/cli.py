@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -434,7 +435,9 @@ def _build_parser() -> _Parser:
 
 
 def run(argv) -> CommandOutcome:
-    """Execute one CLI invocation without touching process state."""
+    """Execute one CLI invocation without touching process state.  The
+    command runs with RuntimeWarning as an error: an overflow then
+    reaches the guards that report EvalError, not stderr."""
     parser = _build_parser()
     try:
         args = parser.parse_args(list(argv))
@@ -442,7 +445,9 @@ def run(argv) -> CommandOutcome:
         if func is None:
             raise _CliExit(2, parser.format_usage() +
                            "error: a subcommand is required")
-        return func(args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return func(args)
     except _CliExit as stop:
         return CommandOutcome(stop.status, "", stop.message)
     except NhkError as err:

@@ -5,16 +5,20 @@ curvature of C measures the failure of C to be involutive:
 
     K_W(u, v) = -P_W([P_C U, P_C V])   at the point,
 
-for any extensions U, V of u, v -- the value is tensorial.  The
-splitting, its derivatives and the lift correction are built in
-``manifold._splitting`` from a complement frame Z, an argument here as
-there (``manifold.complement_at`` builds the default one); from them
-this module computes the coefficient tensor of K_W against the lifted
-complement frame.  It also computes
-the corresponding object downstairs on Q, with its own projection onto
-D (an independent cross-check), and the adapted-coordinate data (the
-coefficient matrix A of the constraints and its nonholonomy
-antisymmetrization) used by the coordinate route to the Jacobiator.
+for any extensions U, V of u, v -- the value is tensorial.  P_C U and
+P_C V lie in C = ker eps everywhere, so this is
+
+    K_W(u, v) = sum_a d eps^a(P_C u, P_C v) Z_a,
+
+which reads the values of the complement frame Z and the first
+derivative of eps.  ``manifold._splitting`` builds the splitting and
+its lift correction from Z, an argument here as there
+(``manifold.complement_at`` builds the default one).  This module also
+computes the corresponding object downstairs on Q, with its own
+projection onto D (an independent cross-check), and the
+adapted-coordinate data (the coefficient matrix A of the constraints
+and its nonholonomy antisymmetrization) used by the coordinate route to
+the Jacobiator.
 
 K_W is semi-basic: it vanishes whenever either argument is vertical, so
 it is really a 2-form in the base directions with values in W.  The
@@ -81,22 +85,24 @@ class AdaptedData:
 def curvature_coeffs(system: NonholonomicSystem, p: PointM,
                      lift=None) -> CurvatureAtPoint:
     """Coefficient tensor of K_W at p against the lifted complement
-    frame, from the commutator of projected constant-coefficient chart
-    extensions (tensoriality makes the extension choice immaterial)."""
+    frame: d eps^a(P_C ., P_C .) (see the module docstring)."""
     bd = base_at(system, p, order=1)
-    Z, _ = complement_at(system, bd, 1)
+    Z, _ = complement_at(system, bd)
     return _curvature_coeffs(system, bd, Z, lift)
 
 
-def _curvature_coeffs(system: NonholonomicSystem, bd: BaseData, Z: Packed,
-                      lift=None) -> CurvatureAtPoint:
-    """curvature_coeffs from base data ``bd`` and the complement frame Z
-    at bd.q (``complement_at``), each of order at least 1; for a stacked
-    bd, every array of the result leads with its stack axis."""
-    Zl, _, epse, P_W, P_C, dP_C = _splitting(system, bd, Z, lift)
-    br = (np.einsum("...li,...lkj->...kij", P_C, dP_C)
-          - np.einsum("...lj,...lki->...kij", P_C, dP_C))
-    coeffs = -np.einsum("...ak,...kij->...aij", epse, br)
+def _curvature_coeffs(system: NonholonomicSystem, bd: BaseData,
+                      Z: np.ndarray, lift=None) -> CurvatureAtPoint:
+    """curvature_coeffs from base data ``bd`` of order at least 1 and the
+    values of the complement frame Z at bd.q (``complement_at``); for a
+    stacked bd, every array of the result leads with its stack axis.
+    coeffs[a] is d eps^a on the q-rows of P_C, whose momentum columns
+    are zero: the result is semi-basic exactly."""
+    Zl, _, P_W, P_C = _splitting(system, bd, Z, lift)
+    # half[a] = P_C^T (d_l eps^a_m) P_C, antisymmetrized exactly
+    Pq = P_C[..., None, :system.n, :]
+    half = Pq.swapaxes(-1, -2) @ bd.eps.d1.swapaxes(-3, -2) @ Pq
+    coeffs = half - half.swapaxes(-1, -2)
     return CurvatureAtPoint(coeffs=coeffs, W_lift=Zl, P_C=P_C, P_W=P_W,
                             chart_names=system.chart_names)
 
@@ -112,7 +118,7 @@ def curvature_KW_Q(system: NonholonomicSystem, q, v, w) -> np.ndarray:
     K(v, w) = dps^a(P_D v, P_D w) Z_a with P_D = id - Z eps the
     projection onto D along the complement."""
     bd = base_at(system, q, order=1)
-    Z = complement_at(system, bd)[0].val
+    Z = complement_at(system, bd)[0]
     v = check_array("v", v, (system.n,))
     w = check_array("w", w, (system.n,))
     P_D = np.eye(system.n) - Z @ bd.eps.val

@@ -113,12 +113,12 @@ def jacobiator_global(system: NonholonomicSystem, p: PointM,
 
 
 def _global_tensor(system: NonholonomicSystem, p: PointM, bd: BaseData,
-                   Z: Packed, lift=None) -> np.ndarray:
+                   Z: np.ndarray, lift=None) -> np.ndarray:
     """Batched curvature-formula Jacobiator over all basis triples, from
-    base data ``bd`` at p.q and a complement frame Z there (eps(Z) = 1,
-    as ``complement_at`` builds it), each of order at least 1 (p, bd and
-    Z may be stacked alike; the tensor then leads with the stack axis).
-    The value does not depend on the complement."""
+    base data ``bd`` at p.q of order at least 1 and the values of a
+    complement frame Z there (eps(Z) = 1, as ``complement_at`` builds
+    it); p, bd and Z may be stacked alike, and the tensor then leads
+    with the stack axis.  The value does not depend on the complement."""
     ct = _chart_tensors(system, p, bd)
     cv = _curvature_coeffs(system, bd, Z, lift)
     Pi, Om = ct.Pi, ct.Omega
@@ -241,17 +241,17 @@ def jacobiator_tensor(system: NonholonomicSystem, p: PointM,
             f"coordinate Jacobiator needs an adapted declaration; "
             f"system {system.name!r} has none")
     bd = base_at(system, p, order=2 if method == "bruteforce" else 1)
-    Z = complement_at(system, bd, 1)[0] if method == "global" else None
+    Z = complement_at(system, bd)[0] if method == "global" else None
     return _route_tensor(system, p, bd, method, Z, lift)
 
 
 def _route_tensor(system: NonholonomicSystem, p: PointM, bd: BaseData,
-                  method: str, Z: Packed | None = None,
+                  method: str, Z: np.ndarray | None = None,
                   lift=None) -> np.ndarray:
     """The tensor of route ``method`` at p from base data ``bd`` at p.q
     (order 2 for the brute-force route, else at least 1) and, for the
-    global route only, the complement frame Z there of order at least 1;
-    p, bd and Z may be stacked alike, and so is the tensor.  A non-finite
+    global route only, the values of the complement frame Z there; p,
+    bd and Z may be stacked alike, and so is the tensor.  A non-finite
     entry raises EvalError naming the route, and so does numpy's overflow
     warning where warnings are errors (as in ``manifold._finite``)."""
     try:
@@ -328,7 +328,7 @@ def _stack_values(system: NonholonomicSystem, pts: PointM, methods: tuple,
     EvalError naming the first route with a non-finite value."""
     d = system.dimM
     bd = base_at(system, pts, order=2)
-    Z, _ = complement_at(system, bd, 1)
+    Z, _ = complement_at(system, bd)
     return np.stack([_route_tensor(system, pts, bd, m, Z)
                      .reshape(-1, d, d, d)[tri] for m in methods], axis=-1)
 

@@ -14,16 +14,17 @@ where X_alpha is the working frame of D.  This module builds, pointwise:
   which is kappa-flat of the velocity X kD^-1 ptilde and needs no
   complement;
 * a complement frame Z spanning W (so that eps^a(Z_b) = delta^a_b)
-  and the dual coframe {chi^alpha, eps^a};
+  and the dual coframe {chi^alpha, eps^a}, as values (the curvature
+  reads no derivative of Z);
 * the pullback 2-form Omega_M of the canonical symplectic form and its
   restricted Gram matrix G = C^T Omega_M C on the C basis;
 * the splitting TM = C (+) W-lift: the C basis (``_c_basis``), the
   lifted complement frame with its optional admissible lift correction,
-  and the projections P_C, P_W with their derivatives (``_splitting``).
+  and the projections P_C, P_W (``_splitting``), all values.
   The bracket and the curvature read the splitting from here only.
 
-All per-point data is carried to the requested derivative order as
-Packed arrays, and all linear algebra runs on them.  Frames are chosen
+The base data is carried to the requested derivative order as Packed
+arrays, and all its linear algebra runs on them.  Frames are chosen
 like this: an explicit `d_frame` wins; else an `adapted` declaration
 gives X_alpha = d/dr^alpha - A^a_alpha d/ds^a; else a kernel basis of
 eps(q), with pivot columns from an elimination of the values at each
@@ -38,7 +39,7 @@ global Jacobiator formula, which take Z as an argument, and those that
 show W or cross-check through it.
 
 The public results hold numpy arrays too: ``base_at`` returns Packed
-arrays, ``complement_at`` the Packed Z and the values of chi, and
+arrays, ``complement_at`` the values of Z and chi, and
 ``omega_M`` the matrix with its chart derivatives in ``d1``.
 
 The system's grids hold resolved, constant-folded expressions (the
@@ -670,35 +671,34 @@ def _kernel_solve(eps: Packed, piv: tuple) -> Packed:
     return Packed(*X)
 
 
-def complement_at(system: NonholonomicSystem, bd: BaseData,
-                  order: int = 0) -> tuple[Packed, np.ndarray]:
+def complement_at(system: NonholonomicSystem,
+                  bd: BaseData) -> tuple[np.ndarray, np.ndarray]:
     """The complement W at base data ``bd`` (stacked or not): returns
-    (Z, chi) with Z the complement frame (n x k columns, eps(Z) = 1) as
-    Packed to ``order`` (at most bd.order), and chi the values of the
-    coframe rows ((n-k) x n) dual to X in {chi, eps}.  Z is the declared
-    w_frame; else, for an adapted declaration, d/ds; else the
-    kappa-orthogonal complement, whose constraint Gram matrix is tested
-    for finiteness before it is inverted (EvalError, see _finite).
+    (Z, chi) with Z the values of the complement frame (n x k columns,
+    eps(Z) = 1) and chi those of the coframe rows ((n-k) x n) dual to X
+    in {chi, eps}.  Z is the declared w_frame; else, for an adapted
+    declaration, d/ds; else the kappa-orthogonal complement, whose
+    constraint Gram matrix is tested for finiteness before it is
+    inverted (EvalError, see _finite).
 
     Every point is checked: eps(Z) = 1, the guarded |det [X|Z]| and the
     coframe rows eps-hat = eps.  With Z = d/ds nothing is left to check:
     [X|Z] = [d/dr - A d/ds | d/ds] permutes the rows of [[1, 0], [-A, 1]]
     (|det| = 1), its coframe is {dr, ds + A dr}, and eps(Z) is the
     s-block that base_at checked."""
-    order = check_integer("order", order, 0, bd.order + 1)
     n, k = system.n, system.k
     q, eps, X = bd.q, bd.eps, bd.X
     comp = get_compiled(system)
-    Z = _w_frame_at(comp, q, bd.kappa, eps, order)
+    Z = _w_frame_at(comp, q, bd.kappa, eps)
     if comp.adapted_chi is not None:    # a stack gets its own copy
         chi = comp.adapted_chi
         return Z, chi if q.ndim == 1 else chi[None].repeat(len(q), 0)
     qs = q.reshape(-1, n)
-    i = _first(_max_dev(eps.val @ Z.val, comp.eye_k) > DUALITY_TOL)
+    i = _first(_max_dev(eps.val @ Z, comp.eye_k) > DUALITY_TOL)
     if i is not None:
         raise GeometryError(
             f"complement frame not dual to constraints at q={qs[i].tolist()}")
-    Finv = _inv(Packed(np.concatenate([X.val, Z.val], axis=-1)),
+    Finv = _inv(Packed(np.concatenate([X.val, Z], axis=-1)),
                 "frame matrix [X|Z]").val
     i = _first(_max_dev(Finv[..., n - k:, :], eps.val) > DUALITY_TOL)
     if i is not None:
@@ -707,17 +707,17 @@ def complement_at(system: NonholonomicSystem, bd: BaseData,
     return Z, Finv[..., :n - k, :]
 
 
-def _w_frame_at(comp, q, kappa, eps, order) -> Packed:
-    """The complement frame Z to ``order`` (see complement_at)."""
+def _w_frame_at(comp, q, kappa, eps) -> np.ndarray:
+    """The values of the complement frame Z (see complement_at)."""
     if comp.w is not None:              # the declared w_frame, or d/ds
-        return pk_transpose(comp.w.packed(q, order))
+        return comp.w.packed(q, 0).val.swapaxes(-1, -2)
     # kappa-orthogonal complement, normalized so eps(Z) = identity, from
-    # kappa and eps without their derivatives above order
-    kappa, eps = Packed(*kappa[:order + 1]), Packed(*eps[:order + 1])
+    # the values of kappa and eps
+    kappa, eps = Packed(kappa.val), Packed(eps.val)
     kappa_inv = _inv(kappa, "metric")
     Z0, G = _finite(lambda: (P := pk_matmul(kappa_inv, pk_transpose(eps)),
                              pk_matmul(eps, P)))
-    return pk_matmul(Z0, _inv(G, "constraint Gram matrix"))
+    return pk_matmul(Z0, _inv(G, "constraint Gram matrix")).val
 
 
 # ------------------------------------------------------------ public ops
@@ -726,7 +726,7 @@ def pick_default_W(system: NonholonomicSystem, q) -> np.ndarray:
     given; d/ds^a for adapted systems; else the kappa-orthogonal
     complement normalized to eps^a(Z_b) = delta."""
     Z, _ = complement_at(system, base_at(system, q, order=0))
-    return Z.val.copy()
+    return Z.copy()
 
 
 def _eliminated_mu(system: NonholonomicSystem, bd: BaseData) -> np.ndarray:
@@ -736,7 +736,7 @@ def _eliminated_mu(system: NonholonomicSystem, bd: BaseData) -> np.ndarray:
     mu = kD^-1 X^T kappa, which reads no complement."""
     Z, chi = complement_at(system, bd)
     X, kappa = bd.X.val, bd.kappa.val
-    J_W = Z.val.swapaxes(-1, -2) @ kappa @ X @ bd.kD_inv.val
+    J_W = Z.swapaxes(-1, -2) @ kappa @ X @ bd.kD_inv.val
     return chi + J_W.swapaxes(-1, -2) @ bd.eps.val
 
 
@@ -820,17 +820,14 @@ def _check_lift(lift, shape: tuple):
             for name, m in (("c", c), ("d", d))]
 
 
-def _splitting(system: NonholonomicSystem, bd: BaseData, Z: Packed,
+def _splitting(system: NonholonomicSystem, bd: BaseData, Z: np.ndarray,
                lift=None):
     """The splitting T M = C (+) W-lift from base data ``bd`` and the
-    complement frame Z at bd.q (``complement_at``): returns
-    (Zl, dZl, epse, P_W, P_C, dP_C) with Zl the lifted complement frame
+    values of the complement frame Z at bd.q (``complement_at``):
+    returns (Zl, epse, P_W, P_C) with Zl the lifted complement frame
     (dimM x k), epse the constraint rows padded to chart covectors
-    (k x dimM), the projections P_W = Zl epse and P_C = 1 - P_W, and,
-    when Z has order at least 1, the q-direction derivatives dZl
-    (n x dimM x k) and the chart-direction derivatives dP_C
-    (dimM x dimM x dimM); at order 0 those two are None.  Each array
-    leads with bd's stack axis, if it has one.
+    (k x dimM) and the projections P_W = Zl epse and P_C = 1 - P_W.
+    Each array leads with bd's stack axis, if it has one.
 
     lift is None (plain zero-momentum lift) or a pair (c, d) of constant
     coefficient arrays, adding c[a, be] X-lift_be + d[a, al] d/dptilde_al
@@ -838,7 +835,7 @@ def _splitting(system: NonholonomicSystem, bd: BaseData, Z: Packed,
     n, k, dim = system.n, system.k, system.dimM
     lead = bd.q.shape[:-1]
     Zl = np.zeros(lead + (dim, k))
-    Zl[..., :n, :] = Z.val
+    Zl[..., :n, :] = Z
     if lift is not None:
         c, d = _check_lift(lift, (k, n - k))
         Zl[..., :n, :] += bd.X.val @ c.T
@@ -846,19 +843,7 @@ def _splitting(system: NonholonomicSystem, bd: BaseData, Z: Packed,
     epse = np.zeros(lead + (k, dim))
     epse[..., :n] = bd.eps.val
     P_W = Zl @ epse
-    P_C = np.eye(dim) - P_W
-    if Z.d1 is None:
-        return Zl, None, epse, P_W, P_C, None
-    dZl = np.zeros(lead + (n, dim, k))
-    dZl[..., :n, :] = Z.d1
-    if lift is not None:
-        dZl[..., :n, :] += np.einsum("...lib,ab->...lia", bd.X.d1, c)
-    depse = np.zeros(lead + (n, k, dim))
-    depse[..., :n] = bd.eps.d1
-    dP_C = np.zeros(lead + (dim, dim, dim))
-    dP_C[..., :n, :, :] = -(np.einsum("...lia,...aj->...lij", dZl, epse)
-                            + np.einsum("...ia,...laj->...lij", Zl, depse))
-    return Zl, dZl, epse, P_W, P_C, dP_C
+    return Zl, epse, P_W, np.eye(dim) - P_W
 
 
 def _omega_packed(system: NonholonomicSystem, p: PointM, bd: BaseData,
@@ -908,7 +893,7 @@ def splitting_at(system: NonholonomicSystem, p: PointM) -> SplittingAtPoint:
     here collapses to P_W = Z-lift (x) pulled-back eps (``_splitting``)."""
     bd = base_at(system, p, order=0)
     Z, _ = complement_at(system, bd)
-    Zl, _, _, P_W, P_C, _ = _splitting(system, bd, Z)
+    Zl, _, P_W, P_C = _splitting(system, bd, Z)
     return SplittingAtPoint(dimM=system.dimM,
                             C_basis=_c_basis(system, bd, 0).val,
                             W_basis=Zl, P_C=P_C, P_W=P_W)

@@ -199,7 +199,7 @@ def test_criterion_5_bracket_table_on_adapted_builtins(capsys):
             ad = adapted_data(system, p.q)
             A_val = ad.A.val
             bd = base_at(system, p.q, order=0)
-            J = (bd.mu.val @ complement_at(system, bd)[0].val).T
+            J = (bd.mu.val @ complement_at(system, bd)[0]).T
             P = J @ p.ptilde
             worst = max(worst, np.max(np.abs(B[:n, :n])))
             for al, r_i in enumerate(ad.r_indices):

@@ -16,6 +16,8 @@ from nhk import (
     sample_points,
     splitting_at,
 )
+from nhk._compile import get_compiled
+from nhk._linalg import pk_inv, pk_matmul, pk_transpose
 from nhk.errors import UnsupportedOperationError
 from nhk.manifold import _c_basis, _splitting
 
@@ -26,11 +28,12 @@ def test_coefficients_antisymmetric_and_semibasic(system):
     n = system.n
     for p in sample_points(system, 8, seed=211):
         cv = curvature_coeffs(system, p)
-        np.testing.assert_allclose(cv.coeffs,
-                                   -cv.coeffs.transpose(0, 2, 1), atol=1e-10)
+        # exactly: the coefficients are antisymmetrized, and the
+        # momentum columns of P_C's q-rows are zero
+        assert (cv.coeffs == -cv.coeffs.transpose(0, 2, 1)).all()
         # semi-basic: vanishes on momentum directions
-        np.testing.assert_allclose(cv.coeffs[:, n:, :], 0.0, atol=1e-12)
-        np.testing.assert_allclose(cv.coeffs[:, :, n:], 0.0, atol=1e-12)
+        assert not cv.coeffs[:, n:, :].any()
+        assert not cv.coeffs[:, :, n:].any()
 
 
 def test_vertical_arguments_are_killed(system):
@@ -54,6 +57,25 @@ def test_pair_antisymmetric(system):
     np.testing.assert_allclose(kuv, -kvu, atol=1e-10)
 
 
+def test_lifted_complement_arguments_are_killed(system):
+    # K_W = K_W o (P_C x P_C) and P_C kills the lifted complement frame,
+    # with and without a lift correction
+    if system.k == 0:
+        pytest.skip("no constraints")
+    rng = np.random.default_rng(5)
+    k, nk = system.k, system.n - system.k
+    lift = (rng.normal(size=(k, nk)), rng.normal(size=(k, nk)))
+    for p in sample_points(system, 4, seed=225):
+        v = rng.normal(size=system.dimM)
+        for lf in (None, lift):
+            cv = curvature_coeffs(system, p, lift=lf)
+            tol = 1e-12 * max(1.0, np.abs(cv.coeffs).max())
+            for a in range(k):
+                w = cv.W_lift[:, a]
+                assert np.abs(cv.pair(w, v)).max() <= tol
+                assert np.abs(cv.pair(v, w)).max() <= tol
+
+
 def test_values_lie_in_the_complement_lift(system):
     if system.k == 0:
         pytest.skip("no constraints")
@@ -70,15 +92,40 @@ def test_values_lie_in_the_complement_lift(system):
 # ------------------------------------------------------ dual-route check
 
 
+def _complement_jet(system, bd):
+    """The complement frame Z with its first q-derivatives, built here:
+    the compiled declared frame (or d/ds), else the kappa-orthogonal
+    complement kappa^-1 eps^T (eps kappa^-1 eps^T)^-1 in packed
+    arithmetic.  The library reads no derivative of Z."""
+    w = get_compiled(system).w
+    if w is not None:
+        return pk_transpose(w.packed(bd.q, 1))
+    P = pk_matmul(pk_inv(bd.kappa), pk_transpose(bd.eps))
+    return pk_matmul(P, pk_inv(pk_matmul(bd.eps, P)))
+
+
 def _curvature_pair_assembled(system, p, u, v, lift=None):
-    """Tensoriality cross-route: extend u, v as constant-coefficient
-    combinations of the assembled frame fields (X-lifts, momentum
-    verticals, lifted complement legs) instead of constant chart
-    extensions, and evaluate -P_W([P_C U, P_C V]) directly."""
-    n = system.n
+    """The commutator definition -P_W([P_C U, P_C V]), evaluated
+    directly, with u, v extended as constant-coefficient combinations
+    of the assembled frame fields (X-lifts, momentum verticals, lifted
+    complement legs) instead of constant chart extensions; the
+    projections are differentiated through Z's own q-derivative."""
+    n, k, dim = system.n, system.k, system.dimM
     bd = base_at(system, p, order=1)
-    Z, _ = complement_at(system, bd, 1)
-    Zl, dZl, _, P_W, P_C, dP_C = _splitting(system, bd, Z, lift)
+    Z = _complement_jet(system, bd)
+    np.testing.assert_allclose(Z.val, complement_at(system, bd)[0],
+                               rtol=1e-14, atol=1e-14)
+    Zl, epse, P_W, P_C = _splitting(system, bd, Z.val, lift)
+    # dP_C = -(dZl epse + Zl depse) along the q-directions
+    dZl = np.zeros((n, dim, k))
+    dZl[:, :n] = Z.d1
+    if lift is not None:
+        dZl[:, :n] += np.einsum("lib,ab->lia", bd.X.d1, lift[0])
+    depse = np.zeros((n, k, dim))
+    depse[..., :n] = bd.eps.d1
+    dP_C = np.zeros((dim, dim, dim))
+    dP_C[:n] = -(np.einsum("lia,aj->lij", dZl, epse)
+                 + np.einsum("ia,laj->lij", Zl, depse))
     # assembled frame B = [C | Zl] and its q-derivatives
     C = _c_basis(system, bd, 1)
     B = np.concatenate([C.val, Zl], axis=-1)
@@ -95,8 +142,6 @@ def _curvature_pair_assembled(system, p, u, v, lift=None):
     dPV = dPB @ cv
     brkt = np.einsum("l,lk->k", PU, dPV) - np.einsum("l,lk->k", PV, dPU)
     return -(P_W @ brkt)
-
-
 
 
 def test_projected_commutator_route_agrees(system):
@@ -206,7 +251,7 @@ def test_particle_curvature_analytic(particle):
     rng = np.random.default_rng(37)
     for p in sample_points(particle, 10, seed=263):
         bd = base_at(particle, p.q, order=0)
-        P = np.eye(3) - complement_at(particle, bd)[0].val @ bd.eps.val
+        P = np.eye(3) - complement_at(particle, bd)[0] @ bd.eps.val
         v, w = rng.normal(size=(2, 3))
         pv, pw = P @ v, P @ w
         expected = pv[0] * pw[1] - pv[1] * pw[0]
@@ -224,7 +269,7 @@ def test_disk_curvature_analytic(disk):
     for p in sample_points(disk, 10, seed=269):
         th = p.q[3]
         bd = base_at(disk, p.q, order=0)
-        P = np.eye(4) - complement_at(disk, bd)[0].val @ bd.eps.val
+        P = np.eye(4) - complement_at(disk, bd)[0] @ bd.eps.val
         v, w = rng.normal(size=(2, 4))
         pv, pw = P @ v, P @ w
         wedge = pv[3] * pw[2] - pv[2] * pw[3]  # (dtheta ^ dphi)(pv, pw)

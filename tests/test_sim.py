@@ -97,7 +97,7 @@ def test_an_rk4_stage_evaluates_no_complement(system, monkeypatch):
         assert calls == []
     readers = [lambda: jacobiator_tensor(system, p, "global"),
                lambda: curvature_coeffs(system, p),
-               lambda: complement_at(system, base_at(system, p.q, 2), 2)]
+               lambda: complement_at(system, base_at(system, p.q, 2))]
     for op in readers:
         calls.clear()
         op()

@@ -213,7 +213,7 @@ def test_elimination_matrix_reproduces_closed_forms(snakeboard):
     # p(Z_a) = J[a, :] ptilde with rows (J2, 0, J1) and (-J2, 0, -J1)
     for p in sample_points(snakeboard, 50, seed=401):
         bd = base_at(snakeboard, p.q, order=0)
-        J = (bd.mu.val @ complement_at(snakeboard, bd)[0].val).T
+        J = (bd.mu.val @ complement_at(snakeboard, bd)[0]).T
         J1 = snakeboard_expected("J1", p)
         J2 = snakeboard_expected("J2", p)
         np.testing.assert_allclose(J,
