@@ -133,9 +133,11 @@ class _Node:
 class _Emitter:
     """Hash-conses expressions into one DAG and emits, per new node, its
     value code (``s0``), gradient code (``s1``) and Hessian code
-    (``s2``), each in topological order."""
+    (``s2``), each in topological order, up to derivative order
+    ``order``."""
 
-    def __init__(self, coord_names):
+    def __init__(self, coord_names, order=2):
+        self.order = order
         self.idx = {name: i for i, name in enumerate(coord_names)}
         self.ids = {}
         self.s0, self.s1, self.s2 = [], [], []
@@ -233,9 +235,13 @@ class _Emitter:
         # compound terms are bound to locals; the names are made only then
         bind, s1, s2, h = self._bind, self.s1, self.s2, nd.hess
         nd.val = val if type(val) is not tuple else bind(self.s0, v, val)
+        if self.order < 1:
+            return nd
         for l in deps:
             t = grad(l)
             g[l] = t if type(t) is not tuple else bind(s1, f"g{i}_{l}", t)
+        if self.order < 2:
+            return nd
         for l, m in self.pairs(deps):
             t = hess(l, m)
             h[l, m] = t if type(t) is not tuple else \
@@ -259,10 +265,12 @@ class GridEval:
 
     A grid without q-dependent code is constant: its value and its
     (zero) derivatives are computed once, here, and a single point
-    reads them as shared read-only arrays."""
+    reads them as shared read-only arrays.  Code is emitted up to
+    derivative order ``order``, and ``packed`` refuses a higher one."""
 
-    def __init__(self, grid, coord_names):
+    def __init__(self, grid, coord_names, order=2):
         n = len(coord_names)
+        self.order = order
         rows = len(grid)
         cols = len(grid[0]) if rows else n
         self.n = n
@@ -270,7 +278,7 @@ class GridEval:
         self._val0 = np.zeros((rows, cols))
         self._d10 = np.zeros((n, rows, cols))
         self._d20 = np.zeros((n, n, rows, cols))
-        em = _Emitter(coord_names)
+        em = _Emitter(coord_names, order)
         s0, s1, s2 = em.s0, em.s1, em.s2
         stored = ([], [], [])      # the locals stored, per order
         upper = []                 # (l, m, i, j), l < m, of stored entries
@@ -346,6 +354,9 @@ class GridEval:
         arrays built at compile time, then sets [m, l] to [l, m] for
         the entries with l < m: once for a single point, and once for
         a whole stack."""
+        if order > self.order:
+            raise ValueError(f"grid compiled to order {self.order}, "
+                             f"asked for order {order}")
         q = np.asarray(q, dtype=float)
         if not self._finite:
             raise EvalError(NONFINITE)
@@ -440,7 +451,8 @@ class CompiledSystem:
         if system.adapted is not None and w_frame is None:
             w_frame = _unit_rows(system.s_indices, n)
             self.adapted_chi = _read_only(np.eye(n)[list(system.r_indices)])
-        self.w = GridEval(w_frame, names) if w_frame is not None else None
+        # values only: no library path reads a derivative of Z
+        self.w = GridEval(w_frame, names, 0) if w_frame is not None else None
         # an adapted s-block of folded constants that is the identity
         # exactly: the compiled grid copies these constants unchanged
         # into every evaluation, so every point passes the block check

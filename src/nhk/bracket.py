@@ -33,9 +33,21 @@ derivative has one construction: dPi is ``nh_bivector``'s d1 at order
 
 Dynamics: the Hamiltonian is H = (1/2) ptilde . kD^{-1} ptilde + U with
 kD the D-frame Gram matrix of the kinetic metric, and the evolution
-field is X_nh = -pi#(dH), written out componentwise in ``_field``; the
-integrator (``sim``) evaluates the same H, dH and field from
-``manifold.base_at`` alone, which reads no complement.  The
+field is X_nh = -pi#(dH), written out componentwise in ``_energy`` and
+``_field`` in frame-bracket form.  With p = mu^T ptilde the embedded
+momentum, p(X_beta) = ptilde_beta does not depend on q, so
+differentiating mu^a_j X^j_beta = delta^a_beta gives
+X^j_beta d_i mu^a_j = -mu^a_j d_i X^j_beta, and hence
+
+    S[alpha, beta] = p([X_alpha, X_beta]),   S = X^T M - (X^T M)^T,
+
+with M[l, beta] = p . d_l X_beta.  dH_q likewise reads d kappa and dX,
+not d(kD^{-1}).  The field reads kappa and X with their first
+derivatives and the values of kD^{-1}: no derivative of kD, kD^{-1} or
+mu.  The integrator (``sim``) evaluates the same H, dH and field from
+``manifold``'s frame half at order 1 and Gram half on values, which
+read no complement.  ``chart_tensors`` keeps S = X^T E X from d mu, so
+the test reference -Pi . dH shares no formula with the field.  The
 Hamiltonian's ambient cross-check embeds the momenta through the
 complement instead (``manifold._eliminated_mu``), so that its two
 routes share no formula.
@@ -164,55 +176,72 @@ def hamiltonian_M(system: NonholonomicSystem, p: PointM):
     _eliminated_mu).  Returns (value, dH) with dH a chart covector.  One
     point only: a stack-aware ``_energy`` would slow every RK4 stage."""
     check_one_point(p.q)
-    return _hamiltonian(system, p, base_at(system, p, order=1))
+    value, _, dHq, vel, _, _ = _hamiltonian(
+        system, p, base_at(system, p, order=1))
+    return value, np.concatenate([dHq, vel])
 
 
-def _energy(system: NonholonomicSystem, q, pt, bd: BaseData):
-    """H and its differential at (q, ptilde), from base data ``bd`` at q
-    of order at least 1: returns (H, U, dH_q, v), where v = kD^{-1}
-    ptilde is both dH_ptilde and the D-frame velocity.  A non-finite H
-    or dH raises EvalError, and so does numpy's overflow warning where
-    warnings are errors (as in ``jacobiator._route_tensor``)."""
+def _energy(system: NonholonomicSystem, q, pt, kappa: Packed, X: Packed,
+            kD_inv: np.ndarray):
+    """H and its differential at (q, ptilde), from kappa and the D-frame
+    X at q with their first derivatives and the values kD_inv of
+    kD^{-1}.  With v = kD^{-1} ptilde (both dH_ptilde and the D-frame
+    velocity), qdot = X v, p = kappa qdot (= mu^T ptilde) and
+    M[l, beta] = p . d_l X_beta:
+
+        H    = (1/2) ptilde . v + U,
+        dH_q = -M v - (1/2) qdot . d kappa . qdot + dU,
+
+    which is -(1/2) v^T (d_l kD) v + dU written out with
+    d_l kD = (d_l X)^T kappa X + X^T (d_l kappa) X + X^T kappa d_l X.
+    No derivative of kD, kD^{-1} or mu is read.  Returns
+    (H, U, dH_q, v, qdot, M).  A non-finite H or dH raises EvalError,
+    and so does numpy's overflow warning where warnings are errors (as
+    in ``jacobiator._route_tensor``)."""
     uval, ugrad, _ = get_compiled(system).potential.evaluate(q, 1)
     try:
-        vel = bd.kD_inv.val @ pt
+        vel = kD_inv @ pt
         value = 0.5 * float(pt @ vel) + uval
-        dHq = 0.5 * np.einsum("a,lab,b->l", pt, bd.kD_inv.d1, pt) + ugrad
-        # v needs no check: a non-finite entry makes pt . v non-finite
+        qdot = X.val @ vel
+        M = (kappa.val @ qdot) @ X.d1
+        dHq = -(M @ vel) - 0.5 * ((kappa.d1 @ qdot) @ qdot) + ugrad
+        # v, qdot and M need no check: a non-finite entry of v makes
+        # pt . v non-finite, and one of qdot or M makes dH_q non-finite
         if math.isfinite(value) and \
                 np.count_nonzero(np.isfinite(dHq)) == len(dHq):
-            return value, uval, dHq, vel
+            return value, uval, dHq, vel, qdot, M
     except RuntimeWarning:
         pass
     raise EvalError("the Hamiltonian or its differential has no finite "
                     "value")
 
 
-def _field(bd: BaseData, pt, dHq, vel):
-    """X_nh = -pi#(dH) in chart components, from base data ``bd`` at q
-    of order at least 1 and dH = (dHq, vel) as ``_energy`` gives it:
+def _field(X: np.ndarray, M: np.ndarray, dHq, vel, qdot):
+    """X_nh = -pi#(dH) in chart components, from the values X of the
+    D-frame and (dH_q, v, qdot, M) as ``_energy`` gives them:
 
-        qdot      =  X kD^{-1} ptilde          (the admitted velocity),
-        ptildedot = -X^T dH_q - S kD^{-1} ptilde,   S = X^T E X.
+        qdot      =  X v                      (the admitted velocity),
+        ptildedot = -X^T dH_q - S v,   S = X^T M - (X^T M)^T,
 
-    Returns (qdot, ptildedot)."""
-    X = bd.X.val
-    ew = np.einsum("a,jai->ij", pt, bd.mu.d1)
-    s_mat = X.T @ (ew - ew.T) @ X
-    return X @ vel, -(X.T @ dHq) - s_mat @ vel
+    so S[alpha, beta] = p([X_alpha, X_beta]), the momentum paired with
+    the frame's Lie bracket.  Returns (qdot, ptildedot)."""
+    XTM = X.T @ M
+    return qdot, -(X.T @ dHq) - (XTM - XTM.T) @ vel
 
 
 def _hamiltonian(system: NonholonomicSystem, p: PointM, bd: BaseData):
-    """hamiltonian_M from base data ``bd`` at p.q of order at least 1."""
+    """``_energy`` at p from base data ``bd`` at p.q of order at least 1,
+    its value checked against the ambient route (see hamiltonian_M)."""
     mu_w = _eliminated_mu(system, bd)
-    value, uval, dHq, vel = _energy(system, p.q, p.ptilde, bd)
+    energy = _energy(system, p.q, p.ptilde, bd.kappa, bd.X, bd.kD_inv.val)
+    value, uval = energy[:2]
     p_amb = mu_w.T @ p.ptilde
     value_amb = 0.5 * float(p_amb @ np.linalg.solve(bd.kappa.val, p_amb)) \
         + uval
     if abs(value - value_amb) > ROUTE_TOL * max(1.0, abs(value)):
         raise GeometryError(
             f"Hamiltonian routes disagree: {value!r} vs {value_amb!r}")
-    return value, np.concatenate([dHq, vel])
+    return energy
 
 
 def nh_vector_field(system: NonholonomicSystem, p: PointM) -> np.ndarray:
@@ -221,6 +250,5 @@ def nh_vector_field(system: NonholonomicSystem, p: PointM) -> np.ndarray:
     one point only, like ``hamiltonian_M`` (``_field`` is RK4's too)."""
     check_one_point(p.q)
     bd = base_at(system, p, order=1)
-    _, dH = _hamiltonian(system, p, bd)
-    n = system.n
-    return np.concatenate(_field(bd, p.ptilde, dH[:n], dH[n:]))
+    _, _, dHq, vel, qdot, M = _hamiltonian(system, p, bd)
+    return np.concatenate(_field(bd.X.val, M, dHq, vel, qdot))

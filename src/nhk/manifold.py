@@ -33,10 +33,12 @@ declared `w_frame`; else, for an adapted declaration, Z_a = d/ds^a,
 whose dual coframe is chi^alpha = dr^alpha in closed form; else the
 kappa-orthogonal complement, and the coframe comes from inverting
 [X|Z].  ``base_at`` builds the first item, which is all that the
-dynamics, the embedding and the bracket read, and ``complement_at`` the
-second, only for the operations that read W: the curvature and the
-global Jacobiator formula, which take Z as an argument, and those that
-show W or cross-check through it.
+dynamics, the embedding and the bracket read, in two halves: the frame
+(``_frame_at``: kappa, eps, X) and the Gram matrix (``_gram_at``: kD,
+its inverse, mu).  An RK4 stage runs the second on values only.
+``complement_at`` builds the second item, only for the operations that
+read W: the curvature and the global Jacobiator formula, which take Z
+as an argument, and those that show W or cross-check through it.
 
 The public results hold numpy arrays too: ``base_at`` returns Packed
 arrays, ``complement_at`` the values of Z and chi, and
@@ -509,7 +511,9 @@ def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
     identity block (which certifies the rank) and eps(X) = 0.  kD is
     tested for finiteness before it is inverted: a non-finite one raises
     EvalError (``jet.NONFINITE``), see _finite; each matrix inverted here
-    is guarded once, by _inv.
+    is guarded once, by _inv.  The work is two halves, run in this
+    order: ``_frame_at`` (the point check, kappa, eps and X with their
+    checks) and ``_gram_at`` (kD, its inverse and mu).
 
     q is one point, shape (n,), a stack of B points, shape (B, n), or a
     PointM (stacked or not), checked once, first, by ``check_domain`` or
@@ -526,9 +530,19 @@ def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
     adapted frame, exactly 0, is checked.
     """
     order = check_integer("order", order, 0, 3)
+    q, kappa, eps, X = _frame_at(system, q, order)
+    mu, kD, kD_inv = _gram_at(system, kappa, X)
+    return BaseData(q=q, order=order, kappa=kappa, eps=eps, X=X, mu=mu,
+                    kD=kD, kD_inv=kD_inv)
+
+
+def _frame_at(system: NonholonomicSystem, q, order: int):
+    """The frame half of ``base_at``: the checked q, then kappa, eps and
+    the D-frame X to jet order ``order``, each checked as base_at says.
+    Returns (q, kappa, eps, X)."""
     q = (system.check_point if isinstance(q, PointM)
          else system.check_domain)(q)
-    n, k = system.n, system.k
+    n = system.n
     qs = q.reshape(-1, n)                       # one row per point
     comp = get_compiled(system)
 
@@ -569,13 +583,18 @@ def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
         if i is not None:
             raise GeometryError(
                 f"D-frame does not lie in the constraint kernel at q={qs[i].tolist()}")
+    return q, kappa, eps, X
 
+
+def _gram_at(system: NonholonomicSystem, kappa: Packed, X: Packed):
+    """The Gram half of ``base_at``, at the jet order of kappa and X:
+    kD = (X^T kappa) X, tested finite (_finite), its guarded inverse
+    (_inv), then mu.  Returns (mu, kD, kD_inv)."""
     XTk, kD = _finite(lambda: (P := pk_matmul(pk_transpose(X), kappa),
                                pk_matmul(P, X)))
     kD_inv = _inv(kD, "D-frame Gram matrix")
-    mu = pk_inv(X) if k == 0 else pk_matmul(kD_inv, XTk)
-    return BaseData(q=q, order=order, kappa=kappa, eps=eps, X=X, mu=mu,
-                    kD=kD, kD_inv=kD_inv)
+    mu = pk_inv(X) if system.k == 0 else pk_matmul(kD_inv, XTk)
+    return mu, kD, kD_inv
 
 
 def _d_frame_at(system, comp, q, eps, order) -> Packed:

@@ -4,10 +4,15 @@ The integrator advances the chart state u = (q, ptilde) with classical
 fourth-order Runge-Kutta.  The right-hand side is the nonholonomic vector
 field X_nh = -pi#(dH) as ``bracket._field`` writes it out componentwise,
 with H and dH from ``bracket._energy`` -- the same code behind
-:func:`nhk.bracket.nh_vector_field` -- from one base evaluation per stage.
-That evaluation is ``manifold.base_at``, which reads no complement, so
-no RK4 stage evaluates W.  A test pins the right-hand side against the
-block form ``-Pi . dH`` of the chart tensors.
+:func:`nhk.bracket.nh_vector_field` -- in frame-bracket form: the
+momentum block is S = p([X_alpha, X_beta]) and dH_q reads d kappa and
+dX, so a stage reads kappa and X with their first derivatives and the
+values of kD^{-1}.  Each stage runs the two halves of
+``manifold.base_at``: ``_frame_at`` (kappa, eps, X and their checks) at
+order 1 and ``_gram_at`` (kD, its guarded inverse, mu) on values, so it
+builds no derivative of kD, kD^{-1} or mu, and, like base_at, reads no
+complement.  A test pins the right-hand side against the block form
+``-Pi . dH`` of the chart tensors, whose S comes from d mu.
 Each recorded sample carries the Hamiltonian and the constraint residual
 max_a |eps^a(qdot)|; both are conserved/zero in exact arithmetic, so the
 recorded values measure integrator and floating-point error only.
@@ -23,7 +28,8 @@ import numpy as np
 from .bracket import _energy, _field
 from .errors import (DomainError, EvalError, GeometryError, check_integer,
                      check_one_point, check_real)
-from .manifold import NonholonomicSystem, PointM, base_at
+from ._linalg import Packed
+from .manifold import NonholonomicSystem, PointM, _frame_at, _gram_at
 
 __all__ = ["Trajectory", "integrate", "trajectory_csv"]
 
@@ -70,19 +76,23 @@ class Trajectory:
 
 def _rhs(system: NonholonomicSystem, u: np.ndarray):
     """One fused evaluation at chart state u: returns du/dt, H and the
-    constraint forms' values eps(q), for ``_residual``."""
+    constraint forms' values eps(q), for ``_residual``.  The Gram half
+    runs on values, whose products and inverse are base_at's own, so
+    du/dt equals ``nh_vector_field`` bit for bit."""
     n = system.n
     q, pt = u[:n], u[n:]
-    bd = base_at(system, q, 1)
+    _, kappa, eps, X = _frame_at(system, q, 1)
+    _, _, kD_inv = _gram_at(system, Packed(kappa.val), Packed(X.val))
     try:
-        energy, _, dHq, vel = _energy(system, q, pt, bd)
+        energy, _, dHq, vel, qdot, M = _energy(system, q, pt, kappa, X,
+                                               kD_inv.val)
     except EvalError:
         # a non-finite momentum makes H non-finite: name that cause
         if not np.isfinite(pt).all():
             raise DomainError("non-finite momentum value") from None
         raise
-    qdot, ptdot = _field(bd, pt, dHq, vel)
-    return np.concatenate([qdot, ptdot]), energy, bd.eps.val
+    qdot, ptdot = _field(X.val, M, dHq, vel, qdot)
+    return np.concatenate([qdot, ptdot]), energy, eps.val
 
 
 def _residual(eps: np.ndarray, du: np.ndarray) -> float:

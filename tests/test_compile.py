@@ -28,10 +28,11 @@ def _unit_grid(indices, names):
              for j in range(len(names))] for i in indices]
 
 
-def _assert_kernel_exact(packed, grid, names, q):
-    """Kernel output equals eval_expr of every entry, bit for bit."""
+def _assert_kernel_exact(packed, grid, names, q, orders=(0, 1, 2)):
+    """Kernel output equals eval_expr of every entry, bit for bit, at
+    each jet order of ``orders``."""
     coords = {name: float(v) for name, v in zip(names, q)}
-    for order in (0, 1, 2):
+    for order in orders:
         got = packed(q, order)
         ref = pk_from_jets([[eval_expr(e, coords, {}, names, order)
                              for e in row] for row in grid],
@@ -60,14 +61,21 @@ def _assert_system_exact(system, count, seed):
         assert not chi.flags.writeable
     else:
         assert comp.adapted_chi is None
-    pairs = [(comp.metric, system.metric), (comp.eps, system.constraints),
-             (comp.w, w_frame), (comp.d, system.d_frame),
-             (comp.potential._grid, [[system.potential]])]
-    assert all((k is None) == (g is None) for k, g in pairs)
-    grids = [(k, g) for k, g in pairs if k is not None]
+    # the complement frame is compiled to values only, and refuses more
+    pairs = [(comp.metric, system.metric, 2),
+             (comp.eps, system.constraints, 2), (comp.w, w_frame, 0),
+             (comp.d, system.d_frame, 2),
+             (comp.potential._grid, [[system.potential]], 2)]
+    assert all((k is None) == (g is None) for k, g, _ in pairs)
+    grids = [(k, g, o) for k, g, o in pairs if k is not None]
     for p in nhk.sample_points(system, count, seed=seed):
-        for kernel, grid in grids:
-            _assert_kernel_exact(kernel.packed, grid, names, p.q)
+        for kernel, grid, order in grids:
+            assert kernel.order == order
+            _assert_kernel_exact(kernel.packed, grid, names, p.q,
+                                 range(order + 1))
+            if order < 2:
+                with pytest.raises(ValueError, match="compiled to order 0"):
+                    kernel.packed(p.q, order + 1)
 
 
 def test_compiled_grids_equal_jet_exactly_on_fixtures(system):

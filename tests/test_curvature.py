@@ -16,8 +16,8 @@ from nhk import (
     sample_points,
     splitting_at,
 )
-from nhk._compile import get_compiled
-from nhk._linalg import pk_inv, pk_matmul, pk_transpose
+from nhk._compile import GridEval, get_compiled
+from nhk._linalg import pk_const, pk_inv, pk_matmul, pk_transpose
 from nhk.errors import UnsupportedOperationError
 from nhk.manifold import _c_basis, _splitting
 
@@ -94,12 +94,16 @@ def test_values_lie_in_the_complement_lift(system):
 
 def _complement_jet(system, bd):
     """The complement frame Z with its first q-derivatives, built here:
-    the compiled declared frame (or d/ds), else the kappa-orthogonal
-    complement kappa^-1 eps^T (eps kappa^-1 eps^T)^-1 in packed
-    arithmetic.  The library reads no derivative of Z."""
+    the declared frame compiled to order 1, or d/ds (constant), else the
+    kappa-orthogonal complement kappa^-1 eps^T (eps kappa^-1 eps^T)^-1
+    in packed arithmetic.  The library reads no derivative of Z, and
+    compiles the declared frame to values only."""
+    if system.w_frame is not None:
+        w = GridEval(system.w_frame, system.coord_names)
+        return pk_transpose(w.packed(bd.q, 1))
     w = get_compiled(system).w
     if w is not None:
-        return pk_transpose(w.packed(bd.q, 1))
+        return pk_const(w.packed(bd.q, 0).val.T, system.n, 1)
     P = pk_matmul(pk_inv(bd.kappa), pk_transpose(bd.eps))
     return pk_matmul(P, pk_inv(pk_matmul(bd.eps, P)))
 

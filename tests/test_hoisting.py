@@ -16,8 +16,9 @@ passes; the messages and their precedence are unchanged.  Once loaded,
 the compiled form is only read.  Shared constant arrays are read-only,
 the closed-form adapted coframe is the inverse of the frame matrix, and
 the per-system data does not keep a system alive.  The work counts of
-an integration, whose RK4 stages run only base_at's D-frame stage, and
-of a base evaluation are pinned by counting calls, not by timing."""
+an integration, whose RK4 stages run base_at's frame half at order 1
+and its Gram half on values, and of a base evaluation are pinned by
+counting calls, not by timing."""
 
 import gc
 import weakref
@@ -434,12 +435,12 @@ def test_integrate_work_counts_on_a_constant_metric(name, monkeypatch):
     # the load-time probes are one stack, which passes the metric checks
     assert eigvalsh.calls == 1
     assert get_compiled(system).metric.constant
-    base = _count(monkeypatch, sim, "base_at")
+    frame = _count(monkeypatch, sim, "_frame_at")
     residual = _count(monkeypatch, sim, "_residual")
     init = sample_points(system, 1, seed=3)[0]
     tr = nhk.integrate(system, init, 0.01, steps)
     assert tr.completed
-    assert base.calls == 1 + 4 * steps
+    assert frame.calls == 1 + 4 * steps
     assert eigvalsh.calls == 1
     assert residual.calls == len(tr.times) == steps + 1
 
@@ -447,10 +448,36 @@ def test_integrate_work_counts_on_a_constant_metric(name, monkeypatch):
 def test_integrate_work_counts_on_a_q_dependent_metric(twist5, monkeypatch):
     steps = 4
     eigvalsh = _count(monkeypatch, np.linalg, "eigvalsh")
-    base = _count(monkeypatch, sim, "base_at")
+    frame = _count(monkeypatch, sim, "_frame_at")
     residual = _count(monkeypatch, sim, "_residual")
     init = sample_points(twist5, 1, seed=3)[0]
     tr = nhk.integrate(twist5, init, 0.01, steps)
     assert tr.completed
-    assert base.calls == eigvalsh.calls == 1 + 4 * steps
+    assert frame.calls == eigvalsh.calls == 1 + 4 * steps
     assert residual.calls == steps + 1
+
+
+def test_an_rk4_stage_builds_no_derivative_of_the_gram_matrix(
+        system, monkeypatch):
+    # each stage runs the frame half at order 1 and the Gram half on
+    # values: no derivative of kD, kD^-1 or mu is built (the halves are
+    # recorded under both names, so a base_at call would show too)
+    steps = 3
+    orders = []
+    frame, gram = manifold._frame_at, manifold._gram_at
+
+    def frame_at(system, q, order):
+        orders.append(("frame", order))
+        return frame(system, q, order)
+
+    def gram_at(system, kappa, X):
+        out = gram(system, kappa, X)
+        orders.append(("gram",) + tuple(m.order for m in (kappa, X, *out)))
+        return out
+
+    for owner in (manifold, sim):
+        monkeypatch.setattr(owner, "_frame_at", frame_at)
+        monkeypatch.setattr(owner, "_gram_at", gram_at)
+    init = sample_points(system, 1, seed=3)[0]
+    assert nhk.integrate(system, init, 0.01, steps).completed
+    assert orders == [("frame", 1), ("gram", 0, 0, 0, 0, 0)] * (1 + 4 * steps)

@@ -36,17 +36,38 @@ from nhk.sim import _residual, _rhs
 
 
 def test_rhs_is_the_nonholonomic_vector_field(system):
-    # reference: the block form -Pi . dH of the chart tensors, which
-    # shares no code with the componentwise field behind _rhs
+    # reference: the block form -Pi . dH of the chart tensors, whose S
+    # comes from d mu, not from the frame brackets behind _rhs; its
+    # rounding grows with the field, as the absolute tolerance does
     for p in sample_points(system, 10, seed=77):
         du, h, eps = _rhs(system, np.concatenate([p.q, p.ptilde]))
         Pi = chart_tensors(system, p).Pi
         np.testing.assert_allclose(du, -Pi @ hamiltonian_M(system, p)[1],
-                                   rtol=1e-12, atol=1e-12)
+                                   rtol=1e-12,
+                                   atol=1e-12 * max(1.0, np.abs(du).max()))
         np.testing.assert_array_equal(du, nh_vector_field(system, p))
         assert h == pytest.approx(hamiltonian_M(system, p)[0], rel=1e-12)
         # qdot lies in the constraint kernel exactly
         assert _residual(eps, du) < 1e-10
+
+
+U = 2.0 ** -52
+
+
+def test_the_snakeboard_conserves_its_steering_momentum(snakeboard):
+    # U = 0, kappa constant and X_phi = d/dphi: dH_phi = -p(d_phi X) v
+    # and S[phi, :] v = p(d_phi X) v, so ptildedot_phi = 0 exactly in
+    # the frame-bracket form; an S from d mu loses this near the pole
+    i = snakeboard.n + snakeboard.momentum_labels.index("phi")
+    for p in sample_points(snakeboard, 200, seed=99):
+        du = _rhs(snakeboard, np.concatenate([p.q, p.ptilde]))[0]
+        assert np.array_equal(du, nh_vector_field(snakeboard, p))
+        assert abs(du[i]) <= 4 * U * max(1.0, np.abs(du).max())
+    init = PointM([0.0, 0.0, 0.0, 0.0, 1.2], [0.4, 0.7, 3.0])
+    traj = integrate(snakeboard, init, 0.01, 300)
+    assert traj.exit_reason.startswith("left the valid domain at step 27")
+    pt_phi = traj.states.ptilde[:, i - snakeboard.n]
+    assert np.abs(pt_phi - pt_phi[0]).max() <= 4 * U * abs(pt_phi[0])
 
 
 # ------------------------------------------------- no complement is read
@@ -318,7 +339,7 @@ def test_initial_point_must_be_valid(snakeboard):
 
 def test_frame_singularity_is_fatal(particle, monkeypatch):
     calls = {"n": 0}
-    real = nhk.sim.base_at
+    real = nhk.sim._frame_at
 
     def failing(system, q, order):
         calls["n"] += 1
@@ -326,7 +347,7 @@ def test_frame_singularity_is_fatal(particle, monkeypatch):
             raise GeometryError("constraint frame lost rank")
         return real(system, q, order)
 
-    monkeypatch.setattr(nhk.sim, "base_at", failing)
+    monkeypatch.setattr(nhk.sim, "_frame_at", failing)
     with pytest.raises(GeometryError, match=r"frame singularity at step \d"):
         integrate(particle, PointM([0, 0, 0], [1.0, 0.5]), dt=1e-3, steps=10)
 
@@ -335,7 +356,7 @@ def test_frame_singularity_at_start(particle, monkeypatch):
     def failing(system, q, order):
         raise GeometryError("constraint frame lost rank")
 
-    monkeypatch.setattr(nhk.sim, "base_at", failing)
+    monkeypatch.setattr(nhk.sim, "_frame_at", failing)
     with pytest.raises(GeometryError, match="frame singularity at step 0"):
         integrate(particle, PointM([0, 0, 0], [1.0, 0.5]), dt=1e-3, steps=10)
 
