@@ -432,10 +432,8 @@ class CompiledSystem:
             if system.d_frame is not None else None
         self.potential = ScalarEval(system.potential, names)
 
-        # r/s coordinate indices; r_pos[al] is the column of the D-frame
-        # whose r-row r_idx[al] holds the 1 of an adapted frame
+        # r/s coordinate indices
         self.r_idx = _read_only(np.array(system.r_indices, dtype=np.intp))
-        self.r_pos = _read_only(np.arange(n - k))
         self.s_idx = _read_only(np.array(system.s_indices, dtype=np.intp))
         self.eye_k = _read_only(np.eye(k))
         # the declared domain as bounds per coordinate, +-inf where none

@@ -45,8 +45,8 @@ with M[l, beta] = p . d_l X_beta.  dH_q likewise reads d kappa and dX,
 not d(kD^{-1}).  The field reads kappa and X with their first
 derivatives and the values of kD^{-1}: no derivative of kD, kD^{-1} or
 mu.  The integrator (``sim``) evaluates the same H, dH and field from
-``manifold``'s frame half at order 1 and Gram half on values, which
-read no complement.  ``chart_tensors`` keeps S = X^T E X from d mu, so
+``manifold``'s frame half at order 1 and Gram half (kD and its inverse,
+no mu) on values, which read no complement.  ``chart_tensors`` keeps S = X^T E X from d mu, so
 the test reference -Pi . dH shares no formula with the field.  The
 Hamiltonian's ambient cross-check embeds the momenta through the
 complement instead (``manifold._eliminated_mu``), so that its two

@@ -53,7 +53,6 @@ import numpy as np
 
 from .bracket import _bivector_packed, _chart_tensors
 from .curvature import _curvature_coeffs, _nonholonomy
-from ._linalg import pk_matmul, Packed
 from .errors import (EvalError, NhkError, ParameterError,
                      UnsupportedOperationError, check_array, check_integer,
                      check_real)
@@ -144,18 +143,18 @@ def _km_point_data(system: NonholonomicSystem, p: PointM,
 
     The complement is always the canonical coordinate one (Z = d/ds),
     regardless of any w_frame override: J here couples the coordinate
-    fiber momenta, p(d/ds^a) = J[a, be] ptilde_be."""
+    fiber momenta, p(d/ds^a) = J[a, be] ptilde_be: J = (mu Z)^T, read
+    from bd.mu with its first derivative as J[a, tau] = mu[tau, s_a]."""
     r_idx, s_idx = list(system.r_indices), list(system.s_indices)
-    kS = Packed(bd.kappa.val[..., s_idx, :], bd.kappa.d1[..., s_idx, :],
-                None)
-    J = pk_matmul(pk_matmul(kS, bd.X), bd.kD_inv)
+    J = bd.mu.val[..., s_idx].swapaxes(-1, -2)       # (a, tau)
+    dJ = bd.mu.d1[..., s_idx].swapaxes(-1, -2)       # (l, a, tau)
     A, dA, _, Kc = _nonholonomy(system, bd)
     arrays = {
         "pt": p.ptilde,
         "A": A, "dA_s": dA[..., s_idx, :, :],      # (b, a, gamma)
-        "J": J.val,                                # (a, tau)
-        "dJ_r": J.d1[..., r_idx, :, :],            # (gamma, b, tau)
-        "dJ_s": J.d1[..., s_idx, :, :],            # (a, b, tau)
+        "J": J,                                    # (a, tau)
+        "dJ_r": dJ[..., r_idx, :, :],              # (gamma, b, tau)
+        "dJ_s": dJ[..., s_idx, :, :],              # (a, b, tau)
         "Kc": Kc,                                  # (a, al, be)
     }
     # C order: an operand's memory layout picks the BLAS kernel of @, so

@@ -30,16 +30,13 @@ import numpy as np
 from .errors import EvalError
 
 __all__ = ["Jet2", "jet_lift", "jet_binary", "jet_unary", "jet_const",
-           "BINARY_OPS", "UNARY_FNS", "DIV_EPS"]
+           "DIV_EPS"]
 
 # Near-zero denominator threshold.  All benchmark systems keep metric
 # determinants and cos(phi) well away from zero on their declared domains.
 DIV_EPS = 1e-14
 # tan and sec refuse |cos x| at or below this (a pole).
 POLE_EPS = 1e-12
-
-BINARY_OPS = ("add", "sub", "mul", "div", "pow")
-UNARY_FNS = ("neg", "sin", "cos", "tan", "sec", "sqrt", "exp", "ln")
 
 # Integer exponent range accepted by pow.
 POW_MIN, POW_MAX = -6, 6

@@ -25,17 +25,20 @@ where X_alpha is the working frame of D.  This module builds, pointwise:
 
 The base data is carried to the requested derivative order as Packed
 arrays, and all its linear algebra runs on them.  Frames are chosen
-like this: an explicit `d_frame` wins; else an `adapted` declaration
-gives X_alpha = d/dr^alpha - A^a_alpha d/ds^a; else a kernel basis of
-eps(q), with pivot columns from an elimination of the values at each
-point and one packed solve per pivot pattern.  The complement is the
-declared `w_frame`; else, for an adapted declaration, Z_a = d/ds^a,
-whose dual coframe is chi^alpha = dr^alpha in closed form; else the
-kappa-orthogonal complement, and the coframe comes from inverting
-[X|Z].  ``base_at`` builds the first item, which is all that the
-dynamics, the embedding and the bracket read, in two halves: the frame
-(``_frame_at``: kappa, eps, X) and the Gram matrix (``_gram_at``: kD,
-its inverse, mu).  An RK4 stage runs the second on values only.
+like this: an explicit `d_frame` wins; else the adapted frame
+X_alpha = d/dr^alpha - A^a_alpha d/ds^a of a split (s, r) of the
+coordinates (``_adapted_frame``): the declared `adapted` s, with A the
+r-columns of eps, else the pivot columns of an elimination of the
+values at each point, with A = B^-1 F (B the pivot block), one packed
+solve per pivot pattern.  The complement is the declared `w_frame`;
+else, for an adapted declaration, Z_a = d/ds^a, whose dual coframe is
+chi^alpha = dr^alpha in closed form; else the kappa-orthogonal
+complement, and the coframe comes from inverting [X|Z].  ``base_at``
+builds the first item, which is all that the dynamics, the embedding
+and the bracket read, in two halves: the frame (``_frame_at``: kappa,
+eps, X) and the Gram matrix (``_gram_at``: X^T kappa, kD and its
+inverse), from which base_at forms mu; an RK4 stage runs the two
+halves alone, the second on values.
 ``complement_at`` builds the second item, only for the operations that
 read W: the curvature and the global Jacobiator formula, which take Z
 as an argument, and those that show W or cross-check through it.
@@ -513,7 +516,7 @@ def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
     EvalError (``jet.NONFINITE``), see _finite; each matrix inverted here
     is guarded once, by _inv.  The work is two halves, run in this
     order: ``_frame_at`` (the point check, kappa, eps and X with their
-    checks) and ``_gram_at`` (kD, its inverse and mu).
+    checks) and ``_gram_at`` (kD and its inverse); then mu.
 
     q is one point, shape (n,), a stack of B points, shape (B, n), or a
     PointM (stacked or not), checked once, first, by ``check_domain`` or
@@ -531,7 +534,8 @@ def base_at(system: NonholonomicSystem, q, order: int = 1) -> BaseData:
     """
     order = check_integer("order", order, 0, 3)
     q, kappa, eps, X = _frame_at(system, q, order)
-    mu, kD, kD_inv = _gram_at(system, kappa, X)
+    XTk, kD, kD_inv = _gram_at(kappa, X)
+    mu = pk_inv(X) if system.k == 0 else pk_matmul(kD_inv, XTk)
     return BaseData(q=q, order=order, kappa=kappa, eps=eps, X=X, mu=mu,
                     kD=kD, kD_inv=kD_inv)
 
@@ -586,49 +590,61 @@ def _frame_at(system: NonholonomicSystem, q, order: int):
     return q, kappa, eps, X
 
 
-def _gram_at(system: NonholonomicSystem, kappa: Packed, X: Packed):
+def _gram_at(kappa: Packed, X: Packed):
     """The Gram half of ``base_at``, at the jet order of kappa and X:
-    kD = (X^T kappa) X, tested finite (_finite), its guarded inverse
-    (_inv), then mu.  Returns (mu, kD, kD_inv)."""
+    returns X^T kappa, kD = (X^T kappa) X, tested finite (_finite), and
+    kD's guarded inverse (_inv)."""
     XTk, kD = _finite(lambda: (P := pk_matmul(pk_transpose(X), kappa),
                                pk_matmul(P, X)))
-    kD_inv = _inv(kD, "D-frame Gram matrix")
-    mu = pk_inv(X) if system.k == 0 else pk_matmul(kD_inv, XTk)
-    return mu, kD, kD_inv
+    return XTk, kD, _inv(kD, "D-frame Gram matrix")
 
 
 def _d_frame_at(system, comp, q, eps, order) -> Packed:
     if comp.d is not None:
         return pk_transpose(comp.d.packed(q, order))
-    if system.adapted is not None:
-        # X_alpha = d/dr^alpha - A^a_alpha d/ds^a, with A^a_alpha the
-        # r-column entries of eps^a (identity block already verified).
-        parts = []
-        for m in (eps.val, eps.d1, eps.d2)[:order + 1]:
-            x = np.zeros(m.shape[:-2] + (system.n, system.n - system.k))
-            x[..., comp.s_idx, :] = -m.take(comp.r_idx, axis=-1)
-            parts.append(x)
-        parts[0][..., comp.r_idx, comp.r_pos] = 1.0
-        return Packed(*parts)
+    if system.adapted is not None:      # B = I: A is eps's r-columns
+        return _adapted_frame(_columns(eps, comp.r_idx), comp.s_idx,
+                              comp.r_idx)
     return _kernel_frame(eps)
+
+
+def _columns(a: Packed, cols) -> Packed:
+    """The columns ``cols`` of a, with their derivatives."""
+    return Packed(*[m.take(cols, axis=-1) for m in a if m is not None])
+
+
+def _adapted_frame(A: Packed, s, r) -> Packed:
+    """The adapted frame X_alpha = d/dr^alpha - A^a_alpha d/ds^a of the
+    split (s, r) of the coordinates, from A (k x (n-k), with its
+    derivatives): the rows s hold -A, the rows r the identity."""
+    n = len(s) + len(r)
+    parts = []
+    for m in A:
+        if m is not None:
+            parts.append(np.zeros(m.shape[:-2] + (n, len(r))))
+            parts[-1][..., s, :] = -m
+    parts[0][..., r, range(len(r))] = 1.0
+    return Packed(*parts)
 
 
 def _kernel_frame(eps: Packed) -> Packed:
     """Kernel basis of eps(q): per pivot pattern of the stack's points,
-    -B^-1 F in the pivot rows (B the pivot-column block of eps, F its
-    free columns) and the identity in the free rows."""
+    the adapted frame of s = the pivot columns and A = B^-1 F (B and F
+    the pivot and free columns of eps).  B is inverted unguarded:
+    _pivot_columns kept its pivots above PIVOT_TOL."""
     lead, (k, n) = eps.val.shape[:-2], eps.val.shape[-2:]
     groups: dict = {}
     for i in np.ndindex(lead):
         groups.setdefault(_pivot_columns(eps.val[i]), []).append(i)
-    parts = [None if m is None else np.empty(m.shape[:-2] + (n, n - k))
-             for m in (eps.val, eps.d1, eps.d2)]
+    parts = [np.empty(m.shape[:-2] + (n, n - k)) for m in eps if m is not None]
     for piv, points in groups.items():
         idx = tuple(np.array(axis) for axis in zip(*points))
-        got = _kernel_solve(pk_at(eps, idx), piv)
-        for out, m in zip(parts, (got.val, got.d1, got.d2)):
-            if out is not None:
-                out[idx] = m
+        e = pk_at(eps, idx)
+        s, r = list(piv), [c for c in range(n) if c not in piv]
+        got = _adapted_frame(
+            pk_matmul(pk_inv(_columns(e, s)), _columns(e, r)), s, r)
+        for out, m in zip(parts, got):
+            out[idx] = m
     return Packed(*parts)
 
 
@@ -667,27 +683,6 @@ def _pivot_columns(e: np.ndarray) -> tuple:
     if len(cols) < k:
         raise GeometryError("constraint forms rank-deficient in elimination")
     return tuple(cols)
-
-
-def _kernel_solve(eps: Packed, piv: tuple) -> Packed:
-    """The kernel basis for the pivot columns piv of every point of eps.
-    The pivot block B is inverted unguarded: _pivot_columns kept each of
-    its pivots above PIVOT_TOL, so B is nonsingular."""
-    n = eps.val.shape[-1]
-    free = [c for c in range(n) if c not in piv]
-
-    def block(cols):
-        return Packed(*(None if m is None else m[..., cols]
-                        for m in (eps.val, eps.d1, eps.d2)))
-
-    M = pk_matmul(pk_inv(block(list(piv))), block(free))
-    X = [None if m is None else np.zeros(m.shape[:-2] + (n, len(free)))
-         for m in (M.val, M.d1, M.d2)]
-    for x, m in zip(X, (M.val, M.d1, M.d2)):
-        if x is not None:
-            x[..., list(piv), :] = -m
-    X[0][..., free, range(len(free))] = 1.0
-    return Packed(*X)
 
 
 def complement_at(system: NonholonomicSystem,

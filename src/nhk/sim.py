@@ -9,10 +9,11 @@ momentum block is S = p([X_alpha, X_beta]) and dH_q reads d kappa and
 dX, so a stage reads kappa and X with their first derivatives and the
 values of kD^{-1}.  Each stage runs the two halves of
 ``manifold.base_at``: ``_frame_at`` (kappa, eps, X and their checks) at
-order 1 and ``_gram_at`` (kD, its guarded inverse, mu) on values, so it
-builds no derivative of kD, kD^{-1} or mu, and, like base_at, reads no
-complement.  A test pins the right-hand side against the block form
-``-Pi . dH`` of the chart tensors, whose S comes from d mu.
+order 1 and ``_gram_at`` (kD and its guarded inverse) on values, so it
+builds no derivative of kD or kD^{-1} and no mu at all, and, like
+base_at, reads no complement.  A test pins the right-hand side against
+the block form ``-Pi . dH`` of the chart tensors, whose S comes from
+d mu.
 Each recorded sample carries the Hamiltonian and the constraint residual
 max_a |eps^a(qdot)|; both are conserved/zero in exact arithmetic, so the
 recorded values measure integrator and floating-point error only.
@@ -82,7 +83,7 @@ def _rhs(system: NonholonomicSystem, u: np.ndarray):
     n = system.n
     q, pt = u[:n], u[n:]
     _, kappa, eps, X = _frame_at(system, q, 1)
-    _, _, kD_inv = _gram_at(system, Packed(kappa.val), Packed(X.val))
+    _, _, kD_inv = _gram_at(Packed(kappa.val), Packed(X.val))
     try:
         energy, _, dHq, vel, qdot, M = _energy(system, q, pt, kappa, X,
                                                kD_inv.val)

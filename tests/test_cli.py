@@ -424,6 +424,17 @@ def test_eval_domain_failure():
     assert doc["error"]["type"] == "EvalError"
 
 
+@pytest.mark.parametrize("wrt", [[], ["--wrt", "x"]], ids=["value", "wrt"])
+def test_eval_error_names_its_offset_in_the_message(wrt):
+    # the AST walker names the failing node's offset in the message; the
+    # payload has no separate offset field, as a ParseError's has
+    message = "ln of non-positive value -1.0 (at offset 4)"
+    doc, out = run_json(["eval", "--expr", "x + ln(x)", "--at", "x=-1", *wrt],
+                        expect_code=3)
+    assert doc["error"] == {"type": "EvalError", "message": message}
+    assert out.summary == f"error: {message}"
+
+
 @pytest.mark.parametrize("expr, at, message", [
     ("exp(x)", "x=1000", "exp has no finite value or derivative at 1000.0"),
     ("sin(x)", "x=inf", "sin has no finite value or derivative at inf"),

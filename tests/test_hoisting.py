@@ -30,7 +30,8 @@ import nhk
 from expr_corpus import nested_system
 from nhk import (base_at, builtin_definition, complement_at, load_system,
                  sample_points)
-from nhk import _compile, manifold, sim
+from nhk import (_compile, _linalg, bracket, curvature, jacobiator, manifold,
+                 sim)
 from nhk._compile import get_compiled
 from nhk._rng import Lcg64
 from nhk.errors import GeometryError, LoadError
@@ -461,18 +462,23 @@ def test_an_rk4_stage_builds_no_derivative_of_the_gram_matrix(
         system, monkeypatch):
     # each stage runs the frame half at order 1 and the Gram half on
     # values: no derivative of kD, kD^-1 or mu is built (the halves are
-    # recorded under both names, so a base_at call would show too)
+    # recorded under both names, so a base_at call would show too).  The
+    # Gram half forms no mu: its two products are X^T kappa and kD, and
+    # the stage makes no other, but for the kernel frame's B^-1 F
     steps = 3
     orders = []
     frame, gram = manifold._frame_at, manifold._gram_at
+    matmul = _count(monkeypatch, manifold, "pk_matmul")
 
     def frame_at(system, q, order):
         orders.append(("frame", order))
         return frame(system, q, order)
 
-    def gram_at(system, kappa, X):
-        out = gram(system, kappa, X)
-        orders.append(("gram",) + tuple(m.order for m in (kappa, X, *out)))
+    def gram_at(kappa, X):
+        before = matmul.calls
+        out = gram(kappa, X)
+        orders.append(("gram",) + tuple(m.order for m in (kappa, X, *out))
+                      + (matmul.calls - before,))
         return out
 
     for owner in (manifold, sim):
@@ -480,4 +486,21 @@ def test_an_rk4_stage_builds_no_derivative_of_the_gram_matrix(
         monkeypatch.setattr(owner, "_gram_at", gram_at)
     init = sample_points(system, 1, seed=3)[0]
     assert nhk.integrate(system, init, 0.01, steps).completed
-    assert orders == [("frame", 1), ("gram", 0, 0, 0, 0, 0)] * (1 + 4 * steps)
+    stages = 1 + 4 * steps
+    assert orders == [("frame", 1), ("gram", 0, 0, 0, 0, 0, 2)] * stages
+    kernel_frame = system.d_frame is None and system.adapted is None
+    assert matmul.calls == (2 + kernel_frame) * stages
+
+
+def test_the_coordinate_route_reads_j_from_mu(adapted_system, monkeypatch):
+    # J = (mu Z)^T with Z = d/ds: _km_point_data slices bd.mu and makes no
+    # product of its own
+    pts = sample_points(adapted_system, 3, seed=5)
+    bd = base_at(adapted_system, pts, 1)
+    counters = [_count(monkeypatch, mod, "pk_matmul")
+                for mod in (_linalg, manifold, bracket, curvature, jacobiator)
+                if hasattr(mod, "pk_matmul")]
+    data = jacobiator._km_point_data(adapted_system, pts, bd)
+    assert [c.calls for c in counters] == [0] * len(counters)
+    s_idx = list(adapted_system.s_indices)
+    assert np.array_equal(data["J"], bd.mu.val[..., s_idx].swapaxes(-1, -2))

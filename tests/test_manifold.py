@@ -548,6 +548,44 @@ def test_kernel_frame_accepts_small_pivots():
         assert np.all(bd.X.val[:, 2:] == np.eye(2))
 
 
+def _without_adapted(name: str) -> NonholonomicSystem:
+    definition = builtin_definition(name)
+    del definition["adapted"]
+    return load_system(definition)
+
+
+def test_the_kernel_frame_is_the_adapted_frame_of_its_pivot_columns(disk):
+    # rolling_disk pivots on its declared s = (x, y), whose block is the
+    # identity: B^-1 F = A, and one assembly builds both frames, so the
+    # base data is the declared system's, bit for bit
+    system = _without_adapted("rolling_disk")
+    pts = sample_points(disk, 6, seed=5)
+    for q in pts.q:
+        eps = base_at(system, q, 0).eps.val
+        assert nhk.manifold._pivot_columns(eps) == disk.s_indices
+    for order in (0, 1, 2):
+        for at in (pts, pts[0], pts[4]):
+            got, want = base_at(system, at, order), base_at(disk, at, order)
+            for name in ("kappa", "eps", "X", "mu", "kD", "kD_inv"):
+                for a, b in zip(getattr(got, name), getattr(want, name)):
+                    assert (a is None) == (b is None), (name, order)
+                    assert a is None or (a.shape == b.shape and a.tobytes()
+                                         == b.tobytes()), (name, order)
+    report = cross_validate(system, samples=20, seed=3)
+    assert report.passed and report.methods == ("bruteforce", "global")
+
+
+def test_the_particle_without_its_declaration_pivots_on_x():
+    # eps = -y dx + dz: the elimination takes the first usable column, x,
+    # not the declared s = z; D and the routes' agreement are unchanged
+    system = _without_adapted("nh_particle")
+    for q in sample_points(system, 6, seed=5).q:
+        eps = base_at(system, q, 0).eps.val
+        assert nhk.manifold._pivot_columns(eps) == (0,)
+    report = cross_validate(system, samples=20, seed=3)
+    assert report.passed and report.methods == ("bruteforce", "global")
+
+
 # ------------------------------------------------------------ embedding
 
 
